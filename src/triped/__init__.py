@@ -23,13 +23,12 @@ from .config_io import (RunManifest, StaticStabilityWarning, TRAJECTORY_HEADER,
                         emit_orbit_outputs, emit_outputs, emit_sweep_outputs,
                         make_manifest, parse_config, parse_config_text,
                         write_config)
-from .control import (ControlAction, ControllerState, control_action,
-                      max_static_incline, static_stability, zeta_distance)
+from .control import (ControlAction, control_action, max_static_incline,
+                      static_stability, zeta_distance)
 from .dynamics import (INPUT_MATRIX, coriolis_matrix, gravity_torque,
-                       hip_position, inertia_matrix, input_matrix,
-                       kinetic_energy, potential_energy, swing_accel,
-                       swing_foot_height, swing_foot_position, total_energy,
-                       torso_tip_position)
+                       hip_position, inertia_matrix, kinetic_energy,
+                       potential_energy, swing_accel, swing_foot_height,
+                       swing_foot_position, total_energy, torso_tip_position)
 from .errors import (ActuationSingularityError, ConfigError, ConfigParseError,
                      ConfigValidationError, DegenerateContactError,
                      FellOverError, GaitAbortError, NoConvergenceError,
@@ -41,16 +40,27 @@ from .params import (ControllerConfig, ControllerGains, GaitTargets,
 from .reduced import (ReducedState, from_reduced, input_matrix_e,
                       reduced_forces, reduced_inertias, to_reduced)
 from .simulate import GaitSummary, StepRecord, Trajectory, run_gait, step
-from .verification import (CertificationReport, CheckResult,
-                           TranscriptionReport, run_certification,
-                           transcription_report)
 
 __version__ = "0.1.0"
+
+#: Names re-exported from :mod:`triped.verification`, loaded on first use so
+#: that ``import triped`` does not import sympy.
+_VERIFICATION_NAMES = ("CertificationReport", "CheckResult",
+                       "TranscriptionReport", "run_certification",
+                       "transcription_report")
+
+
+def __getattr__(name: str):
+    if name in _VERIFICATION_NAMES:
+        from . import verification
+        return getattr(verification, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ActuationSingularityError", "CertificationReport", "CheckResult",
     "ConfigError", "ConfigParseError", "ConfigValidationError",
-    "ControlAction", "ControllerConfig", "ControllerGains", "ControllerState",
+    "ControlAction", "ControllerConfig", "ControllerGains",
     "DegenerateContactError", "FellOverError", "GaitAbortError",
     "GaitSummary", "ImpactResult", "INPUT_MATRIX", "NoConvergenceError",
     "NonFiniteStateError", "PeriodicOrbit", "ReducedState", "RELABEL",
@@ -61,7 +71,7 @@ __all__ = [
     "__version__", "contraction_ratio", "control_action", "coriolis_matrix",
     "emit_orbit_outputs", "emit_outputs", "emit_sweep_outputs",
     "find_periodic_orbit", "from_reduced", "gravity_torque", "hip_position",
-    "inertia_matrix", "input_matrix", "input_matrix_e", "kinetic_energy",
+    "inertia_matrix", "input_matrix_e", "kinetic_energy",
     "make_manifest", "max_static_incline", "nominal_initial_state",
     "parse_config", "parse_config_text", "potential_energy",
     "reduced_forces", "reduced_inertias", "reset_map", "run_certification",

@@ -14,14 +14,13 @@ six mechanical coordinates — radians and radians per second with unit
 weights.
 
 :func:`run_sweep` runs independent perturbed copies of a base configuration
-(plant perturbed, controller model held fixed) concurrently and merges
-results by sample index, so the output order is deterministic.
+(plant perturbed, controller model held fixed) in worker processes and
+merges results by sample index, so the output order is deterministic.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,23 +172,36 @@ def summarize_gait(summary: GaitSummary, index: int = 0, axis: str = "",
     )
 
 
+def _sweep_sample(spec: SweepSpec, index: int) -> SweepSample:
+    """Run one sweep sample; module-level so that worker processes can."""
+    summary = run_gait(spec.sample_config(index))
+    return summarize_gait(summary, index=index, axis=spec.axis,
+                          value=spec.sample_values()[index])
+
+
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepSample]:
     """Run every sweep sample and return rows in sample order.
 
-    Samples are independent simulations executed on a thread pool; results
-    are merged by index, so the table is deterministic regardless of
-    scheduling.
+    Samples are independent simulations.  With one worker or one sample they
+    run in this process; otherwise on a pool of freshly started processes
+    (a simulation holds the interpreter lock, so threads would not overlap),
+    by default one worker per sample up to the CPU count.  Results are
+    merged by index, so the table is deterministic regardless of scheduling.
+
+    Each worker starts a fresh interpreter and imports the calling script's
+    main module, so a script that sweeps on more than one worker needs the
+    usual ``if __name__ == "__main__":`` guard.  Starting a worker costs
+    about as much as ``import triped``.
     """
     spec.validate()
-    values = spec.sample_values()
+    n = spec.n_samples
+    workers = min(n, max_workers or os.cpu_count() or 1)
+    if workers == 1:
+        return [_sweep_sample(spec, index) for index in range(n)]
+    # Imported here, not with the package: about 25 ms that only pools use.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def one(index: int) -> SweepSample:
-        summary = run_gait(spec.sample_config(index))
-        return summarize_gait(summary, index=index, axis=spec.axis,
-                              value=values[index])
-
-    if len(values) == 1:
-        return [one(0)]
-    workers = max_workers or min(len(values), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(len(values))))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_sweep_sample, [spec] * n, range(n)))

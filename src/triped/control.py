@@ -36,11 +36,15 @@ Two conventions for the proportional error ``eta`` are supported
 
 Everything here reads only :class:`~triped.params.ControllerConfig` — the
 controller can never see the true plant parameters or the true slope.
+
+:func:`control_action` is the one implementation of the law in this module
+and the certified reference: the certification battery checks it, and the
+simulator's fused kernel (:mod:`triped.kernel`) is tested against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +54,10 @@ from .reduced import (ReducedState, input_matrix_e, quadratic_bracket,
                       reduced_forces, reduced_inertias, to_reduced)
 
 __all__ = [
-    "ControllerState", "ControlAction", "error_sines",
-    "error_potential_gradient", "connection_matrix_e", "pid_torque",
-    "integrator_rate", "regularize", "allocate", "control_action",
-    "zeta_distance", "static_stability", "max_static_incline",
+    "ControlAction", "error_sines", "error_potential_gradient",
+    "control_action", "zeta_distance", "static_stability",
+    "max_static_incline",
 ]
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    """Controller configuration plus its only dynamic state, ``omega_I``."""
-
-    config: ControllerConfig = field(default_factory=ControllerConfig)
-    omega_I: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
 
 def error_sines(rs: ReducedState) -> np.ndarray:
@@ -84,66 +79,6 @@ def _error_vector(rs: ReducedState, cfg: ControllerConfig) -> np.ndarray:
     if cfg.error_weighting == "inertia":
         return error_potential_gradient(rs, cfg.model)
     return error_sines(rs)
-
-
-def connection_matrix_e(rs: ReducedState, model: RobotParams) -> np.ndarray:
-    """Error-space connection ``Gamma_e = I_e^{-1} @ quadratic_bracket`` (2x2).
-
-    Linear in the shape rates; the unique connection compatible with the
-    output inertia (``d(I_e)/dt - 2 I_e Gamma_e`` skew-symmetric).
-    """
-    i_e, _ = reduced_inertias(rs, model)
-    return quadratic_bracket(rs, model) / np.diag(i_e)[:, None]
-
-
-def pid_torque(rs: ReducedState, cs: ControllerState) -> np.ndarray:
-    """Shaped PID torque ``-I_e @ (kp eta + kd omega_e + ki omega_I)``."""
-    cfg = cs.config
-    g = cfg.gains
-    i_e, _ = reduced_inertias(rs, cfg.model)
-    mix = g.kp * _error_vector(rs, cfg) + g.kd * rs.omega_e + g.ki * cs.omega_I
-    return -(i_e @ mix)
-
-
-def integrator_rate(rs: ReducedState, cs: ControllerState) -> np.ndarray:
-    """Covariant integrator flow ``d(omega_I)/dt = eta - Gamma_e @ omega_I``.
-
-    With ``eta == 0`` this is parallel transport: the ``I_e``-norm of
-    ``omega_I`` is preserved along any shape motion.
-    """
-    gamma_e = connection_matrix_e(rs, cs.config.model)
-    return _error_vector(rs, cs.config) - gamma_e @ cs.omega_I
-
-
-def regularize(rs: ReducedState, model: RobotParams, incline_assumed: float,
-               tau_tilde) -> np.ndarray:
-    """Output-channel torque that reduces the error dynamics to the PID law.
-
-    Returns ``tau_tilde + tau_e + tau_g_e - I_e Gamma_e omega_e`` evaluated
-    from the controller's model and assumed slope.  Substituted into the
-    output channel of the matched plant this leaves exactly
-    ``I_e (d(omega_e)/dt + Gamma_e omega_e) = tau_tilde``; on a mismatched
-    plant the leftover model error enters as an additive disturbance.
-    """
-    tau_e, _, tau_g_e, _ = reduced_forces(rs, model, incline_assumed)
-    bracket = quadratic_bracket(rs, model)
-    return np.asarray(tau_tilde, dtype=float) + tau_e + tau_g_e - bracket @ rs.omega_e
-
-
-def allocate(tau_ue, rs: ReducedState, model: RobotParams,
-             det_floor: float = 1e-6) -> np.ndarray:
-    """Solve ``B_e @ u = tau_ue`` for the two hip torques.
-
-    Raises:
-        ActuationSingularityError: ``|det B_e|`` at or below ``det_floor``.
-    """
-    b_e, _ = input_matrix_e(rs, model)
-    det = b_e[0, 0] * b_e[1, 1] - b_e[0, 1] * b_e[1, 0]
-    if abs(det) <= det_floor:
-        raise ActuationSingularityError(
-            f"torque allocation singular: |det B_e| = {abs(det):.3e} "
-            f"<= {det_floor:.3e}")
-    return np.linalg.solve(b_e, np.asarray(tau_ue, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -170,9 +105,12 @@ class ControlAction:
 def control_action(q, dq, omega_I, cfg: ControllerConfig) -> ControlAction:
     """Full control law at one state: PID + regularization + allocation.
 
-    Composition of :func:`pid_torque`, :func:`regularize` and
-    :func:`allocate` with the shared intermediates (reduced state, inertias,
-    bracket) computed once; this is the closed-loop simulator's hot path.
+    The shaped PID torque ``tau_tilde``, the regularizing terms from the
+    model's reduced forces and bracket, the allocation ``B_e u = tau_ue``
+    and the covariant integrator flow ``eta - Gamma_e @ omega_I``, with the
+    shared intermediates (reduced state, inertias, bracket) computed once.
+    This is the readable reference; the simulator runs the same law through
+    the fused kernel of :mod:`triped.kernel`, which is tested against it.
 
     Raises:
         ActuationSingularityError: propagated from the allocation.

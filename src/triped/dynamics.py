@@ -38,11 +38,6 @@ INPUT_MATRIX = np.array([[-1.0, 0.0],
                          [1.0, 1.0]])
 
 
-def input_matrix() -> np.ndarray:
-    """Return a copy of the constant 3x2 torque input matrix."""
-    return INPUT_MATRIX.copy()
-
-
 def inertia_matrix(q, p: RobotParams) -> np.ndarray:
     """Mass-inertia matrix ``M(q)`` of the pinned chain (3x3, symmetric PD)."""
     q1, q2, q3 = q
@@ -132,13 +127,16 @@ def torso_tip_position(q, p: RobotParams) -> np.ndarray:
     return hip_position(q, p) + p.torso_length * _link_dir(q[2])
 
 
-def swing_foot_height(q, p: RobotParams) -> float:
+def swing_foot_height(q, p: RobotParams):
     """Swing-foot clearance above the slope surface (slope-frame ``y``).
 
     Zero when the legs are symmetric (``q2 = -q1``); negative means the foot
-    is below the walking surface (a scuff).
+    is below the walking surface (a scuff).  A float for one configuration;
+    for an array whose first axis holds ``(q1, q2, q3)``, the array of
+    clearances over the remaining axes.
     """
-    return float(p.leg_length * (np.cos(q[0]) - np.cos(q[1])))
+    height = p.leg_length * (np.cos(q[0]) - np.cos(q[1]))
+    return float(height) if np.ndim(height) == 0 else height
 
 
 def mass_points(q, p: RobotParams) -> list[tuple[float, np.ndarray]]:

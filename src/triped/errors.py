@@ -42,15 +42,7 @@ class NoConvergenceError(WalkerError):
 
 
 class GaitAbortError(WalkerError):
-    """A gait run aborted before completing the requested number of steps.
-
-    Carries the partial summary when available so callers can inspect what
-    happened before the abort.
-    """
-
-    def __init__(self, message: str, summary=None):
-        super().__init__(message)
-        self.summary = summary
+    """A gait run aborted before completing the requested number of steps."""
 
 
 class ConfigError(WalkerError):

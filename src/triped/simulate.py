@@ -12,6 +12,13 @@ the loop uses the true parameters and true slope from :class:`SimConfig`;
 the controller side sees only its own model — the split that the robustness
 studies rely on.
 
+The integrator and the trajectory sampling evaluate the loop through the
+fused scalar kernel of :mod:`triped.kernel`, built once per configuration.
+:func:`~triped.control.control_action` followed by
+:func:`~triped.dynamics.swing_accel` is the same right-hand side composed
+from the readable reference functions; the kernel is tested against that
+composition.
+
 Failures inside a step (fall guard, step timeout, solver breakdown,
 actuation singularity, strict-scuff violation) abort the gait: the offending
 step is recorded with its reason and iteration stops.  Nothing is raised out
@@ -25,11 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .control import control_action, zeta_distance
-from .dynamics import swing_accel, swing_foot_height
+# control_action and swing_accel are not called here: they are the composed
+# reference path of the kernel, kept importable from this module.
+from .control import control_action, zeta_distance  # noqa: F401
+from .dynamics import swing_accel, swing_foot_height  # noqa: F401
 from .errors import (FellOverError, GaitAbortError, NonFiniteStateError,
                      StepTimeoutError, WalkerError)
 from .impact import ImpactResult, reset_map
+from .kernel import closed_loop
 from .params import SimConfig
 
 #: Tolerance on the switching-surface residual |q1(t_end) - q1_switch| (rad).
@@ -141,16 +151,13 @@ class GaitSummary:
         return np.linalg.norm(np.diff(states, axis=0), axis=1)
 
 
-def _rhs(t: float, y: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    q, dq, omega_i = y[:3], y[3:6], y[6:8]
-    act = control_action(q, dq, omega_i, cfg.controller)
-    qdd = swing_accel(q, dq, act.u, cfg.plant, cfg.incline_true)
-    return np.concatenate([dq, qdd, act.omega_I_rate])
-
-
 def _sample_swing(sol_interp, step_index: int, t0: float, t_end: float,
                   y_end: np.ndarray, cfg: SimConfig) -> Trajectory:
-    """Evaluate the dense solution on the uniform output grid."""
+    """Evaluate the dense solution on the uniform output grid.
+
+    The controller outputs at each sample come from the fused control law
+    the integrator ran (:func:`triped.kernel.closed_loop`).
+    """
     if t_end > t0:
         ts = np.arange(t0, t_end, cfg.sample_dt)
         ts = ts[ts < t_end - 1e-12]
@@ -160,21 +167,13 @@ def _sample_swing(sol_interp, step_index: int, t0: float, t_end: float,
     else:
         ts = np.array([t0])
         ys = y_end.reshape(-1, 1)
-    n = len(ts)
-    u = np.empty((n, 2))
-    eta = np.empty((n, 2))
-    zd = np.empty(n)
-    det = np.empty(n)
-    ctrl = cfg.controller
-    for i in range(n):
-        q, dq, omega_i = ys[:3, i], ys[3:6, i], ys[6:8, i]
-        act = control_action(q, dq, omega_i, ctrl)
-        u[i] = act.u
-        eta[i] = act.eta
-        det[i] = act.det_input
-        zd[i] = zeta_distance(q, dq, ctrl.model, ctrl.targets)
+    control = closed_loop(cfg).control
+    out = np.array([control(*state) for state in ys.T.tolist()])
+    # Distance to the zero-dynamics manifold, as zeta_distance measures it.
+    zd = np.hypot(np.hypot(out[:, 7], out[:, 8]), np.hypot(ys[5], ys[3] + ys[4]))
     return Trajectory(step_index=step_index, t=ts, q=ys[:3].T, dq=ys[3:6].T,
-                      u=u, eta=eta, omega_I=ys[6:8].T, zdelta=zd, det_input=det)
+                      u=out[:, 0:2], eta=out[:, 4:6], omega_I=ys[6:8].T,
+                      zdelta=zd, det_input=out[:, 6])
 
 
 def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
@@ -198,21 +197,21 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     if x0[0] >= q1_switch and x0[3] > 0.0:
         return _sample_swing(None, step_index, t0, t0, x0, cfg), x0
 
-    def switch(t, y, _cfg):
+    def switch(t, y):
         return y[0] - q1_switch
 
     switch.terminal = True
     switch.direction = 1.0
 
-    def fall(t, y, _cfg):
+    def fall(t, y):
         return FALL_GUARD - max(abs(y[0]), abs(y[1]))
 
     fall.terminal = True
     fall.direction = -1.0
 
-    sol = solve_ivp(_rhs, (t0, t0 + cfg.max_step_time), x0, method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=True,
-                    events=(switch, fall), args=(cfg,))
+    sol = solve_ivp(closed_loop(cfg).rhs, (t0, t0 + cfg.max_step_time), x0,
+                    method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
+                    dense_output=True, events=(switch, fall))
     if sol.status < 0:
         raise NonFiniteStateError(f"swing integration failed: {sol.message}")
     if len(sol.t_events[1]):
@@ -260,9 +259,8 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
 
     traj, y_end = integrate_swing(y0, t_start, cfg, step_index)
 
-    clearance = np.array([swing_foot_height(traj.q[i], cfg.plant)
-                          for i in range(len(traj.t))])
-    min_clear = float(clearance.min()) if len(clearance) else 0.0
+    clearance = swing_foot_height(traj.q.T, cfg.plant)
+    min_clear = float(clearance.min())
     # "Scuffed" means the foot dipped below the slope and came back up —
     # incidental mid-swing contact.  The sub-millimeter terminal descent into
     # the impact (the switching surface is an angle condition, not a height
