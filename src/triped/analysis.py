@@ -14,13 +14,12 @@ six mechanical coordinates — radians and radians per second with unit
 weights.
 
 :func:`run_sweep` runs independent perturbed copies of a base configuration
-(plant perturbed, controller model held fixed) in worker processes and
-merges results by sample index, so the output order is deterministic.
+(plant perturbed, controller model held fixed) one after the other and
+returns the rows in sample order.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,36 +171,17 @@ def summarize_gait(summary: GaitSummary, index: int = 0, axis: str = "",
     )
 
 
-def _sweep_sample(spec: SweepSpec, index: int) -> SweepSample:
-    """Run one sweep sample; module-level so that worker processes can."""
-    summary = run_gait(spec.sample_config(index))
-    return summarize_gait(summary, index=index, axis=spec.axis,
-                          value=spec.sample_values()[index])
-
-
 def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> list[SweepSample]:
-    """Run every sweep sample and return rows in sample order.
+    """Run every sweep sample in this process and return rows in sample order.
 
-    Samples are independent simulations.  With one worker or one sample they
-    run in this process; otherwise on a pool of freshly started processes
-    (a simulation holds the interpreter lock, so threads would not overlap),
-    by default one worker per sample up to the CPU count.  Results are
-    merged by index, so the table is deterministic regardless of scheduling.
-
-    Each worker starts a fresh interpreter and imports the calling script's
-    main module, so a script that sweeps on more than one worker needs the
-    usual ``if __name__ == "__main__":`` guard.  Starting a worker costs
-    about as much as ``import triped``.
+    ``max_workers`` is accepted for compatibility and ignored.  A simulation
+    holds the interpreter lock, so threads do not overlap, and on a 2-core
+    box worker processes lost to this loop: each costs about an
+    ``import triped`` to start, and two concurrent samples each ran about
+    1.3x slower.
     """
     spec.validate()
-    n = spec.n_samples
-    workers = min(n, max_workers or os.cpu_count() or 1)
-    if workers == 1:
-        return [_sweep_sample(spec, index) for index in range(n)]
-    # Imported here, not with the package: about 25 ms that only pools use.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_sweep_sample, [spec] * n, range(n)))
+    values = spec.sample_values()
+    return [summarize_gait(run_gait(spec.sample_config(index)), index=index,
+                           axis=spec.axis, value=values[index])
+            for index in range(spec.n_samples)]

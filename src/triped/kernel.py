@@ -33,7 +33,6 @@ holds the kernel to the composed path within 1e-10.
 
 from __future__ import annotations
 
-import functools
 from math import cos, isfinite, sin
 from typing import Callable, NamedTuple
 
@@ -60,9 +59,8 @@ class ClosedLoop(NamedTuple):
     rhs: Callable[[float, np.ndarray], tuple]
 
 
-@functools.lru_cache(maxsize=64)
 def closed_loop(cfg: SimConfig) -> ClosedLoop:
-    """Build the fused closed-loop kernel of ``cfg`` (cached per config)."""
+    """Build the fused closed-loop kernel of ``cfg``."""
     control = _control_law(cfg.controller)
     p_a, p_b, p_c, p_d, p_e = _arrow_constants(cfg.plant)
     p_g1, p_g2, p_g3 = _gravity_constants(cfg.plant)

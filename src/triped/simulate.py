@@ -13,7 +13,7 @@ the controller side sees only its own model — the split that the robustness
 studies rely on.
 
 The integrator and the trajectory sampling evaluate the loop through the
-fused scalar kernel of :mod:`triped.kernel`, built once per configuration.
+fused scalar kernel of :mod:`triped.kernel`, built once per swing.
 :func:`~triped.control.control_action` followed by
 :func:`~triped.dynamics.swing_accel` is the same right-hand side composed
 from the readable reference functions; the kernel is tested against that
@@ -152,11 +152,11 @@ class GaitSummary:
 
 
 def _sample_swing(sol_interp, step_index: int, t0: float, t_end: float,
-                  y_end: np.ndarray, cfg: SimConfig) -> Trajectory:
+                  y_end: np.ndarray, cfg: SimConfig, control) -> Trajectory:
     """Evaluate the dense solution on the uniform output grid.
 
-    The controller outputs at each sample come from the fused control law
-    the integrator ran (:func:`triped.kernel.closed_loop`).
+    The controller outputs at each sample come from ``control``, the fused
+    control law the integrator ran (:func:`triped.kernel.closed_loop`).
     """
     if t_end > t0:
         ts = np.arange(t0, t_end, cfg.sample_dt)
@@ -167,7 +167,6 @@ def _sample_swing(sol_interp, step_index: int, t0: float, t_end: float,
     else:
         ts = np.array([t0])
         ys = y_end.reshape(-1, 1)
-    control = closed_loop(cfg).control
     out = np.array([control(*state) for state in ys.T.tolist()])
     # Distance to the zero-dynamics manifold, as zeta_distance measures it.
     zd = np.hypot(np.hypot(out[:, 7], out[:, 8]), np.hypot(ys[5], ys[3] + ys[4]))
@@ -192,10 +191,12 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     if not np.all(np.isfinite(x0)):
         raise NonFiniteStateError("non-finite state at swing start")
     q1_switch = cfg.controller.targets.q1_switch
+    kernel = closed_loop(cfg)
 
     # Already past the surface and moving forward: the crossing is immediate.
     if x0[0] >= q1_switch and x0[3] > 0.0:
-        return _sample_swing(None, step_index, t0, t0, x0, cfg), x0
+        return _sample_swing(None, step_index, t0, t0, x0, cfg,
+                             kernel.control), x0
 
     def switch(t, y):
         return y[0] - q1_switch
@@ -209,7 +210,7 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     fall.terminal = True
     fall.direction = -1.0
 
-    sol = solve_ivp(closed_loop(cfg).rhs, (t0, t0 + cfg.max_step_time), x0,
+    sol = solve_ivp(kernel.rhs, (t0, t0 + cfg.max_step_time), x0,
                     method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
                     dense_output=True, events=(switch, fall))
     if sol.status < 0:
@@ -228,7 +229,8 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
         raise WalkerError(
             "event localization failed: surface residual "
             f"{abs(y_end[0] - q1_switch):.3e} rad")
-    return _sample_swing(sol.sol, step_index, t0, t_end, y_end, cfg), y_end
+    return (_sample_swing(sol.sol, step_index, t0, t_end, y_end, cfg,
+                          kernel.control), y_end)
 
 
 def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,

@@ -92,7 +92,7 @@ def test_sweep_rows_are_deterministic_and_order_independent():
     serial = run_sweep(spec, max_workers=1)
     assert [s.index for s in serial] == [0, 1, 2]
     assert all(not s.aborted for s in serial)
-    # Worker processes, fewer than and as many as the samples.
+    # The worker count does not change the rows.
     assert run_sweep(spec, max_workers=2) == serial
     assert run_sweep(spec, max_workers=3) == serial
     # For the joint-mass axis the swept value is the common scale factor.

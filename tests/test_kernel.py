@@ -136,11 +136,6 @@ def test_singular_allocation_raises_as_the_composed_path():
     assert raised(closed_loop(cfg).control, *y) == expected
 
 
-def test_kernel_is_built_once_per_configuration():
-    assert closed_loop(NOMINAL) is closed_loop(T.SimConfig())
-    assert closed_loop(NOMINAL) is not closed_loop(MISMATCHED)
-
-
 def test_gait_event_times_match_the_composed_path(nominal_three_steps):
     """Integrate the three reference steps on the composed RHS, with the
     simulator's solver settings, and compare the impacts."""
