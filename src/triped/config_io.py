@@ -8,6 +8,12 @@ reference gait on the 25-degree slope.  A ``[sweep]`` section turns the file
 into a sweep specification whose other sections form the base
 configuration.
 
+The key table ``_SCHEMA`` is the format's single source: it lists every
+section and key, the kind of its value and the dataclass field it sets.
+Parsing starts from ``SimConfig()`` (and ``SweepSpec()`` for ``[sweep]``)
+and replaces only the fields a file names, so every default is the
+dataclasses' own, in :mod:`triped.params`; writing walks the same table.
+
 Serialization writes every float with 17 significant digits, so parsing the
 emitted text reproduces the exact double.  Degrees are chosen per angle so
 that converting back to radians is bit-exact whenever such a degree value
@@ -26,7 +32,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,9 +40,8 @@ import numpy as np
 
 from .analysis import PeriodicOrbit, SweepSample
 from .control import max_static_incline
-from .errors import ConfigParseError, ConfigValidationError
-from .params import (ControllerConfig, ControllerGains, GaitTargets,
-                     RobotParams, SimConfig, SweepSpec)
+from .errors import ConfigParseError
+from .params import ControllerGains, RobotParams, SimConfig, SweepSpec
 from .simulate import GaitSummary
 
 #: Exact column contract of the trajectory file.
@@ -46,10 +51,6 @@ TRAJECTORY_HEADER = "t,q1,q2,q3,dq1,dq2,dq3,u1,u2,eta1,eta2,wI1,wI2,zdelta,step"
 class StaticStabilityWarning(UserWarning):
     """A configured slope exceeds the static-stability bound (walking may
     still succeed dynamically; the configuration is accepted)."""
-
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _degrees_exact(radians_value: float) -> float:
@@ -83,44 +84,66 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_FLOAT, _ANGLE, _INT, _BOOL, _STR = "float", "angle", "int", "bool", "str"
+#: Value kinds: (parse the text after ``=``, format the field's value).
+_FLOAT = (float, "{:.17g}".format)
+_ANGLE = (lambda text: math.radians(float(text)),
+          lambda value: f"{_degrees_exact(value):.17g}")
+_INT = (lambda text: int(text.strip(), 10), str)
+_BOOL = (_parse_bool, lambda value: "true" if value else "false")
+_STR = (str.strip, str)
 
-#: section -> key -> value kind.  The single source of truth for the format.
-_SCHEMA: dict[str, dict[str, str]] = {
-    "plant": {k: _FLOAT for k in ("leg_mass", "hip_mass", "torso_mass",
-                                  "leg_length", "torso_length", "gravity")},
+_PLANT_KEYS = [f.name for f in fields(RobotParams)]
+
+#: section -> key -> (kind, path of the field it sets).  The single source
+#: of the format, in the order of the canonical text.  A path starts at the
+#: SimConfig (at the SweepSpec for [sweep]); an int in it indexes a tuple.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "plant": {k: (_FLOAT, ("plant", k)) for k in _PLANT_KEYS},
     "controller": {
-        "kp": _FLOAT, "kd": _FLOAT, "ki": _FLOAT,
-        "lambda_assumed_deg": _ANGLE,
-        "error_weighting": _STR, "integrator_reset": _STR,
-        "det_floor": _FLOAT,
-        **{f"model_{k}": _FLOAT for k in ("leg_mass", "hip_mass", "torso_mass",
-                                          "leg_length", "torso_length",
-                                          "gravity")},
+        **{f.name: (_FLOAT, ("controller", "gains", f.name))
+           for f in fields(ControllerGains)},
+        "lambda_assumed_deg": (_ANGLE, ("controller", "incline_assumed")),
+        "error_weighting": (_STR, ("controller", "error_weighting")),
+        "integrator_reset": (_STR, ("controller", "integrator_reset")),
+        "det_floor": (_FLOAT, ("controller", "det_floor")),
+        # The controller's model defaults to the nominal robot, not to the
+        # configured plant: mismatch studies perturb the plant only.
+        **{f"model_{k}": (_FLOAT, ("controller", "model", k))
+           for k in _PLANT_KEYS},
     },
-    "targets": {"q1_switch_deg": _ANGLE, "q3_ref_deg": _ANGLE},
+    "targets": {"q1_switch_deg": (_ANGLE, ("controller", "targets", "q1_switch")),
+                "q3_ref_deg": (_ANGLE, ("controller", "targets", "q3_ref"))},
     "sim": {
-        "lambda_true_deg": _ANGLE, "n_steps": _INT,
-        "rel_tol": _FLOAT, "abs_tol": _FLOAT, "max_step_time": _FLOAT,
-        "delta": _FLOAT, "scuff_tol": _FLOAT, "sample_dt": _FLOAT,
-        "strict_scuff": _BOOL,
+        "lambda_true_deg": (_ANGLE, ("incline_true",)),
+        "n_steps": (_INT, ("n_steps",)),
+        **{k: (_FLOAT, (k,)) for k in ("rel_tol", "abs_tol", "max_step_time",
+                                       "delta", "scuff_tol", "sample_dt")},
+        "strict_scuff": (_BOOL, ("strict_scuff",)),
     },
-    "initial": {"q1_deg": _ANGLE, "q2_deg": _ANGLE, "q3_deg": _ANGLE,
-                "dq1": _FLOAT, "dq2": _FLOAT, "dq3": _FLOAT},
-    "sweep": {"axis": _STR, "rel_min": _FLOAT, "rel_max": _FLOAT,
-              "n_samples": _INT},
+    "initial": {
+        **{f"q{i + 1}_deg": (_ANGLE, ("initial_state", i)) for i in range(3)},
+        **{f"dq{i + 1}": (_FLOAT, ("initial_state", i + 3)) for i in range(3)},
+    },
+    "sweep": {"axis": (_STR, ("axis",)), "rel_min": (_FLOAT, ("rel_range", 0)),
+              "rel_max": (_FLOAT, ("rel_range", 1)),
+              "n_samples": (_INT, ("n_samples",))},
 }
 
 
-def _convert(kind: str, raw: str):
-    if kind == _STR:
-        return raw.strip()
-    if kind == _BOOL:
-        return _parse_bool(raw)
-    if kind == _INT:
-        return int(raw.strip(), 10)
-    value = float(raw)
-    return math.radians(value) if kind == _ANGLE else value
+def _get(obj, path):
+    for part in path:
+        obj = obj[part] if isinstance(part, int) else getattr(obj, part)
+    return obj
+
+
+def _set(obj, path, value):
+    """A copy of ``obj`` whose field at ``path`` holds ``value``."""
+    head, *rest = path
+    if rest:
+        value = _set(_get(obj, (head,)), rest, value)
+    if isinstance(head, int):
+        return (*obj[:head], value, *obj[head + 1:])
+    return replace(obj, **{head: value})
 
 
 def parse_config_text(text: str, source: str = "<string>"):
@@ -131,8 +154,18 @@ def parse_config_text(text: str, source: str = "<string>"):
             duplicate key.
         ConfigValidationError: well-formed but violates an invariant.
     """
-    values: dict[str, dict[str, object]] = {name: {} for name in _SCHEMA}
-    seen_sections: set[str] = set()
+    return _checked(_parse(text, source))
+
+
+def parse_config(path) -> SimConfig | SweepSpec:
+    """Parse a config file; empty file = the documented default setup."""
+    path = Path(path)
+    return _checked(_parse(path.read_text(encoding="utf-8"), str(path)))
+
+
+def _parse(text: str, source: str) -> SimConfig | SweepSpec:
+    cfg, spec = SimConfig(), None
+    seen: set[tuple[str, str]] = set()
     section: str | None = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -144,7 +177,8 @@ def parse_config_text(text: str, source: str = "<string>"):
                 raise ConfigParseError(
                     f"unknown section [{section}] in {source}",
                     line_no=line_no)
-            seen_sections.add(section)
+            if section == "sweep" and spec is None:
+                spec = SweepSpec()
             continue
         if "=" not in line:
             raise ConfigParseError(
@@ -160,81 +194,31 @@ def parse_config_text(text: str, source: str = "<string>"):
             raise ConfigParseError(
                 f"unknown key {key!r} in section [{section}] of {source}",
                 line_no=line_no, key=key)
-        if key in values[section]:
+        if (section, key) in seen:
             raise ConfigParseError(
                 f"duplicate key {key!r} in section [{section}] of {source}",
                 line_no=line_no, key=key)
+        seen.add((section, key))
+        (parse, _), path = _SCHEMA[section][key]
         try:
-            values[section][key] = _convert(_SCHEMA[section][key], raw_value)
+            value = parse(raw_value)
         except ValueError as exc:
             raise ConfigParseError(
                 f"bad value for {key!r} in {source}: {exc}",
                 line_no=line_no, key=key) from exc
-    return _build_config(values, sweep="sweep" in seen_sections)
+        if section == "sweep":
+            spec = _set(spec, path, value)
+        else:
+            cfg = _set(cfg, path, value)
+    return cfg if spec is None else replace(spec, base=cfg)
 
 
-def parse_config(path) -> SimConfig | SweepSpec:
-    """Parse a config file; empty file = the documented default setup."""
-    path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
-
-
-def _build_config(values: dict[str, dict[str, object]],
-                  sweep: bool) -> SimConfig | SweepSpec:
-    plant = replace(RobotParams(), **values["plant"])
-
-    ctrl_in = dict(values["controller"])
-    gains = ControllerGains(kp=ctrl_in.pop("kp", 1500.0),
-                            kd=ctrl_in.pop("kd", 1250.0),
-                            ki=ctrl_in.pop("ki", 120.0))
-    model_overrides = {k[len("model_"):]: ctrl_in.pop(k)
-                       for k in list(ctrl_in) if k.startswith("model_")}
-    # The controller's model deliberately defaults to the nominal robot, not
-    # to the configured plant: mismatch studies perturb the plant only.
-    model = replace(RobotParams(), **model_overrides)
-    targets = GaitTargets(
-        q1_switch=values["targets"].get("q1_switch_deg", math.radians(15.0)),
-        q3_ref=values["targets"].get("q3_ref_deg", math.radians(105.0)))
-    controller = ControllerConfig(
-        gains=gains, model=model,
-        incline_assumed=ctrl_in.pop("lambda_assumed_deg", math.radians(25.0)),
-        targets=targets,
-        error_weighting=ctrl_in.pop("error_weighting", "raw"),
-        integrator_reset=ctrl_in.pop("integrator_reset", "carry"),
-        det_floor=ctrl_in.pop("det_floor", 1e-6))
-
-    sim_in = dict(values["sim"])
-    init_in = values["initial"]
-    base_state = SimConfig().initial_state
-    initial_state = (
-        init_in.get("q1_deg", base_state[0]),
-        init_in.get("q2_deg", base_state[1]),
-        init_in.get("q3_deg", base_state[2]),
-        init_in.get("dq1", base_state[3]),
-        init_in.get("dq2", base_state[4]),
-        init_in.get("dq3", base_state[5]),
-    )
-    cfg = SimConfig(
-        plant=plant,
-        incline_true=sim_in.pop("lambda_true_deg", math.radians(25.0)),
-        controller=controller,
-        initial_state=initial_state,
-        **sim_in)
+def _checked(config: SimConfig | SweepSpec) -> SimConfig | SweepSpec:
+    """Validate a parsed configuration and warn about slopes without a
+    standing equilibrium.  Each public parser calls this directly, so
+    ``stacklevel=3`` attributes the warning to that parser's caller."""
+    cfg = config.base if isinstance(config, SweepSpec) else config
     cfg.validate()
-    _warn_static_stability(cfg)
-    if not sweep:
-        return cfg
-    sweep_in = values["sweep"]
-    rel_range = (sweep_in.get("rel_min", -0.5), sweep_in.get("rel_max", 0.5))
-    spec = SweepSpec(axis=sweep_in.get("axis", "all_masses"),
-                     rel_range=rel_range,
-                     n_samples=sweep_in.get("n_samples", 5),
-                     base=cfg)
-    spec.validate()
-    return spec
-
-
-def _warn_static_stability(cfg: SimConfig) -> None:
     checks = (
         ("lambda_true_deg", cfg.incline_true, max_static_incline(cfg.plant)),
         ("lambda_assumed_deg", cfg.controller.incline_assumed,
@@ -247,64 +231,23 @@ def _warn_static_stability(cfg: SimConfig) -> None:
                 f"static-stability bound {math.degrees(bound):.2f} deg; no "
                 "standing equilibrium exists there (dynamic walking may "
                 "still succeed)", StaticStabilityWarning, stacklevel=3)
+    if config is not cfg:
+        config.validate()
+    return config
 
 
 def write_config(config: SimConfig | SweepSpec) -> str:
     """Canonical text for a configuration; inverse of the parser."""
-    if isinstance(config, SweepSpec):
-        cfg, spec = config.base, config
-    else:
-        cfg, spec = config, None
-    p, c, t = cfg.plant, cfg.controller, cfg.controller.targets
-    x0 = cfg.initial_state
-    lines = [
-        "[plant]",
-        *(f"{k} = {_g17(getattr(p, k))}" for k in _SCHEMA["plant"]),
-        "",
-        "[controller]",
-        f"kp = {_g17(c.gains.kp)}",
-        f"kd = {_g17(c.gains.kd)}",
-        f"ki = {_g17(c.gains.ki)}",
-        f"lambda_assumed_deg = {_g17(_degrees_exact(c.incline_assumed))}",
-        f"error_weighting = {c.error_weighting}",
-        f"integrator_reset = {c.integrator_reset}",
-        f"det_floor = {_g17(c.det_floor)}",
-        *(f"model_{k} = {_g17(getattr(c.model, k))}"
-          for k in _SCHEMA["plant"]),
-        "",
-        "[targets]",
-        f"q1_switch_deg = {_g17(_degrees_exact(t.q1_switch))}",
-        f"q3_ref_deg = {_g17(_degrees_exact(t.q3_ref))}",
-        "",
-        "[sim]",
-        f"lambda_true_deg = {_g17(_degrees_exact(cfg.incline_true))}",
-        f"n_steps = {cfg.n_steps}",
-        f"rel_tol = {_g17(cfg.rel_tol)}",
-        f"abs_tol = {_g17(cfg.abs_tol)}",
-        f"max_step_time = {_g17(cfg.max_step_time)}",
-        f"delta = {_g17(cfg.delta)}",
-        f"scuff_tol = {_g17(cfg.scuff_tol)}",
-        f"sample_dt = {_g17(cfg.sample_dt)}",
-        f"strict_scuff = {'true' if cfg.strict_scuff else 'false'}",
-        "",
-        "[initial]",
-        f"q1_deg = {_g17(_degrees_exact(x0[0]))}",
-        f"q2_deg = {_g17(_degrees_exact(x0[1]))}",
-        f"q3_deg = {_g17(_degrees_exact(x0[2]))}",
-        f"dq1 = {_g17(x0[3])}",
-        f"dq2 = {_g17(x0[4])}",
-        f"dq3 = {_g17(x0[5])}",
-    ]
-    if spec is not None:
-        lines += [
-            "",
-            "[sweep]",
-            f"axis = {spec.axis}",
-            f"rel_min = {_g17(spec.rel_range[0])}",
-            f"rel_max = {_g17(spec.rel_range[1])}",
-            f"n_samples = {spec.n_samples}",
-        ]
-    return "\n".join(lines) + "\n"
+    spec = config if isinstance(config, SweepSpec) else None
+    cfg = config if spec is None else spec.base
+    lines = []
+    for section, keys in _SCHEMA.items():
+        root = spec if section == "sweep" else cfg
+        if root is not None:
+            lines += ["", f"[{section}]"]
+            lines += [f"{key} = {fmt(_get(root, path))}"
+                      for key, ((_, fmt), path) in keys.items()]
+    return "\n".join(lines[1:]) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -361,27 +304,40 @@ def _jsonable(value):
     return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _fields_json(obj) -> dict:
+    """A dataclass's fields as JSON values, keyed by field name."""
+    return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
+    return path
+
+
+def _write_lines(path: Path, lines: list[str]) -> Path:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _sampled_rows(header: str, trajectories, columns) -> list[str]:
+    """CSV lines of sampled swings: the ``columns(traj)`` arrays side by side
+    with 17 significant digits, one format call per row, then the step."""
+    lines = [header]
+    for traj in trajectories:
+        table = np.column_stack(columns(traj))
+        row = ",".join(["%.17g"] * table.shape[1]) + f",{traj.step_index}"
+        lines += [row % tuple(values) for values in table.tolist()]
+    return lines
 
 
 def _write_manifest(outdir: Path, manifest: RunManifest,
                     files: dict[str, Path]) -> Path:
-    path = outdir / "manifest.json"
-    payload = {
-        "run_id": manifest.run_id,
-        "version": manifest.version,
-        "created": manifest.created,
-        "config_digest": manifest.config_digest,
-        "input_digest": manifest.input_digest,
-        "seed": manifest.seed,
-        "config": manifest.config_text.splitlines(),
-        "outputs": {name: _sha256(p.read_bytes())
-                    for name, p in sorted(files.items())},
-    }
-    _write_json(path, payload)
-    return path
+    payload = _fields_json(manifest)
+    payload["config"] = payload.pop("config_text").splitlines()
+    payload["outputs"] = {name: _sha256(p.read_bytes())
+                          for name, p in sorted(files.items())}
+    return _write_json(outdir / "manifest.json", payload)
 
 
 def emit_outputs(summary: GaitSummary, manifest: RunManifest,
@@ -397,64 +353,29 @@ def emit_outputs(summary: GaitSummary, manifest: RunManifest,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
-
-    rows = [TRAJECTORY_HEADER]
-    for traj in summary.trajectories:
-        for i in range(len(traj.t)):
-            cells = [traj.t[i], *traj.q[i], *traj.dq[i], *traj.u[i],
-                     *traj.eta[i], *traj.omega_I[i], traj.zdelta[i]]
-            rows.append(",".join(_g17(c) for c in cells)
-                        + f",{traj.step_index}")
-    files["trajectory.csv"] = outdir / "trajectory.csv"
-    files["trajectory.csv"].write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-    record_payload = []
-    for r in summary.records:
-        record_payload.append({
-            "step_index": r.step_index,
-            "t_start": _jsonable(r.t_start),
-            "t_end": _jsonable(r.t_end),
-            "step_time": _jsonable(r.step_time),
-            "x_post_impact": _jsonable(r.x_post_impact),
-            "x_pre_impact": _jsonable(r.x_pre_impact),
-            "z_delta_at_impact": _jsonable(r.z_delta_at_impact),
-            "within_delta": r.within_delta,
-            "min_foot_clearance": _jsonable(r.min_foot_clearance),
-            "impulse": _jsonable(r.impulse),
-            "liftoff_normal_velocity": _jsonable(r.liftoff_normal_velocity),
-            "impact_energy_loss": _jsonable(r.impact_energy_loss),
-            "min_abs_det_input": _jsonable(r.min_abs_det_input),
-            "scuffed": r.scuffed,
-            "aborted": r.aborted,
-            "abort_reason": r.abort_reason,
-        })
-    files["steps.json"] = outdir / "steps.json"
-    _write_json(files["steps.json"], {
+    files["trajectory.csv"] = _write_lines(
+        outdir / "trajectory.csv",
+        _sampled_rows(TRAJECTORY_HEADER, summary.trajectories,
+                      lambda tr: (tr.t, tr.q, tr.dq, tr.u, tr.eta,
+                                  tr.omega_I, tr.zdelta)))
+    files["steps.json"] = _write_json(outdir / "steps.json", {
         "run_id": manifest.run_id,
         "aborted": summary.aborted,
         "abort_reason": summary.abort_reason,
         "completed_steps": summary.completed_steps,
-        "records": record_payload,
+        "records": [{**_fields_json(r), "step_time": _jsonable(r.step_time)}
+                    for r in summary.records],
     })
-
-    lines = ["step,t_start,t_end,step_time,zdelta"]
-    for r in summary.records:
-        if r.aborted:
-            continue
-        lines.append(f"{r.step_index},{_g17(r.t_start)},{_g17(r.t_end)},"
-                     f"{_g17(r.step_time)},{_g17(r.z_delta_at_impact)}")
-    files["step_times.csv"] = outdir / "step_times.csv"
-    files["step_times.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["t,q1,dq1,dq3,step"]
-    for traj in summary.trajectories:
-        for i in range(len(traj.t)):
-            lines.append(f"{_g17(traj.t[i])},{_g17(traj.q[i, 0])},"
-                         f"{_g17(traj.dq[i, 0])},{_g17(traj.dq[i, 2])},"
-                         f"{traj.step_index}")
-    files["phase.csv"] = outdir / "phase.csv"
-    files["phase.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    files["step_times.csv"] = _write_lines(
+        outdir / "step_times.csv",
+        ["step,t_start,t_end,step_time,zdelta"]
+        + ["%d,%.17g,%.17g,%.17g,%.17g" % (r.step_index, r.t_start, r.t_end,
+                                          r.step_time, r.z_delta_at_impact)
+           for r in summary.records if not r.aborted])
+    files["phase.csv"] = _write_lines(
+        outdir / "phase.csv",
+        _sampled_rows("t,q1,dq1,dq3,step", summary.trajectories,
+                      lambda tr: (tr.t, tr.q[:, 0], tr.dq[:, 0], tr.dq[:, 2])))
     files["manifest.json"] = _write_manifest(outdir, manifest, files)
     return files
 
@@ -465,28 +386,17 @@ def emit_sweep_outputs(samples: list[SweepSample], manifest: RunManifest,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
-
-    lines = ["index,axis,value,completed_steps,aborted,converged,"
-             "step_time,rho_hat,worst_z_delta"]
-    for s in samples:
-        lines.append(
-            f"{s.index},{s.axis},{_g17(s.value)},{s.completed_steps},"
-            f"{str(s.aborted).lower()},{str(s.converged).lower()},"
-            f"{_g17(s.step_time)},{_g17(s.rho_hat)},{_g17(s.worst_z_delta)}")
-    files["sweep.csv"] = outdir / "sweep.csv"
-    files["sweep.csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    files["sweep.json"] = outdir / "sweep.json"
-    _write_json(files["sweep.json"], {
+    files["sweep.csv"] = _write_lines(
+        outdir / "sweep.csv",
+        ["index,axis,value,completed_steps,aborted,converged,"
+         "step_time,rho_hat,worst_z_delta"]
+        + ["%d,%s,%.17g,%d,%s,%s,%.17g,%.17g,%.17g" % (
+            s.index, s.axis, s.value, s.completed_steps,
+            str(s.aborted).lower(), str(s.converged).lower(),
+            s.step_time, s.rho_hat, s.worst_z_delta) for s in samples])
+    files["sweep.json"] = _write_json(outdir / "sweep.json", {
         "run_id": manifest.run_id,
-        "samples": [{
-            "index": s.index, "axis": s.axis, "value": _jsonable(s.value),
-            "completed_steps": s.completed_steps, "aborted": s.aborted,
-            "abort_reason": s.abort_reason, "converged": s.converged,
-            "step_time": _jsonable(s.step_time),
-            "rho_hat": _jsonable(s.rho_hat),
-            "worst_z_delta": _jsonable(s.worst_z_delta),
-        } for s in samples],
+        "samples": [_fields_json(s) for s in samples],
     })
     files["manifest.json"] = _write_manifest(outdir, manifest, files)
     return files
@@ -498,15 +408,7 @@ def emit_orbit_outputs(orbit: PeriodicOrbit, manifest: RunManifest,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
-    files["orbit.json"] = outdir / "orbit.json"
-    _write_json(files["orbit.json"], {
-        "run_id": manifest.run_id,
-        "x_star": _jsonable(orbit.x_star),
-        "omega_I_star": _jsonable(orbit.omega_I_star),
-        "step_time": _jsonable(orbit.step_time),
-        "rho_hat": _jsonable(orbit.rho_hat),
-        "iterations": orbit.iterations,
-        "distances": _jsonable(orbit.distances),
-    })
+    files["orbit.json"] = _write_json(outdir / "orbit.json", {
+        "run_id": manifest.run_id, **_fields_json(orbit)})
     files["manifest.json"] = _write_manifest(outdir, manifest, files)
     return files

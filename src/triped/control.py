@@ -175,6 +175,7 @@ def max_static_incline(p: RobotParams) -> float:
     ``arcsin(M_T l / ((M_T + M_H + m) r))``; ``pi/2`` when the torso is heavy
     and long enough that every slope admits an equilibrium.
     """
-    ratio = p.torso_mass * p.torso_length / (
-        (p.torso_mass + p.hip_mass + p.leg_mass) * p.leg_length)
-    return float(np.arcsin(min(1.0, ratio)))
+    lever = p.torso_mass * p.torso_length
+    demand = (p.torso_mass + p.hip_mass + p.leg_mass) * p.leg_length
+    # Compared, not divided: a tiny leg length can round the demand to zero.
+    return np.pi / 2 if lever >= demand else float(np.arcsin(lever / demand))

@@ -33,7 +33,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 # control_action and swing_accel are not called here: they are the composed
-# reference path of the kernel, kept importable from this module.
+# reference path of the kernel.  The benchmark's tracer (perfbench/tracing.py)
+# wraps them, like solve_ivp, step, integrate_swing, reset_map and
+# swing_foot_height, as attributes of this module by name, so these imports
+# stay (tests/test_package.py::test_benchmark_hooks_exist).
 from .control import control_action, zeta_distance  # noqa: F401
 from .dynamics import swing_accel, swing_foot_height  # noqa: F401
 from .errors import (FellOverError, GaitAbortError, NonFiniteStateError,

@@ -3,15 +3,17 @@
 import json
 import math
 import warnings
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import triped as T
 from triped.analysis import summarize_gait
 from triped.config_io import TRAJECTORY_HEADER, emit_sweep_outputs
+from triped.params import ERROR_WEIGHTINGS, INTEGRATOR_RESETS
 
 
 def modified_config():
@@ -29,6 +31,14 @@ def modified_config():
 
 def test_empty_text_is_the_default_configuration():
     assert T.parse_config_text("") == T.SimConfig()
+    assert T.parse_config_text("[sweep]\n") == T.SweepSpec()
+
+
+def test_default_run_ids_are_pinned():
+    # The run id is the digest of the canonical text: reordering keys or
+    # reformatting values changes it, and with it every run's provenance.
+    assert T.make_manifest(T.SimConfig()).run_id == "50135f4f80233884"
+    assert T.make_manifest(T.SweepSpec()).run_id == "240b8a144cfd4bac"
 
 
 def test_round_trip_default_and_modified():
@@ -45,6 +55,62 @@ def test_round_trip_sweep_spec():
     parsed = T.parse_config_text(T.write_config(spec))
     assert isinstance(parsed, T.SweepSpec)
     assert parsed == spec
+
+
+def _every_field(cls, **strategies):
+    """Build ``cls`` with a strategy for each of its fields, and only those."""
+    assert set(strategies) == {f.name for f in fields(cls)}
+    return st.builds(cls, **strategies)
+
+
+def _degrees(limit):
+    """Angles drawn in degrees and converted, as a config file states them."""
+    return st.floats(-limit, limit).map(math.radians)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_INCLINES = _degrees(89.0)
+_ROBOTS = _every_field(T.RobotParams,
+                       **{f.name: _POSITIVE for f in fields(T.RobotParams)})
+_SIM_CONFIGS = _every_field(
+    T.SimConfig,
+    plant=_ROBOTS,
+    incline_true=_INCLINES,
+    controller=_every_field(
+        T.ControllerConfig,
+        gains=_every_field(T.ControllerGains, kp=_POSITIVE, kd=_POSITIVE,
+                           ki=st.floats(min_value=0.0, allow_infinity=False)),
+        model=_ROBOTS,
+        incline_assumed=_INCLINES,
+        targets=_every_field(T.GaitTargets, q1_switch=_degrees(720.0),
+                             q3_ref=_degrees(720.0)),
+        error_weighting=st.sampled_from(ERROR_WEIGHTINGS),
+        integrator_reset=st.sampled_from(INTEGRATOR_RESETS),
+        det_floor=_POSITIVE),
+    n_steps=st.integers(1, 10**6),
+    **dict.fromkeys(("rel_tol", "abs_tol", "max_step_time", "delta",
+                     "scuff_tol", "sample_dt"), _POSITIVE),
+    initial_state=st.tuples(*[_degrees(720.0)] * 3, *[_FINITE] * 3),
+    strict_scuff=st.booleans())
+_SWEEP_SPECS = _every_field(
+    T.SweepSpec,
+    axis=st.sampled_from(T.SWEEP_AXES),
+    rel_range=st.lists(st.floats(min_value=-1.0, exclude_min=True,
+                                 allow_infinity=False),
+                       min_size=2, max_size=2).map(sorted).map(tuple),
+    n_samples=st.integers(1, 10**4),
+    base=_SIM_CONFIGS)
+
+
+@pytest.mark.filterwarnings("ignore::triped.StaticStabilityWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SIM_CONFIGS, _SWEEP_SPECS))
+def test_every_field_round_trips_through_text(config):
+    # A field the key table left out would parse back as its default.
+    text = T.write_config(config)
+    assert T.parse_config_text(text) == config
+    assert T.write_config(T.parse_config_text(text)) == text
 
 
 def test_angles_survive_degree_round_trip_exactly():
@@ -100,6 +166,16 @@ def test_statically_unstable_slopes_warn_but_parse():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         T.parse_config_text("[sim]\nlambda_true_deg = 25\n")
+
+
+def test_static_stability_warning_names_the_caller(tmp_path):
+    text = "[sim]\nlambda_true_deg = 40\n[sweep]\n"
+    path = tmp_path / "steep.cfg"
+    path.write_text(text, encoding="utf-8")
+    for parse, source in ((T.parse_config_text, text), (T.parse_config, path)):
+        with pytest.warns(T.StaticStabilityWarning) as rec:
+            parse(source)
+        assert rec[0].filename == __file__
 
 
 def test_controller_model_defaults_to_nominal_not_plant():

@@ -136,3 +136,7 @@ def test_max_static_incline_value():
     # q3_ref = lam_max + 90 deg maximizes sin(q3_ref - incline).
     at_bound = static_stability(P, lam_max, lam_max + math.pi / 2.0)
     assert at_bound == pytest.approx(0.0, abs=1e-12)
+    # Positive parameters whose demand rounds to zero bound nothing.
+    tiny = T.RobotParams(leg_mass=0.25, hip_mass=0.125, torso_mass=0.125,
+                         leg_length=5e-324)
+    assert max_static_incline(tiny) == math.pi / 2

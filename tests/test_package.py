@@ -1,5 +1,6 @@
 """Package surface: what ``import triped`` loads and re-exports."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -27,3 +28,15 @@ def test_verification_names_are_reexported_on_demand():
                  "run_certification", "transcription_report"):
         assert name in T.__all__
         assert getattr(T, name) is getattr(verification, name)
+
+
+def test_benchmark_hooks_exist():
+    # perfbench/tracing.py wraps these module attributes by name, and the
+    # sweep workload calls run_sweep(..., max_workers=1): removing or
+    # renaming one breaks the benchmark, not the package.
+    from triped import simulate
+
+    for name in ("solve_ivp", "step", "integrate_swing", "reset_map",
+                 "control_action", "swing_accel", "swing_foot_height"):
+        assert callable(getattr(simulate, name)), name
+    assert "max_workers" in inspect.signature(T.run_sweep).parameters
