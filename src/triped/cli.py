@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,7 +79,14 @@ def _load(args: argparse.Namespace) -> SimConfig | SweepSpec:
         input_text = None
     else:
         input_text = Path(args.config).read_text(encoding="utf-8")
-        config = parse_config(args.config)
+        # A config warning names the file that set the value, not the
+        # line of this module that parsed it.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = parse_config(args.config)
+        for warning in caught:
+            print(f"triped: warning: {args.config}: {warning.message}",
+                  file=sys.stderr)
     args.input_text = input_text
     return config
 

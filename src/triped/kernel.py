@@ -36,8 +36,6 @@ from __future__ import annotations
 from math import cos, isfinite, sin
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import ActuationSingularityError, NonFiniteStateError
 from .params import ControllerConfig, RobotParams, SimConfig
 
@@ -52,11 +50,12 @@ class ClosedLoop(NamedTuple):
     ``control`` returns ``(u1, u2, rate1, rate2, eta1, eta2, det, grad1,
     grad2)``: hip torques, integrator rates, the PID error vector, ``det
     B_e`` and the error-metric gradient ``I_e^-1 sin(q_e)``.  ``rhs``
-    returns the derivative as an 8-tuple of floats.
+    takes the state as a sequence of eight floats (the integrator passes a
+    list) and returns the derivative as an 8-tuple of floats.
     """
 
     control: Callable[..., tuple]
-    rhs: Callable[[float, np.ndarray], tuple]
+    rhs: Callable[[float, list], tuple]
 
 
 def closed_loop(cfg: SimConfig) -> ClosedLoop:
@@ -67,7 +66,7 @@ def closed_loop(cfg: SimConfig) -> ClosedLoop:
     lam = cfg.incline_true
 
     def rhs(t, y):
-        q1, q2, q3, d1, d2, d3, w1, w2 = y.tolist()
+        q1, q2, q3, d1, d2, d3, w1, w2 = y
         u1, u2, rate1, rate2 = control(q1, q2, q3, d1, d2, d3, w1, w2)[:4]
         # A non-finite rate or integrator state reaches both torques.
         if not (isfinite(u1) and isfinite(u2)):

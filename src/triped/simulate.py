@@ -12,12 +12,15 @@ the loop uses the true parameters and true slope from :class:`SimConfig`;
 the controller side sees only its own model — the split that the robustness
 studies rely on.
 
-The integrator and the trajectory sampling evaluate the loop through the
-fused scalar kernel of :mod:`triped.kernel`, built once per swing.
-:func:`~triped.control.control_action` followed by
+Each swing is integrated by :func:`triped.ode.solve_ivp`, the package's
+Dormand–Prince 5(4) integrator over plain floats (the steps of scipy's
+RK45), on the fused scalar kernel of :mod:`triped.kernel`, built once per
+swing; the trajectory is sampled from the integrator's dense output through
+the same kernel.  :func:`~triped.control.control_action` followed by
 :func:`~triped.dynamics.swing_accel` is the same right-hand side composed
 from the readable reference functions; the kernel is tested against that
-composition.
+composition.  Each step record carries the integrator's effort: right-hand
+side evaluations and accepted and rejected steps.
 
 Failures inside a step (fall guard, step timeout, solver breakdown,
 actuation singularity, strict-scuff violation) abort the gait: the offending
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 # control_action and swing_accel are not called here: they are the composed
 # reference path of the kernel.  The benchmark's tracer (perfbench/tracing.py)
@@ -43,6 +45,7 @@ from .errors import (FellOverError, GaitAbortError, NonFiniteStateError,
                      StepTimeoutError, WalkerError)
 from .impact import ImpactResult, reset_map
 from .kernel import closed_loop
+from .ode import DenseSolution, solve_ivp
 from .params import SimConfig
 
 #: Tolerance on the switching-surface residual |q1(t_end) - q1_switch| (rad).
@@ -81,8 +84,11 @@ class StepRecord:
     swing; ``x_pre_impact`` is the state on the switching surface that ends
     it.  ``within_delta`` is the per-step recurrence diagnostic: whether the
     impact state lies inside the ``SimConfig.delta`` neighborhood of the
-    zero-dynamics manifold (``z_delta_at_impact <= delta``).  Aborted records
-    keep whatever was known at the failure; their ``within_delta`` is None.
+    zero-dynamics manifold (``z_delta_at_impact <= delta``).  ``nfev``,
+    ``n_accepted`` and ``n_rejected`` are the swing integrator's right-hand
+    side evaluations and accepted and rejected steps, all 0 when the swing
+    starts on the switching surface.  Aborted records keep whatever was
+    known at the failure; their ``within_delta`` and solver counts are None.
     """
 
     step_index: int
@@ -97,6 +103,9 @@ class StepRecord:
     liftoff_normal_velocity: float | None = None
     impact_energy_loss: float | None = None
     min_abs_det_input: float | None = None
+    nfev: int | None = None
+    n_accepted: int | None = None
+    n_rejected: int | None = None
     scuffed: bool = False
     aborted: bool = False
     abort_reason: str | None = None
@@ -154,9 +163,11 @@ class GaitSummary:
         return np.linalg.norm(np.diff(states, axis=0), axis=1)
 
 
-def _sample_swing(sol_interp, step_index: int, t0: float, t_end: float,
-                  y_end: np.ndarray, cfg: SimConfig, control) -> Trajectory:
-    """Evaluate the dense solution on the uniform output grid.
+def _sample_swing(dense: DenseSolution | None, step_index: int, t0: float,
+                  t_end: float, y_end: np.ndarray, cfg: SimConfig,
+                  control) -> Trajectory:
+    """Evaluate the dense solution on the uniform output grid, ending with
+    the exact event state.
 
     The controller outputs at each sample come from ``control``, the fused
     control law the integrator ran (:func:`triped.kernel.closed_loop`).
@@ -164,13 +175,14 @@ def _sample_swing(sol_interp, step_index: int, t0: float, t_end: float,
     if t_end > t0:
         ts = np.arange(t0, t_end, cfg.sample_dt)
         ts = ts[ts < t_end - 1e-12]
+        rows = dense.values(ts.tolist())
         ts = np.append(ts, t_end)
-        ys = sol_interp(ts)
-        ys[:, -1] = y_end
     else:
         ts = np.array([t0])
-        ys = y_end.reshape(-1, 1)
-    out = np.array([control(*state) for state in ys.T.tolist()])
+        rows = []
+    rows.append(y_end.tolist())
+    out = np.array([control(*state) for state in rows])
+    ys = np.array(rows).T
     # Distance to the zero-dynamics manifold, as zeta_distance measures it.
     zd = np.hypot(np.hypot(out[:, 7], out[:, 8]), np.hypot(ys[5], ys[3] + ys[4]))
     return Trajectory(step_index=step_index, t=ts, q=ys[:3].T, dq=ys[3:6].T,
@@ -179,11 +191,13 @@ def _sample_swing(sol_interp, step_index: int, t0: float, t_end: float,
 
 
 def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
-                    step_index: int = 0) -> tuple[Trajectory, np.ndarray]:
+                    step_index: int = 0,
+                    ) -> tuple[Trajectory, np.ndarray, tuple[int, int, int]]:
     """Integrate one swing phase from an 8-dim post-impact state.
 
-    Returns the sampled trajectory and the exact event state (8-dim, on the
-    switching surface to :data:`EVENT_TOL`).
+    Returns the sampled trajectory, the exact event state (8-dim, on the
+    switching surface to :data:`EVENT_TOL`) and the integrator's effort
+    ``(nfev, n_accepted, n_rejected)``.
 
     Raises:
         FellOverError: a leg angle left ``(-pi/2, pi/2)``.
@@ -198,8 +212,8 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
 
     # Already past the surface and moving forward: the crossing is immediate.
     if x0[0] >= q1_switch and x0[3] > 0.0:
-        return _sample_swing(None, step_index, t0, t0, x0, cfg,
-                             kernel.control), x0
+        return (_sample_swing(None, step_index, t0, t0, x0, cfg,
+                              kernel.control), x0, (0, 0, 0))
 
     def switch(t, y):
         return y[0] - q1_switch
@@ -214,8 +228,7 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     fall.direction = -1.0
 
     sol = solve_ivp(kernel.rhs, (t0, t0 + cfg.max_step_time), x0,
-                    method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    dense_output=True, events=(switch, fall))
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, events=(switch, fall))
     if sol.status < 0:
         raise NonFiniteStateError(f"swing integration failed: {sol.message}")
     if len(sol.t_events[1]):
@@ -233,7 +246,8 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
             "event localization failed: surface residual "
             f"{abs(y_end[0] - q1_switch):.3e} rad")
     return (_sample_swing(sol.sol, step_index, t0, t_end, y_end, cfg,
-                          kernel.control), y_end)
+                          kernel.control), y_end,
+            (sol.nfev, sol.n_accepted, sol.n_rejected))
 
 
 def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
@@ -262,7 +276,8 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
         omega_I = np.zeros(2)
     y0 = np.concatenate([res.q_plus, res.dq_plus, np.asarray(omega_I, dtype=float)])
 
-    traj, y_end = integrate_swing(y0, t_start, cfg, step_index)
+    traj, y_end, (nfev, n_accepted, n_rejected) = integrate_swing(
+        y0, t_start, cfg, step_index)
 
     clearance = swing_foot_height(traj.q.T, cfg.plant)
     min_clear = float(clearance.min())
@@ -292,6 +307,9 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
         liftoff_normal_velocity=float(res.liftoff_velocity[1]),
         impact_energy_loss=res.kinetic_energy_loss,
         min_abs_det_input=float(np.min(np.abs(traj.det_input))),
+        nfev=nfev,
+        n_accepted=n_accepted,
+        n_rejected=n_rejected,
         scuffed=scuffed,
         aborted=False,
     )

@@ -37,6 +37,7 @@ def test_simulate_accepts_config_file(tmp_path):
     (record,) = steps["records"]
     assert record["within_delta"] == (
         record["z_delta_at_impact"] <= T.SimConfig().delta)
+    assert record["nfev"] == 6 * (record["n_accepted"] + record["n_rejected"]) + 2
 
 
 def test_simulate_strict_scuff_flag_aborts_the_transient_gait(tmp_path,
@@ -62,6 +63,17 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_config_warning_names_the_config_file(tmp_path, capsys):
+    cfg_file = tmp_path / "steep.toml"
+    cfg_file.write_text("[sim]\nlambda_true_deg = 28\nn_steps = 1\n")
+    code = main(["simulate", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"triped: warning: {cfg_file}: lambda_true_deg = 28.00 deg "
+                           "exceeds the static-stability bound")
 
 
 def test_gait_abort_exits_with_code_one(tmp_path, capsys):

@@ -5,7 +5,8 @@ The reference right-hand side is built here from the public functions:
 assumed slope) followed by :func:`triped.dynamics.swing_accel` for the plant
 (the true parameters, the true slope).  The kernel must agree with it to
 1e-10 relative to ``max(1, |reference|)`` on every component, raise the same
-exceptions with the same messages, and give the same gait.
+exceptions with the same messages, and give the same gait.  The kernel gets
+its state as the integrator passes it, a list of floats.
 """
 
 import math
@@ -70,7 +71,7 @@ def test_kernel_rhs_matches_the_composed_path(name):
     cfg = CONFIGS[name]
     rhs = closed_loop(cfg).rhs
     for y in random_states(500, seed=11):
-        assert_close(rhs(0.0, y), composed_rhs(0.0, y, cfg))
+        assert_close(rhs(0.0, y.tolist()), composed_rhs(0.0, y, cfg))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -79,7 +80,7 @@ def test_kernel_control_outputs_match_the_reference(name):
     ctrl = cfg.controller
     control = closed_loop(cfg).control
     for y in random_states(200, seed=12):
-        u1, u2, rate1, rate2, eta1, eta2, det, grad1, grad2 = control(*y)
+        u1, u2, rate1, rate2, eta1, eta2, det, grad1, grad2 = control(*y.tolist())
         act = control_action(y[:3], y[3:6], y[6:8], ctrl)
         assert_close([u1, u2, rate1, rate2, eta1, eta2, det],
                      [*act.u, *act.omega_I_rate, *act.eta, act.det_input])
@@ -100,7 +101,7 @@ integrals = st.floats(-1.0, 1.0)
 def test_kernel_rhs_matches_the_composed_path_everywhere(q, dq, omega_i, name):
     cfg = CONFIGS[name]
     y = np.array([*q, *dq, *omega_i])
-    assert_close(closed_loop(cfg).rhs(0.0, y), composed_rhs(0.0, y, cfg))
+    assert_close(closed_loop(cfg).rhs(0.0, y.tolist()), composed_rhs(0.0, y, cfg))
 
 
 def raised(fn, *args):
@@ -119,7 +120,7 @@ def test_non_finite_state_raises_as_the_composed_path(index, value):
     with np.errstate(invalid="ignore"):
         expected = raised(composed_rhs, 0.0, y, NOMINAL)
     assert expected[0] is T.NonFiniteStateError
-    assert raised(closed_loop(NOMINAL).rhs, 0.0, y) == expected
+    assert raised(closed_loop(NOMINAL).rhs, 0.0, y.tolist()) == expected
 
 
 def test_singular_allocation_raises_as_the_composed_path():
@@ -132,8 +133,8 @@ def test_singular_allocation_raises_as_the_composed_path():
                                               det_floor=floor))
     expected = raised(composed_rhs, 0.0, y, cfg)
     assert expected[0] is T.ActuationSingularityError
-    assert raised(closed_loop(cfg).rhs, 0.0, y) == expected
-    assert raised(closed_loop(cfg).control, *y) == expected
+    assert raised(closed_loop(cfg).rhs, 0.0, y.tolist()) == expected
+    assert raised(closed_loop(cfg).control, *y.tolist()) == expected
 
 
 def test_gait_event_times_match_the_composed_path(nominal_three_steps):

@@ -46,6 +46,9 @@ def test_records_carry_consistent_diagnostics(nominal_three_steps):
         assert record.impact_energy_loss > 0.0
         assert not record.scuffed
         assert not record.aborted
+        # Two evaluations start RK45, then six per attempted step (FSAL).
+        assert record.n_accepted > 0
+        assert record.nfev == 2 + 6 * (record.n_accepted + record.n_rejected)
         # The reference gait only grazes the surface at the very end of the
         # swing; any real dip would be a scuff.
         assert -2e-3 < record.min_foot_clearance <= 0.0
@@ -82,6 +85,8 @@ def test_simulation_is_deterministic():
         np.vstack([t.u for t in b.trajectories]))
     for ra, rb in zip(a.records, b.records):
         assert ra.t_end == rb.t_end
+        assert ((ra.nfev, ra.n_accepted, ra.n_rejected)
+                == (rb.nfev, rb.n_accepted, rb.n_rejected))
 
 
 def test_event_time_is_insensitive_to_integrator_tolerance():
@@ -113,6 +118,9 @@ def test_timeout_aborts_cleanly_without_raising():
     assert summary.completed_steps == 0
     assert summary.records[-1].aborted
     assert summary.records[-1].within_delta is None
+    assert summary.records[-1].nfev is None
+    assert summary.records[-1].n_accepted is None
+    assert summary.records[-1].n_rejected is None
 
 
 def test_unreachable_switching_angle_ends_in_a_fall():
@@ -140,6 +148,7 @@ def test_crossing_at_start_yields_a_zero_length_step():
                                    np.zeros(2), 0.0, cfg)
     assert record.step_time == 0.0
     assert len(traj.t) == 1
+    assert (record.nfev, record.n_accepted, record.n_rejected) == (0, 0, 0)
     res = reset_map(np.array(T.nominal_initial_state()[:3]),
                     np.array(T.nominal_initial_state()[3:]), cfg.plant)
     np.testing.assert_allclose(record.x_post_impact[:3], res.q_plus,
