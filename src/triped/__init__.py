@@ -17,7 +17,7 @@ Quick start::
 """
 
 from .analysis import (PeriodicOrbit, SweepSample, contraction_ratio,
-                       find_periodic_orbit, run_sweep, stride_map,
+                       find_periodic_orbit, run_sweep,
                        STEP_TIME_CONVERGENCE_RANGE)
 from .config_io import (RunManifest, StaticStabilityWarning, TRAJECTORY_HEADER,
                         emit_orbit_outputs, emit_outputs, emit_sweep_outputs,
@@ -75,8 +75,8 @@ __all__ = [
     "make_manifest", "max_static_incline", "nominal_initial_state",
     "parse_config", "parse_config_text", "potential_energy",
     "reduced_forces", "reduced_inertias", "reset_map", "run_certification",
-    "run_gait", "run_sweep", "static_stability", "step", "stride_map",
-    "swing_accel", "swing_foot_height", "swing_foot_position",
-    "to_reduced", "torso_tip_position", "total_energy",
+    "run_gait", "run_sweep", "static_stability", "step", "swing_accel",
+    "swing_foot_height", "swing_foot_position", "to_reduced",
+    "torso_tip_position", "total_energy",
     "transcription_report", "write_config", "zeta_distance",
 ]

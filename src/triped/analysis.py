@@ -1,13 +1,13 @@
-"""Stride-map analysis: periodic orbits, contraction estimates, sweeps.
+"""Periodic orbits, contraction estimates and sweeps.
 
-The walker's steady gait is a fixed point of the *stride map* — the return
-map taking one pre-impact state to the next.  The controller makes that map
-contractive near the orbit, so plain iteration both finds the fixed point
-and certifies its stability: the empirical contraction ratio
-``rho_hat`` (median of successive distance ratios) below one is the
-numerical stability certificate.  No Jacobian or eigenvalue analysis is
-attempted; the certificate is deliberately the same evidence a batch of
-simulations provides.
+The walker's steady gait is a fixed point of the *stride map*, which takes
+one pre-impact state and integrator state to the next: :func:`step` on the
+8-dim state.  The controller makes that map contractive near the orbit, so
+plain iteration both finds the fixed point and certifies its stability: the
+empirical contraction ratio ``rho_hat`` (median of successive distance
+ratios) below one is the numerical stability certificate.  No Jacobian or
+eigenvalue analysis is attempted; the certificate is deliberately the same
+evidence a batch of simulations provides.
 
 Distances between pre-impact states use the plain Euclidean norm over the
 six mechanical coordinates — radians and radians per second with unit
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GaitAbortError, NoConvergenceError, WalkerError
 from .params import SimConfig, SweepSpec
-from .simulate import GaitSummary, run_gait, step
+from .simulate import GaitSummary, run_gait, start_state, step
 
 #: A gait's step times count as converged when the last five span less than
 #: this range (s) — an order of magnitude looser than a settled orbit's
@@ -50,22 +50,6 @@ def contraction_ratio(distances) -> float:
     if not np.any(keep):
         return float("nan")
     return float(np.median(num[keep] / den[keep]))
-
-
-def stride_map(x_pre, cfg: SimConfig, omega_I=None) -> np.ndarray:
-    """One application of the return map: pre-impact state to the next.
-
-    ``omega_I`` is the controller integrator entering the impact (zeros when
-    omitted).  The mechanical return map is well defined only jointly with
-    the integrator state; for fixed-point work use
-    :func:`find_periodic_orbit`, which carries it.
-
-    Raises:
-        WalkerError subclasses when the step cannot complete.
-    """
-    omega_i = np.zeros(2) if omega_I is None else np.asarray(omega_I, dtype=float)
-    _, _, x_next, _ = step(np.asarray(x_pre, dtype=float), omega_i, 0.0, cfg)
-    return x_next
 
 
 @dataclass(frozen=True)
@@ -98,24 +82,27 @@ def find_periodic_orbit(cfg: SimConfig, x_guess=None, tol: float = 1e-6,
     settles into.  Success is ``|x_{k+1} - x_k| < tol``.
 
     Raises:
+        ValueError: ``max_iters`` is below one.
+        ConfigValidationError: ``cfg`` or ``x_guess`` is invalid.
         NoConvergenceError: ``max_iters`` applications without convergence.
         GaitAbortError: a step failed during the iteration.
     """
-    cfg.validate()
-    x = np.asarray(cfg.initial_state if x_guess is None else x_guess, dtype=float)
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    x = start_state(cfg, x_guess)
     omega_i = np.zeros(2)
     distances: list[float] = []
     for k in range(max_iters):
         try:
-            record, _, x_next, omega_i = step(x, omega_i, 0.0, cfg, step_index=k)
+            record, traj = step(x, omega_i, 0.0, cfg, step_index=k)
         except GaitAbortError:
             raise
         except WalkerError as exc:
             raise GaitAbortError(
                 f"gait aborted at stride-map iterate {k}: "
                 f"{type(exc).__name__}: {exc}") from exc
-        distances.append(float(np.linalg.norm(x_next - x)))
-        x = x_next
+        distances.append(float(np.linalg.norm(record.x_pre_impact - x)))
+        x, omega_i = record.x_pre_impact, traj.omega_I[-1]
         if distances[-1] < tol:
             return PeriodicOrbit(
                 x_star=x, omega_I_star=omega_i,

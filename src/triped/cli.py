@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .analysis import find_periodic_orbit, run_sweep
 from .config_io import (emit_orbit_outputs, emit_outputs, emit_sweep_outputs,
-                        make_manifest, parse_config)
+                        make_manifest, parse_config_text)
 from .errors import ConfigError, WalkerError
 from .params import SimConfig, SweepSpec
 from .simulate import run_gait
@@ -78,12 +78,15 @@ def _load(args: argparse.Namespace) -> SimConfig | SweepSpec:
         config: SimConfig | SweepSpec = SimConfig()
         input_text = None
     else:
-        input_text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            input_text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         # A config warning names the file that set the value, not the
         # line of this module that parsed it.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            config = parse_config(args.config)
+            config = parse_config_text(input_text, source=str(args.config))
         for warning in caught:
             print(f"triped: warning: {args.config}: {warning.message}",
                   file=sys.stderr)
@@ -166,7 +169,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.verb == "verify" and args.checks < 1:
+        parser.error(f"argument --checks: must be >= 1, got {args.checks}")
     if args.verb == "version":
         from . import __version__
         print(__version__)
@@ -176,9 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return command(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WalkerError as exc:

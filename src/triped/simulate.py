@@ -3,8 +3,9 @@
 A *step* is one swing phase bracketed by impacts: starting from a pre-impact
 state, apply the plastic reset (:func:`triped.impact.reset_map`), integrate
 the closed-loop swing dynamics until the stance leg reaches the switching
-angle moving forward (``q1 = q1_switch`` with ``dq1 > 0``), and return the
-next pre-impact state.  A *gait* iterates steps.
+angle moving forward (``q1 = q1_switch`` with ``dq1 > 0``), and sample the
+swing.  The next pre-impact state is the sampled trajectory's last sample,
+so :func:`step` is the stride map on the 8-dim state; a *gait* iterates it.
 
 The integrated state is 8-dimensional: the six mechanical coordinates plus
 the controller's two-dimensional covariant integrator.  The plant side of
@@ -30,7 +31,7 @@ of :func:`run_gait`; callers inspect :class:`GaitSummary`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ import numpy as np
 # wraps them, like solve_ivp, step, integrate_swing, reset_map and
 # swing_foot_height, as attributes of this module by name, so these imports
 # stay (tests/test_package.py::test_benchmark_hooks_exist).
-from .control import control_action, zeta_distance  # noqa: F401
+from .control import control_action  # noqa: F401
 from .dynamics import swing_accel, swing_foot_height  # noqa: F401
 from .errors import (FellOverError, GaitAbortError, NonFiniteStateError,
                      StepTimeoutError, WalkerError)
@@ -60,9 +61,9 @@ class Trajectory:
     """Uniformly sampled time history of one swing phase.
 
     The last sample is the exact switching event; the first is the
-    post-impact state.  ``u``/``eta`` are recomputed from the sampled states,
-    ``zdelta`` is the distance to the zero-dynamics manifold
-    (:func:`triped.control.zeta_distance`).
+    post-impact state.  ``u``/``eta`` are recomputed from the sampled states
+    by the fused kernel, and so is ``zdelta``, the distance to the
+    zero-dynamics manifold that :func:`triped.control.zeta_distance` defines.
     """
 
     step_index: int
@@ -172,15 +173,11 @@ def _sample_swing(dense: DenseSolution | None, step_index: int, t0: float,
     The controller outputs at each sample come from ``control``, the fused
     control law the integrator ran (:func:`triped.kernel.closed_loop`).
     """
-    if t_end > t0:
-        ts = np.arange(t0, t_end, cfg.sample_dt)
-        ts = ts[ts < t_end - 1e-12]
-        rows = dense.values(ts.tolist())
-        ts = np.append(ts, t_end)
-    else:
-        ts = np.array([t0])
-        rows = []
+    ts = np.arange(t0, t_end, cfg.sample_dt)
+    ts = ts[ts < t_end - 1e-12]
+    rows = dense.values(ts.tolist()) if len(ts) else []
     rows.append(y_end.tolist())
+    ts = np.append(ts, t_end)
     out = np.array([control(*state) for state in rows])
     ys = np.array(rows).T
     # Distance to the zero-dynamics manifold, as zeta_distance measures it.
@@ -192,12 +189,12 @@ def _sample_swing(dense: DenseSolution | None, step_index: int, t0: float,
 
 def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
                     step_index: int = 0,
-                    ) -> tuple[Trajectory, np.ndarray, tuple[int, int, int]]:
+                    ) -> tuple[Trajectory, tuple[int, int, int]]:
     """Integrate one swing phase from an 8-dim post-impact state.
 
-    Returns the sampled trajectory, the exact event state (8-dim, on the
-    switching surface to :data:`EVENT_TOL`) and the integrator's effort
-    ``(nfev, n_accepted, n_rejected)``.
+    Returns the sampled trajectory, whose last sample is the exact event
+    state (on the switching surface to :data:`EVENT_TOL`), and the
+    integrator's effort ``(nfev, n_accepted, n_rejected)``.
 
     Raises:
         FellOverError: a leg angle left ``(-pi/2, pi/2)``.
@@ -213,7 +210,7 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     # Already past the surface and moving forward: the crossing is immediate.
     if x0[0] >= q1_switch and x0[3] > 0.0:
         return (_sample_swing(None, step_index, t0, t0, x0, cfg,
-                              kernel.control), x0, (0, 0, 0))
+                              kernel.control), (0, 0, 0))
 
     def switch(t, y):
         return y[0] - q1_switch
@@ -246,13 +243,13 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
             "event localization failed: surface residual "
             f"{abs(y_end[0] - q1_switch):.3e} rad")
     return (_sample_swing(sol.sol, step_index, t0, t_end, y_end, cfg,
-                          kernel.control), y_end,
+                          kernel.control),
             (sol.nfev, sol.n_accepted, sol.n_rejected))
 
 
 def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
          cfg: SimConfig, step_index: int = 0,
-         ) -> tuple[StepRecord, Trajectory, np.ndarray, np.ndarray]:
+         ) -> tuple[StepRecord, Trajectory]:
     """One impact followed by one swing phase.
 
     Args:
@@ -261,8 +258,9 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
         t_start: gait time at the impact (s).
 
     Returns:
-        ``(record, trajectory, x_next_pre, omega_I_next)`` where
-        ``x_next_pre`` is the next pre-impact state (6 values).
+        ``(record, trajectory)``.  The record's ``t_end``, ``x_pre_impact``
+        and ``z_delta_at_impact`` are the trajectory's last sample; the next
+        8-dim state is ``(record.x_pre_impact, trajectory.omega_I[-1])``.
 
     Raises:
         WalkerError subclasses on any failure (see :func:`integrate_swing`,
@@ -276,7 +274,7 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
         omega_I = np.zeros(2)
     y0 = np.concatenate([res.q_plus, res.dq_plus, np.asarray(omega_I, dtype=float)])
 
-    traj, y_end, (nfev, n_accepted, n_rejected) = integrate_swing(
+    traj, (nfev, n_accepted, n_rejected) = integrate_swing(
         y0, t_start, cfg, step_index)
 
     clearance = swing_foot_height(traj.q.T, cfg.plant)
@@ -292,14 +290,13 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
             f"swing foot penetrated {-min_clear:.4f} m > scuff_tol "
             f"{cfg.scuff_tol:.4f} m (strict mode)")
 
-    ctrl = cfg.controller
-    z_delta = zeta_distance(y_end[:3], y_end[3:6], ctrl.model, ctrl.targets)
+    z_delta = float(traj.zdelta[-1])
     record = StepRecord(
         step_index=step_index,
         t_start=t_start,
         t_end=float(traj.t[-1]),
         x_post_impact=y0[:6].copy(),
-        x_pre_impact=y_end[:6].copy(),
+        x_pre_impact=np.concatenate([traj.q[-1], traj.dq[-1]]),
         z_delta_at_impact=z_delta,
         within_delta=z_delta <= cfg.delta,
         min_foot_clearance=min_clear,
@@ -313,7 +310,17 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
         scuffed=scuffed,
         aborted=False,
     )
-    return record, traj, y_end[:6].copy(), y_end[6:8].copy()
+    return record, traj
+
+
+def start_state(cfg: SimConfig, x0=None) -> np.ndarray:
+    """The 6-value pre-impact start ``x0`` (``cfg.initial_state`` when None),
+    validated together with ``cfg`` by :meth:`SimConfig.validate`."""
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)  # a non-vector is not six values
+        cfg = replace(cfg, initial_state=tuple(x0.tolist()) if x0.ndim == 1 else ())
+    cfg.validate()
+    return np.array(cfg.initial_state, dtype=float)
 
 
 def run_gait(cfg: SimConfig, x0=None) -> GaitSummary:
@@ -322,22 +329,21 @@ def run_gait(cfg: SimConfig, x0=None) -> GaitSummary:
     Args:
         cfg: complete simulation setup (validated here).
         x0: optional 6-value pre-impact start; defaults to
-            ``cfg.initial_state``.
+            ``cfg.initial_state`` and is validated like it.
     """
-    cfg.validate()
-    x = np.asarray(cfg.initial_state if x0 is None else x0, dtype=float)
+    x = start_state(cfg, x0)
     omega_i = np.zeros(2)
     t = 0.0
     records: list[StepRecord] = []
     trajectories: list[Trajectory] = []
     for k in range(cfg.n_steps):
         try:
-            record, traj, x, omega_i = step(x, omega_i, t, cfg, step_index=k)
+            record, traj = step(x, omega_i, t, cfg, step_index=k)
         except WalkerError as exc:
             records.append(StepRecord(step_index=k, t_start=t, aborted=True,
                                       abort_reason=f"{type(exc).__name__}: {exc}"))
             break
         records.append(record)
         trajectories.append(traj)
-        t = record.t_end
+        x, omega_i, t = record.x_pre_impact, traj.omega_I[-1], record.t_end
     return GaitSummary(config=cfg, records=records, trajectories=trajectories)

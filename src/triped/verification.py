@@ -389,7 +389,10 @@ def certify_skew(n_states: int = 1000, seed: int = 5) -> CheckResult:
 
 
 def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationReport:
-    """Run the full battery; ``n_states`` scales every sampled check."""
+    """Run the full battery; ``n_states`` scales every sampled check and
+    must be at least 1, or each sampled check would pass on no evidence."""
+    if n_states < 1:
+        raise ValueError(f"n_states must be >= 1, got {n_states}")
     return CertificationReport(checks=[
         certify_swing_terms(n_states, seed),
         certify_energy_conservation(),

@@ -1,4 +1,4 @@
-"""Stride map, periodic-orbit search, and sweep harness."""
+"""Periodic-orbit search, contraction estimate, and sweep harness."""
 
 import math
 from dataclasses import replace
@@ -8,8 +8,7 @@ import pytest
 
 import triped as T
 from triped.analysis import (contraction_ratio, find_periodic_orbit,
-                             run_sweep, stride_map, summarize_gait)
-from triped.simulate import step
+                             run_sweep, summarize_gait)
 
 
 def test_contraction_ratio_median_of_successive_ratios():
@@ -19,13 +18,6 @@ def test_contraction_ratio_median_of_successive_ratios():
     assert math.isnan(contraction_ratio([1.0]))
     # Denominators at the floor carry no information.
     assert math.isnan(contraction_ratio([0.0, 0.0, 0.0]))
-
-
-def test_stride_map_matches_single_step():
-    cfg = replace(T.SimConfig(), n_steps=1)
-    x0 = np.array(T.nominal_initial_state())
-    _, _, expected, _ = step(x0, np.zeros(2), 0.0, cfg)
-    np.testing.assert_array_equal(stride_map(x0, cfg), expected)
 
 
 def test_orbit_search_accepts_after_one_stride_with_loose_tolerance():
@@ -39,6 +31,23 @@ def test_orbit_search_accepts_after_one_stride_with_loose_tolerance():
 def test_orbit_search_raises_when_budget_is_exhausted():
     with pytest.raises(T.NoConvergenceError):
         find_periodic_orbit(T.SimConfig(), tol=1e-30, max_iters=2)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_orbit_search_needs_at_least_one_stride(max_iters):
+    with pytest.raises(ValueError, match="max_iters"):
+        find_periodic_orbit(T.SimConfig(), max_iters=max_iters)
+
+
+@pytest.mark.parametrize("x_guess", [
+    T.nominal_initial_state()[:5],
+    T.nominal_initial_state() + (0.0,),
+    T.nominal_initial_state()[:5] + (math.nan,),
+], ids=["five-values", "seven-values", "nan"])
+def test_orbit_search_rejects_an_invalid_start(x_guess):
+    with pytest.raises(T.ConfigValidationError) as err:
+        find_periodic_orbit(T.SimConfig(), x_guess=np.array(x_guess))
+    assert err.value.keys == ["initial_state"]
 
 
 def test_orbit_search_recovers_from_a_perturbed_start():

@@ -65,6 +65,17 @@ def test_config_errors_exit_with_code_two(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_unreadable_config_exits_with_code_two(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes("[sim]\n# pas à pas\nn_steps = 1\n".encode("latin-1"))
+    for path in (tmp_path, not_utf8):
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {path}: ")
+        assert "Traceback" not in err
+
+
 def test_config_warning_names_the_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "steep.toml"
     cfg_file.write_text("[sim]\nlambda_true_deg = 28\nn_steps = 1\n")
@@ -122,6 +133,16 @@ def test_verify_verb_passes(capsys):
     stdout = capsys.readouterr().out
     assert "overall: PASS" in stdout
     assert "TRANSCRIPTION ERROR" in stdout  # documented closed-form defects
+
+
+@pytest.mark.parametrize("checks", ["0", "-1"])
+def test_verify_refuses_a_check_count_below_one(checks, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--checks", checks])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "--checks: must be >= 1" in out.err
+    assert "PASS" not in out.out
 
 
 def test_simulate_accepts_sweep_config_using_its_base(tmp_path):

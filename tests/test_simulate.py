@@ -32,6 +32,32 @@ def test_impacts_compose_between_consecutive_records(nominal_three_steps):
                                    atol=1e-12)
 
 
+def test_step_reads_its_record_off_the_trajectory_end():
+    cfg = T.SimConfig()
+    record, traj = step(np.array(T.nominal_initial_state()), np.zeros(2),
+                        0.25, cfg, step_index=4)
+    assert traj.step_index == record.step_index == 4
+    assert traj.t[0] == record.t_start == 0.25
+    assert record.t_end == traj.t[-1]
+    assert np.array_equal(record.x_pre_impact,
+                          np.concatenate([traj.q[-1], traj.dq[-1]]))
+    assert record.z_delta_at_impact == traj.zdelta[-1]
+    assert type(record.z_delta_at_impact) is float
+    assert record.within_delta is (record.z_delta_at_impact <= cfg.delta)
+
+
+def test_gait_carries_each_trajectory_end_into_the_next_step():
+    cfg = replace(T.SimConfig(), n_steps=2)
+    summary = T.run_gait(cfg)
+    first = summary.records[0]
+    second, _ = step(first.x_pre_impact,
+                     summary.trajectories[0].omega_I[-1], first.t_end, cfg,
+                     step_index=1)
+    assert summary.records[1].t_end == second.t_end
+    assert np.array_equal(summary.records[1].x_pre_impact,
+                          second.x_pre_impact)
+
+
 def test_records_carry_consistent_diagnostics(nominal_three_steps):
     cfg = nominal_three_steps.config
     for record in nominal_three_steps.records:
@@ -144,8 +170,8 @@ def test_crossing_at_start_yields_a_zero_length_step():
                            targets=T.GaitTargets(
                                q1_switch=math.radians(-60.0),
                                q3_ref=math.radians(105.0))))
-    record, traj, x_next, _ = step(np.array(T.nominal_initial_state()),
-                                   np.zeros(2), 0.0, cfg)
+    record, traj = step(np.array(T.nominal_initial_state()), np.zeros(2),
+                        0.0, cfg)
     assert record.step_time == 0.0
     assert len(traj.t) == 1
     assert (record.nfev, record.n_accepted, record.n_rejected) == (0, 0, 0)
@@ -189,3 +215,20 @@ def test_invalid_config_is_rejected_before_any_integration():
     cfg = replace(T.SimConfig(), n_steps=0)
     with pytest.raises(T.ConfigValidationError):
         T.run_gait(cfg)
+
+
+@pytest.mark.parametrize("x0", [
+    T.nominal_initial_state()[:5],
+    T.nominal_initial_state() + (0.0,),
+    T.nominal_initial_state()[:5] + (math.nan,),
+    [T.nominal_initial_state()[:3], T.nominal_initial_state()[3:]],
+], ids=["five-values", "seven-values", "nan", "two-rows"])
+def test_invalid_start_state_is_rejected_before_any_integration(
+        x0, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("integrated an invalid start")
+
+    monkeypatch.setattr(T.simulate, "step", no_step)
+    with pytest.raises(T.ConfigValidationError) as err:
+        T.run_gait(replace(T.SimConfig(), n_steps=1), x0=x0)
+    assert err.value.keys == ["initial_state"]

@@ -43,6 +43,12 @@ def test_check_result_pass_logic():
     assert "[FAIL]" in failing.as_text()
 
 
+@pytest.mark.parametrize("n_states", [0, -1])
+def test_battery_refuses_to_certify_without_states(n_states):
+    with pytest.raises(ValueError, match="n_states"):
+        run_certification(n_states=n_states)
+
+
 def test_transcription_report_flags_the_documented_force_defects():
     report = T.transcription_report(n_states=40, seed=5)
     assert set(report.faithful_terms) == {"input matrix (output)",
