@@ -3,11 +3,12 @@
 The walker's steady gait is a fixed point of the *stride map*, which takes
 one pre-impact state and integrator state to the next: :func:`step` on the
 8-dim state.  The controller makes that map contractive near the orbit, so
-plain iteration both finds the fixed point and certifies its stability: the
-empirical contraction ratio ``rho_hat`` (median of successive distance
-ratios) below one is the numerical stability certificate.  No Jacobian or
-eigenvalue analysis is attempted; the certificate is deliberately the same
-evidence a batch of simulations provides.
+iterating it as a gait does (:func:`~triped.simulate.strides`) both finds
+the fixed point and certifies its stability: the empirical contraction
+ratio ``rho_hat`` (median of successive distance ratios) below one is the
+numerical stability certificate.  No Jacobian or eigenvalue analysis is
+attempted; the certificate is deliberately the same evidence a batch of
+simulations provides.
 
 Distances between pre-impact states use the plain Euclidean norm over the
 six mechanical coordinates — radians and radians per second with unit
@@ -21,12 +22,13 @@ returns the rows in sample order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .errors import GaitAbortError, NoConvergenceError, WalkerError
+from .errors import GaitAbortError, NoConvergenceError
 from .params import SimConfig, SweepSpec
-from .simulate import GaitSummary, run_gait, start_state, step
+from .simulate import GaitSummary, run_gait, start_state, strides
 
 #: A gait's step times count as converged when the last five span less than
 #: this range (s) — an order of magnitude looser than a settled orbit's
@@ -77,38 +79,35 @@ def find_periodic_orbit(cfg: SimConfig, x_guess=None, tol: float = 1e-6,
                         max_iters: int = 200) -> PeriodicOrbit:
     """Iterate the stride map to a fixed point and certify contraction.
 
-    Iteration carries the controller integrator across steps exactly as a
-    long gait would, so the fixed point is the gait the closed loop actually
-    settles into.  Success is ``|x_{k+1} - x_k| < tol``.
+    The iteration is the gait's own :func:`~triped.simulate.strides`, so
+    ``x_star`` after ``iterations`` strides is the pre-impact state of
+    ``run_gait`` with that many steps.  Success is ``|x_{k+1} - x_k| < tol``.
 
     Raises:
-        ValueError: ``max_iters`` is below one.
+        ValueError: ``max_iters`` < 1, or ``tol`` not positive and finite.
         ConfigValidationError: ``cfg`` or ``x_guess`` is invalid.
         NoConvergenceError: ``max_iters`` applications without convergence.
         GaitAbortError: a step failed during the iteration.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     x = start_state(cfg, x_guess)
-    omega_i = np.zeros(2)
     distances: list[float] = []
-    for k in range(max_iters):
-        try:
-            record, traj = step(x, omega_i, 0.0, cfg, step_index=k)
-        except GaitAbortError:
-            raise
-        except WalkerError as exc:
+    for record, traj in islice(strides(cfg, x), max_iters):
+        if traj is None:
             raise GaitAbortError(
-                f"gait aborted at stride-map iterate {k}: "
-                f"{type(exc).__name__}: {exc}") from exc
+                f"gait aborted at stride-map iterate {record.step_index}: "
+                f"{record.abort_reason}")
         distances.append(float(np.linalg.norm(record.x_pre_impact - x)))
-        x, omega_i = record.x_pre_impact, traj.omega_I[-1]
+        x = record.x_pre_impact
         if distances[-1] < tol:
             return PeriodicOrbit(
-                x_star=x, omega_I_star=omega_i,
+                x_star=x, omega_I_star=traj.omega_I[-1],
                 step_time=float(record.step_time),
                 rho_hat=contraction_ratio(distances),
-                iterations=k + 1, distances=np.array(distances))
+                iterations=len(distances), distances=np.array(distances))
     raise NoConvergenceError(
         f"stride map not converged after {max_iters} iterations; "
         f"last distance {distances[-1]:.3e} (tol {tol:.3e})")

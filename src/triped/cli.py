@@ -104,7 +104,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = replace(cfg, n_steps=args.steps)
     if args.strict_scuff:
         cfg = replace(cfg, strict_scuff=True)
-    cfg.validate()
     summary = run_gait(cfg)
     manifest = make_manifest(cfg, input_text=args.input_text, seed=args.seed)
     files = emit_outputs(summary, manifest, args.out)
@@ -123,7 +122,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
     cfg = _sim_config(_load(args))
-    cfg.validate()
     orbit = find_periodic_orbit(cfg, tol=args.tol)
     manifest = make_manifest(cfg, input_text=args.input_text, seed=args.seed)
     files = emit_orbit_outputs(orbit, manifest, args.out)
@@ -141,7 +139,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = config
     else:
         spec = SweepSpec(base=config)
-    spec.validate()
     samples = run_sweep(spec)
     manifest = make_manifest(spec, input_text=args.input_text, seed=args.seed)
     files = emit_sweep_outputs(samples, manifest, args.out)
@@ -173,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.verb == "verify" and args.checks < 1:
         parser.error(f"argument --checks: must be >= 1, got {args.checks}")
+    if args.verb == "orbit" and not 0.0 < args.tol < math.inf:
+        parser.error(f"argument --tol: must be positive and finite, "
+                     f"got {args.tol}")
     if args.verb == "version":
         from . import __version__
         print(__version__)

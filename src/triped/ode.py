@@ -19,8 +19,8 @@ over Python floats, so that it takes the same steps:
 On a system of eight equations the per-stage cost of numpy calls on
 8-vectors is most of an RK45 step; over floats it is a few list
 comprehensions.  ``fun`` and the events receive ``y`` as a list of floats,
-``fun`` returns any sequence of ``len(y)`` numbers.  The result's arrays
-are numpy arrays, laid out as scipy lays them out.
+``fun`` returns any sequence of ``len(y)`` numbers.  The result's ``t``
+and ``y`` are numpy arrays; an event that fires is their last node.
 
 Two deliberate differences from scipy: a NaN step size fails as a step
 below ``10 ulp(t)`` does (scipy loops forever on it), and ``atol`` must be
@@ -106,19 +106,12 @@ class _Step:
 class DenseSolution:
     """The piecewise-quartic solution over all accepted steps.
 
-    Called like scipy's ``OdeSolution``: a time gives an ``(n,)`` array, an
-    ascending 1-D array of times an ``(n, len(t))`` array.  A time on a step
-    boundary is evaluated on the earlier step.
+    A time on a step boundary is evaluated on the earlier step.
     """
 
     def __init__(self, ts: list[float], steps: list[_Step]):
         self.ts = ts
         self.steps = steps
-
-    def __call__(self, t) -> np.ndarray:
-        if np.ndim(t) == 0:
-            return np.array(self.values([float(t)])[0])
-        return np.array(self.values(np.asarray(t, dtype=float).tolist())).T
 
     def values(self, times: Sequence[float]) -> list[list[float]]:
         """The solution at ascending ``times``, in one forward pass over
@@ -136,29 +129,25 @@ class DenseSolution:
 
 @dataclass(frozen=True)
 class OdeResult:
-    """What :func:`solve_ivp` returns; the fields scipy's result has, plus
-    the accepted and rejected step counts.
+    """What :func:`solve_ivp` returns.
 
     ``status`` is 0 at the end of the interval, 1 on an event and -1 when
     the step size collapsed.  ``t`` holds the start and the end of every
     accepted step (the last one cut at the event), ``y`` the states there
-    as an ``(n, len(t))`` array.
+    as an ``(n, len(t))`` array.  ``event`` is the index of the event that
+    ended the integration, None if none did; its time and state are
+    ``t[-1]`` and ``y[:, -1]``.
     """
 
     t: np.ndarray
     y: np.ndarray
     sol: DenseSolution
-    t_events: list[np.ndarray]
-    y_events: list[np.ndarray]
+    event: int | None
     nfev: int
     n_accepted: int
     n_rejected: int
     status: int
     message: str
-
-    @property
-    def success(self) -> bool:
-        return self.status >= 0
 
 
 def _rms(values) -> float:
@@ -234,8 +223,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     sqrt_n = n ** 0.5
     directions = [float(getattr(e, "direction", 0.0)) for e in events]
     g = [e(t, y) for e in events]
-    t_events: list[list] = [[] for _ in events]
-    y_events: list[list] = [[] for _ in events]
+    event = None
 
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
@@ -298,16 +286,12 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
                 first = min(range(len(active)), key=roots.__getitem__)
                 t = roots[first]
                 y = step(t)
-                t_events[active[first]].append(t)
-                y_events[active[first]].append(y)
-                status = 1
+                event, status = active[first], 1
             g = g_new
         ts.append(t)
         ys.append(y)
 
     return OdeResult(
         t=np.array(ts), y=np.array(ys).T, sol=DenseSolution(ts, steps),
-        t_events=[np.array(te) for te in t_events],
-        y_events=[np.array(ye) for ye in y_events],
-        nfev=nfev, n_accepted=len(steps), n_rejected=n_rejected,
+        event=event, nfev=nfev, n_accepted=len(steps), n_rejected=n_rejected,
         status=status, message=MESSAGES.get(status, message))

@@ -5,7 +5,8 @@ state, apply the plastic reset (:func:`triped.impact.reset_map`), integrate
 the closed-loop swing dynamics until the stance leg reaches the switching
 angle moving forward (``q1 = q1_switch`` with ``dq1 > 0``), and sample the
 swing.  The next pre-impact state is the sampled trajectory's last sample,
-so :func:`step` is the stride map on the 8-dim state; a *gait* iterates it.
+so :func:`step` is the stride map on the 8-dim state; :func:`strides`
+iterates it, and a *gait* is its first ``n_steps`` strides.
 
 The integrated state is 8-dimensional: the six mechanical coordinates plus
 the controller's two-dimensional covariant integrator.  The plant side of
@@ -32,6 +33,8 @@ of :func:`run_gait`; callers inspect :class:`GaitSummary`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -215,29 +218,21 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     def switch(t, y):
         return y[0] - q1_switch
 
-    switch.terminal = True
-    switch.direction = 1.0
-
     def fall(t, y):
         return FALL_GUARD - max(abs(y[0]), abs(y[1]))
 
-    fall.terminal = True
-    fall.direction = -1.0
-
+    switch.direction, fall.direction = 1.0, -1.0
     sol = solve_ivp(kernel.rhs, (t0, t0 + cfg.max_step_time), x0,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, events=(switch, fall))
     if sol.status < 0:
         raise NonFiniteStateError(f"swing integration failed: {sol.message}")
-    if len(sol.t_events[1]):
-        t_fall = sol.t_events[1][0]
+    t_end, y_end = float(sol.t[-1]), sol.y[:, -1]
+    if sol.event == 1:
         raise FellOverError(
-            f"leg angle reached +/-90 deg at t = {t_fall:.4f} s")
-    if not len(sol.t_events[0]):
+            f"leg angle reached +/-90 deg at t = {t_end:.4f} s")
+    if sol.event is None:
         raise StepTimeoutError(
             f"no switching event within {cfg.max_step_time} s of swing")
-
-    t_end = float(sol.t_events[0][0])
-    y_end = sol.y_events[0][0]
     if abs(y_end[0] - q1_switch) > EVENT_TOL:
         raise WalkerError(
             "event localization failed: surface residual "
@@ -253,8 +248,8 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
     """One impact followed by one swing phase.
 
     Args:
-        x_pre: pre-impact mechanical state, 6 values.
-        omega_I: controller integrator state entering the impact.
+        x_pre: pre-impact mechanical state, shape ``(6,)``.
+        omega_I: controller integrator state entering the impact, ``(2,)``.
         t_start: gait time at the impact (s).
 
     Returns:
@@ -263,16 +258,21 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
         8-dim state is ``(record.x_pre_impact, trajectory.omega_I[-1])``.
 
     Raises:
+        ValueError: ``x_pre`` or ``omega_I`` has the wrong shape.
         WalkerError subclasses on any failure (see :func:`integrate_swing`,
         :func:`triped.impact.reset_map`); strict scuff mode raises
         GaitAbortError when the swing foot digs in deeper than
         ``cfg.scuff_tol``.
     """
     x_pre = np.asarray(x_pre, dtype=float)
-    res: ImpactResult = reset_map(x_pre[:3], x_pre[3:6], cfg.plant)
+    omega_I = np.asarray(omega_I, dtype=float)
+    if x_pre.shape != (6,) or omega_I.shape != (2,):
+        raise ValueError("step needs x_pre of shape (6,) and omega_I of shape "
+                         f"(2,), got {x_pre.shape} and {omega_I.shape}")
+    res: ImpactResult = reset_map(x_pre[:3], x_pre[3:], cfg.plant)
     if cfg.controller.integrator_reset == "zero":
         omega_I = np.zeros(2)
-    y0 = np.concatenate([res.q_plus, res.dq_plus, np.asarray(omega_I, dtype=float)])
+    y0 = np.concatenate([res.q_plus, res.dq_plus, omega_I])
 
     traj, (nfev, n_accepted, n_rejected) = integrate_swing(
         y0, t_start, cfg, step_index)
@@ -323,27 +323,36 @@ def start_state(cfg: SimConfig, x0=None) -> np.ndarray:
     return np.array(cfg.initial_state, dtype=float)
 
 
+def strides(cfg: SimConfig, x: np.ndarray,
+            ) -> Iterator[tuple[StepRecord, Trajectory | None]]:
+    """Iterate :func:`step` from the validated pre-impact state ``x`` at
+    gait time 0 with a zero integrator, each stride starting from the last
+    one's ``(record.x_pre_impact, trajectory.omega_I[-1], record.t_end)``.
+
+    Yields ``(record, trajectory)``; a failed stride is yielded as its
+    aborted record with trajectory None and ends the iteration.
+    """
+    omega_i, t = np.zeros(2), 0.0
+    for k in count():
+        try:
+            record, traj = step(x, omega_i, t, cfg, step_index=k)
+        except WalkerError as exc:
+            yield StepRecord(step_index=k, t_start=t, aborted=True,
+                             abort_reason=f"{type(exc).__name__}: {exc}"), None
+            return
+        yield record, traj
+        x, omega_i, t = record.x_pre_impact, traj.omega_I[-1], record.t_end
+
+
 def run_gait(cfg: SimConfig, x0=None) -> GaitSummary:
-    """Iterate steps from a pre-impact state; aborts are recorded, not raised.
+    """Run the first ``cfg.n_steps`` strides; aborts are records, not raised.
 
     Args:
         cfg: complete simulation setup (validated here).
         x0: optional 6-value pre-impact start; defaults to
             ``cfg.initial_state`` and is validated like it.
     """
-    x = start_state(cfg, x0)
-    omega_i = np.zeros(2)
-    t = 0.0
-    records: list[StepRecord] = []
-    trajectories: list[Trajectory] = []
-    for k in range(cfg.n_steps):
-        try:
-            record, traj = step(x, omega_i, t, cfg, step_index=k)
-        except WalkerError as exc:
-            records.append(StepRecord(step_index=k, t_start=t, aborted=True,
-                                      abort_reason=f"{type(exc).__name__}: {exc}"))
-            break
-        records.append(record)
-        trajectories.append(traj)
-        x, omega_i, t = record.x_pre_impact, traj.omega_I[-1], record.t_end
-    return GaitSummary(config=cfg, records=records, trajectories=trajectories)
+    run = list(islice(strides(cfg, start_state(cfg, x0)), cfg.n_steps))
+    return GaitSummary(
+        config=cfg, records=[record for record, _ in run],
+        trajectories=[traj for _, traj in run if traj is not None])

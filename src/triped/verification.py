@@ -235,7 +235,7 @@ def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
 
     sol = solve_ivp(rhs, (0.0, duration), y0, rtol=1e-11, atol=1e-13)
     ts = np.linspace(0.0, duration, 101)
-    ys = sol.sol(ts)
+    ys = np.array(sol.sol.values(ts.tolist())).T
     e0 = total_energy(y0[:3], y0[3:6], p, incline)
     drift = max(abs(total_energy(ys[:3, i], ys[3:6, i], p, incline) - e0)
                 for i in range(len(ts)))
@@ -488,6 +488,8 @@ class TranscriptionReport:
 
 def transcription_report(n_states: int = 300, seed: int = 7) -> TranscriptionReport:
     """Measure each documented closed-form term against the certified model."""
+    if n_states < 1:
+        raise ValueError(f"n_states must be >= 1, got {n_states}")
     rng = np.random.default_rng(seed)
     targets = GaitTargets()
     p = RobotParams()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import triped as T
+from triped import simulate
 from triped.analysis import (contraction_ratio, find_periodic_orbit,
                              run_sweep, summarize_gait)
 
@@ -39,6 +40,16 @@ def test_orbit_search_needs_at_least_one_stride(max_iters):
         find_periodic_orbit(T.SimConfig(), max_iters=max_iters)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_orbit_search_needs_a_positive_finite_tolerance(tol, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("iterated with an invalid tolerance")
+
+    monkeypatch.setattr(simulate, "step", no_step)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        find_periodic_orbit(T.SimConfig(), tol=tol)
+
+
 @pytest.mark.parametrize("x_guess", [
     T.nominal_initial_state()[:5],
     T.nominal_initial_state() + (0.0,),
@@ -69,8 +80,41 @@ def test_orbit_search_recovers_from_a_perturbed_start():
 
 def test_orbit_search_propagates_gait_failures():
     cfg = replace(T.SimConfig(), max_step_time=0.05)
-    with pytest.raises(T.GaitAbortError):
+    with pytest.raises(T.GaitAbortError,
+                       match="stride-map iterate 0: StepTimeoutError: "):
         find_periodic_orbit(cfg)
+
+
+def test_orbit_is_the_gaits_state_after_as_many_strides():
+    cfg = T.SimConfig()
+    orbit = find_periodic_orbit(cfg)
+    gait = T.run_gait(replace(cfg, n_steps=orbit.iterations))
+    assert gait.completed_steps == orbit.iterations
+    assert np.array_equal(orbit.x_star, gait.records[-1].x_pre_impact)
+    assert np.array_equal(orbit.omega_I_star,
+                          gait.trajectories[-1].omega_I[-1])
+    assert orbit.step_time == gait.records[-1].step_time
+
+
+def test_gait_and_orbit_search_step_once_per_stride(monkeypatch):
+    # The benchmark meters operations by wrapping simulate.step.
+    calls = []
+    real_step = simulate.step
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["step_index"])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "step", counted)
+    T.run_gait(replace(T.SimConfig(), n_steps=3))
+    assert calls == [0, 1, 2]
+    calls.clear()
+    with pytest.raises(T.NoConvergenceError):
+        find_periodic_orbit(T.SimConfig(), tol=1e-30, max_iters=2)
+    assert calls == [0, 1]
+    calls.clear()
+    T.run_gait(replace(T.SimConfig(), n_steps=3, max_step_time=0.05))
+    assert calls == [0]
 
 
 def test_summarize_gait_flags_convergence(nominal_eight_steps):

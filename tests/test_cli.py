@@ -145,6 +145,17 @@ def test_verify_refuses_a_check_count_below_one(checks, capsys):
     assert "PASS" not in out.out
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_orbit_refuses_a_tolerance_that_is_not_positive(tol, tmp_path,
+                                                        capsys):
+    out = tmp_path / "orbit"
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--tol", tol, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tol: must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_accepts_sweep_config_using_its_base(tmp_path):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text("[sim]\nn_steps = 1\n[sweep]\nn_samples = 2\n")

@@ -46,6 +46,25 @@ def test_step_reads_its_record_off_the_trajectory_end():
     assert record.within_delta is (record.z_delta_at_impact <= cfg.delta)
 
 
+SHAPES = r"x_pre of shape \(6,\) and omega_I of shape \(2,\)"
+
+
+@pytest.mark.parametrize("x_pre, omega_I, error, match", [
+    (T.nominal_initial_state()[:5], (0.0, 0.0), ValueError, SHAPES),
+    (T.nominal_initial_state() + (0.0,), (0.0, 0.0), ValueError, SHAPES),
+    (T.nominal_initial_state(), (0.0,), ValueError, SHAPES),
+    (T.nominal_initial_state(), (0.0, 0.0, 0.0), ValueError, SHAPES),
+    (T.nominal_initial_state()[:5] + (math.nan,), (0.0, 0.0),
+     T.NonFiniteStateError, "non-finite"),
+    (T.nominal_initial_state(), (math.inf, 0.0),
+     T.NonFiniteStateError, "non-finite"),
+], ids=["five-values", "seven-values", "one-integrator", "three-integrator",
+        "nan-state", "inf-integrator"])
+def test_step_checks_its_arguments(x_pre, omega_I, error, match):
+    with pytest.raises(error, match=match):
+        step(np.array(x_pre), np.array(omega_I), 0.0, T.SimConfig())
+
+
 def test_gait_carries_each_trajectory_end_into_the_next_step():
     cfg = replace(T.SimConfig(), n_steps=2)
     summary = T.run_gait(cfg)

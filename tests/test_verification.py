@@ -3,7 +3,8 @@
 import pytest
 
 import triped as T
-from triped.verification import CheckResult, run_certification
+from triped.verification import (CheckResult, run_certification,
+                                 transcription_report)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +46,9 @@ def test_check_result_pass_logic():
 
 @pytest.mark.parametrize("n_states", [0, -1])
 def test_battery_refuses_to_certify_without_states(n_states):
-    with pytest.raises(ValueError, match="n_states"):
-        run_certification(n_states=n_states)
+    for battery in (run_certification, transcription_report):
+        with pytest.raises(ValueError, match="n_states must be >= 1"):
+            battery(n_states=n_states)
 
 
 def test_transcription_report_flags_the_documented_force_defects():
