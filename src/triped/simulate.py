@@ -173,8 +173,10 @@ def _sample_swing(dense: DenseSolution | None, step_index: int, t0: float,
     """Evaluate the dense solution on the uniform output grid, ending with
     the exact event state.
 
-    The controller outputs at each sample come from ``control``, the fused
-    control law the integrator ran (:func:`triped.kernel.closed_loop`).
+    The controller outputs at each sample come from ``control``, which
+    enters the closed-loop body the integrator ran and returns after its
+    control law (:func:`triped.kernel.closed_loop`), so a sample's torques
+    and integrator rates are the ones that were integrated.
     """
     ts = np.arange(t0, t_end, cfg.sample_dt)
     ts = ts[ts < t_end - 1e-12]

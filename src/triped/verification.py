@@ -3,8 +3,12 @@
 Everything numeric in this package that could hide a transcription slip —
 inertia matrix, gravity torque, velocity forces, the impact mass matrix, the
 reduced-model terms — is re-derived here from scratch with a symbolic
-Lagrangian oracle (:mod:`sympy`): write down the four point-mass positions,
-differentiate, and lambdify.  The oracle shares no code with
+Lagrangian oracle (:mod:`sympy`): write down the four point-mass positions;
+build the pinned chain's and the free chain's mass matrices as the sum of
+``m J^T J`` over the masses' position Jacobians ``J``, each entry expanded;
+take the velocity forces from the Christoffel symbols of the pinned one and
+gravity from the potential's gradient; and lambdify onto :mod:`math`
+scalars.  The oracle shares no code with
 :mod:`triped.dynamics`; agreement between the two is therefore meaningful
 evidence, and the certification battery (:func:`run_certification`) turns
 that evidence plus the model's structural invariants into pass/fail checks:
@@ -69,24 +73,24 @@ def _oracle():
         hip + l * unit(q[2]),
     ]
 
-    def kinetic(points, coords, rates):
-        total = sp.S.Zero
+    def mass_matrix(points, coords):
+        """Sum of m J^T J over the point masses, each entry expanded."""
+        total = sp.zeros(len(coords))
         for mass, pos in points:
-            vel = pos.jacobian(sp.Matrix(coords)) * sp.Matrix(rates)
-            total += mass * (vel.T * vel)[0, 0] / 2
-        return sp.expand(total)
+            jac = pos.jacobian(sp.Matrix(coords))
+            total += mass * jac.T * jac
+        return total.applyfunc(sp.expand)
 
-    ke = kinetic(zip(masses, positions), q, dq)
-    mass_matrix = sp.hessian(ke, dq)
-    mass_rate = sum((mass_matrix.diff(qk) * dk for qk, dk in zip(q, dq)),
+    inertia = mass_matrix(zip(masses, positions), q)
+    mass_rate = sum((inertia.diff(qk) * dk for qk, dk in zip(q, dq)),
                     sp.zeros(3, 3))
     coriolis = sp.zeros(3, 3)
     for i in range(3):
         for j in range(3):
             coriolis[i, j] = sum(
                 sp.Rational(1, 2)
-                * (mass_matrix[i, j].diff(q[k]) + mass_matrix[i, k].diff(q[j])
-                   - mass_matrix[j, k].diff(q[i])) * dq[k]
+                * (inertia[i, j].diff(q[k]) + inertia[i, k].diff(q[j])
+                   - inertia[j, k].diff(q[i])) * dq[k]
                 for k in range(3))
     height = sp.Matrix([sp.sin(lam), sp.cos(lam)])
     potential = sum(mass * g * (pos.T * height)[0, 0]
@@ -94,7 +98,7 @@ def _oracle():
     gravity = -sp.Matrix([potential.diff(qk) for qk in q])
 
     # Unpinned chain for the impact-phase mass matrix: hip position as base.
-    px, py, vx, vy = sp.symbols("px py vx vy")
+    px, py = sp.symbols("px py")
     base = sp.Matrix([px, py])
     free_positions = [
         base - r / 2 * unit(q[0]),
@@ -102,13 +106,14 @@ def _oracle():
         base,
         base + l * unit(q[2]),
     ]
-    free_ke = kinetic(zip(masses, free_positions), (*q, px, py), (*dq, vx, vy))
-    free_mass = sp.hessian(free_ke, (*dq, vx, vy))
+    free_mass = mass_matrix(zip(masses, free_positions), (*q, px, py))
 
     params = (m, mh, mt, l, r, g)
-    lamb = functools.partial(sp.lambdify, modules="numpy")
+    # Scalar math functions; a matrix comes back as a numpy array.
+    lamb = functools.partial(
+        sp.lambdify, modules=[{"ImmutableDenseMatrix": np.array}, "math"])
     return {
-        "mass": lamb((*q, *params), mass_matrix),
+        "mass": lamb((*q, *params), inertia),
         "mass_rate": lamb((*q, *dq, *params), mass_rate),
         "coriolis": lamb((*q, *dq, *params), coriolis),
         "gravity": lamb((*q, *params, lam), gravity),

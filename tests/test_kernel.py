@@ -89,6 +89,15 @@ def test_kernel_control_outputs_match_the_reference(name):
                                            ctrl.targets))
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sampled_outputs_are_the_integrated_ones(name):
+    """``control`` enters the body ``rhs`` runs: the integrator rates it
+    reports are the derivative's, bit for bit."""
+    kernel = closed_loop(CONFIGS[name])
+    for y in random_states(200, seed=15).tolist():
+        assert kernel.rhs(0.0, y)[6:8] == kernel.control(*y)[2:4]
+
+
 angles = st.floats(-1.2, 1.2)
 rates = st.floats(-6.0, 6.0)
 integrals = st.floats(-1.0, 1.0)
