@@ -32,7 +32,8 @@ from .dynamics import (INPUT_MATRIX, coriolis_matrix, gravity_torque,
 from .errors import (ActuationSingularityError, ConfigError, ConfigParseError,
                      ConfigValidationError, DegenerateContactError,
                      FellOverError, GaitAbortError, NoConvergenceError,
-                     NonFiniteStateError, StepTimeoutError, WalkerError)
+                     NonFiniteStateError, SolverBudgetError, StepTimeoutError,
+                     WalkerError)
 from .impact import ImpactResult, RELABEL, reset_map
 from .params import (ControllerConfig, ControllerGains, GaitTargets,
                      RobotParams, SimConfig, SweepSpec, SWEEP_AXES,
@@ -64,7 +65,8 @@ __all__ = [
     "DegenerateContactError", "FellOverError", "GaitAbortError",
     "GaitSummary", "ImpactResult", "INPUT_MATRIX", "NoConvergenceError",
     "NonFiniteStateError", "PeriodicOrbit", "ReducedState", "RELABEL",
-    "RobotParams", "RunManifest", "SimConfig", "StaticStabilityWarning",
+    "RobotParams", "RunManifest", "SimConfig", "SolverBudgetError",
+    "StaticStabilityWarning",
     "StepRecord", "StepTimeoutError", "SweepSample", "SweepSpec",
     "SWEEP_AXES", "STEP_TIME_CONVERGENCE_RANGE", "TRAJECTORY_HEADER",
     "GaitTargets", "Trajectory", "TranscriptionReport", "WalkerError",

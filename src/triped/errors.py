@@ -27,6 +27,11 @@ class ActuationSingularityError(WalkerError):
     generalized force cannot be realized by the two hip torques."""
 
 
+class SolverBudgetError(WalkerError):
+    """The swing integrator spent its budget of right-hand side evaluations
+    without reaching an event or the end of the swing."""
+
+
 class StepTimeoutError(WalkerError):
     """The swing phase exceeded the maximum allowed duration without
     reaching the switching surface."""

@@ -17,10 +17,22 @@ over Python floats, so that it takes the same steps:
   to ``4 eps (1 + |t|)``.
 
 On a system of eight equations the per-stage cost of numpy calls on
-8-vectors is most of an RK45 step; over floats it is a few list
-comprehensions.  ``fun`` and the events receive ``y`` as a list of floats,
-``fun`` returns any sequence of ``len(y)`` numbers.  The result's ``t``
-and ``y`` are numpy arrays; an event that fires is their last node.
+8-vectors is most of an RK45 step, so the step runs over floats.  Loops
+over the components (``zip`` and list comprehensions) would then cost about
+as much as the right-hand side itself, so the step attempt, the dense
+coefficients and the interpolant are straight-line code: generated from a
+template once per state dimension, on first use, compiled with ``exec``
+(as :mod:`dataclasses` and :func:`collections.namedtuple` build their
+methods) and cached.  Every expression keeps the textbook loop's operands,
+order and parentheses, so the steps are bit for bit those of the loop; the
+source is registered with :mod:`linecache` under ``<triped.ode dp5 n=N>``,
+so a traceback through it shows its lines.
+
+``fun`` and the events receive ``y`` as a list of floats, ``fun`` returns
+any sequence of ``len(y)`` numbers (a ``ValueError`` otherwise).  The
+result's ``t`` and ``y`` are numpy arrays; an event that fires is their
+last node.  ``max_nfev`` bounds the work: the integration stops, with
+status -1, before an attempt would pass it.
 
 Two deliberate differences from scipy: a NaN step size fails as a step
 below ``10 ulp(t)`` does (scipy loops forever on it), and ``atol`` must be
@@ -31,10 +43,12 @@ to scipy's.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +56,8 @@ EPS = sys.float_info.epsilon
 
 #: scipy's messages, so callers can report either integrator the same way.
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+#: Why :func:`solve_ivp` stopped at its ``max_nfev`` (scipy has no budget).
+NFEV_BUDGET_SPENT = "The budget of right-hand side evaluations (max_nfev) is spent."
 MESSAGES = {
     0: "The solver successfully reached the end of the integration interval.",
     1: "A termination event occurred.",
@@ -77,30 +93,146 @@ P6 = (-282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844)
 P7 = (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
 
 
+#: Letters naming the components of the stages k1..k7 in generated code.
+_K = "abcdefg"
+
+
+def _weights(*pairs) -> tuple:
+    """``(name, stage index)`` pairs as ``(name, value, stage index)``."""
+    return tuple((name, globals()[name], j) for name, j in pairs)
+
+
+#: Stages 2..6: the node (None for 1) and the weights over k1, k2, ...
+_STAGES = (("C2", _weights(("A21", 0))),
+           ("C3", _weights(("A31", 0), ("A32", 1))),
+           ("C4", _weights(("A41", 0), ("A42", 1), ("A43", 2))),
+           ("C5", _weights(("A51", 0), ("A52", 1), ("A53", 2), ("A54", 3))),
+           (None, _weights(("A61", 0), ("A62", 1), ("A63", 2), ("A64", 3),
+                           ("A65", 4))))
+_SOLUTION = _weights(("B1", 0), ("B3", 2), ("B4", 3), ("B5", 4), ("B6", 5))
+_ERROR = _weights(("E1", 0), ("E3", 2), ("E4", 3), ("E5", 4), ("E6", 5),
+                  ("E7", 6))
+#: The x², x³ and x⁴ columns of the dense output.
+_DENSE = tuple(tuple((f"P{j + 1}[{col}]", p[col], j) for j, p in
+                     ((0, P1), (2, P3), (3, P4), (4, P5), (5, P6), (6, P7)))
+               for col in range(3))
+
+
+def _dp5_source(n: int) -> str:
+    """The straight-line Dormand–Prince step and dense output for ``n``
+    equations: the textbook loop over components written out once per
+    component, each expression with its operands, order and parentheses.
+
+    The tableau enters as exact float literals (``repr`` round-trips), which
+    Python loads faster than module globals; comments name them.
+    """
+    def names(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(n)) + ("," if n == 1 else "")
+
+    def combination(weights, i: int) -> str:
+        return " + ".join(f"{value!r} * {_K[j]}{i}" for _, value, j in weights)
+
+    def listing(items) -> list[str]:
+        return [f"        {item}," for item in items]
+
+    def legend(weights) -> str:
+        return ", ".join(name for name, _, _ in weights)
+
+    lines = ["def step(fun, t, h, y, k1, atol, rtol):",
+             f"    {names('v')} = y",
+             f"    {names('a')} = k1"]
+    for s, (node, weights) in enumerate(_STAGES, start=2):
+        at = f"{globals()[node]!r} * h" if node else "h"
+        lines += [f"    # k{s} at t + {node or 1} h, weights {legend(weights)}",
+                  f"    k{s} = fun(t + {at}, ["]
+        lines += listing(f"v{i} + ({combination(weights, i)}) * h" for i in range(n))
+        lines += ["    ])", f"    {names(_K[s - 1])} = k{s}"]
+    lines += [f"    # y_new, weights {legend(_SOLUTION)}"]
+    lines += [f"    w{i} = v{i} + h * ({combination(_SOLUTION, i)})" for i in range(n)]
+    lines += [f"    y_new = [{names('w')}]",
+              "    k7 = fun(t + h, y_new)",
+              f"    {names('g')} = k7",
+              f"    # scaled error, weights {legend(_ERROR)}"]
+    lines += [f"    r{i} = (({combination(_ERROR, i)}) * h"
+              f" / (atol + max(abs(v{i}), abs(w{i})) * rtol))" for i in range(n)]
+    # The textbook loop sums from 0.0; adding to 0.0 first changes no bit.
+    lines += ["    return ((k1, k2, k3, k4, k5, k6, k7), y_new,",
+              "            " + " + ".join(f"r{i} * r{i}" for i in range(n)) + ")",
+              "",
+              "",
+              "def coefficients(stages):",
+              "    k1, _, k3, k4, k5, k6, k7 = stages"]
+    lines += [f"    {names(_K[j])} = k{j + 1}" for j in (0, 2, 3, 4, 5, 6)]
+    lines += ["    # per component, the x^2, x^3 and x^4 columns "
+              + " ; ".join(legend(column) for column in _DENSE),
+              "    return ("]
+    lines += listing(combination(column, i) for i in range(n) for column in _DENSE)
+    lines += ["    )",
+              "",
+              "",
+              "def interpolate(t, t_old, h, y_old, k1, q):",
+              f"    {names('v')} = y_old",
+              f"    {names('a')} = k1",
+              "    " + ", ".join(f"q{i}_{p}" for i in range(n) for p in (2, 3, 4))
+              + " = q",
+              "    x = (t - t_old) / h",
+              "    x2 = x * x",
+              "    x3 = x2 * x",
+              "    x4 = x3 * x",
+              "    return ["]
+    lines += listing(f"v{i} + h * (a{i} * x + q{i}_2 * x2 + q{i}_3 * x3 + q{i}_4 * x4)"
+                     for i in range(n))
+    lines += ["    ]", ""]
+    return "\n".join(lines)
+
+
+class _Dp5(NamedTuple):
+    """The generated functions for one state dimension.
+
+    ``step(fun, t, h, y, k1, atol, rtol)`` returns the seven stages, the
+    fifth-order solution and the squared error sum of one attempt;
+    ``coefficients(stages)`` the x², x³ and x⁴ coefficients of the quartic,
+    three per component; ``interpolate(t, t_old, h, y_old, k1, q)`` its
+    value at ``t``.
+    """
+
+    step: Callable
+    coefficients: Callable
+    interpolate: Callable
+
+
+@functools.cache
+def _dp5(n: int) -> _Dp5:
+    """Compile :func:`_dp5_source` for ``n`` equations, once per ``n``.
+
+    The source is registered with :mod:`linecache`, so a traceback through
+    it shows its lines.
+    """
+    source = _dp5_source(n)
+    filename = f"<triped.ode dp5 n={n}>"
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return _Dp5(namespace["step"], namespace["coefficients"], namespace["interpolate"])
+
+
 class _Step:
     """The quartic interpolant of one accepted step."""
 
-    __slots__ = ("t_old", "h", "y_old", "stages", "_q")
+    __slots__ = ("dp5", "t_old", "h", "y_old", "stages", "_q")
 
-    def __init__(self, t_old: float, h: float, y_old: list, stages: tuple):
-        self.t_old, self.h, self.y_old, self.stages = t_old, h, y_old, stages
+    def __init__(self, dp5: _Dp5, t_old: float, h: float, y_old: list,
+                 stages: tuple):
+        self.dp5, self.t_old, self.h, self.y_old, self.stages = (
+            dp5, t_old, h, y_old, stages)
         self._q = None
 
     def __call__(self, t: float) -> list[float]:
         q = self._q
         if q is None:
-            q = self._q = [
-                (a, P1[0] * a + P3[0] * c + P4[0] * d + P5[0] * e + P6[0] * f + P7[0] * g,
-                 P1[1] * a + P3[1] * c + P4[1] * d + P5[1] * e + P6[1] * f + P7[1] * g,
-                 P1[2] * a + P3[2] * c + P4[2] * d + P5[2] * e + P6[2] * f + P7[2] * g)
-                for a, _, c, d, e, f, g in zip(*self.stages)]
-        h = self.h
-        x = (t - self.t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return [y + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
-                for y, (q1, q2, q3, q4) in zip(self.y_old, q)]
+            q = self._q = self.dp5.coefficients(self.stages)
+        return self.dp5.interpolate(t, self.t_old, self.h, self.y_old,
+                                    self.stages[0], q)
 
 
 class DenseSolution:
@@ -204,13 +336,19 @@ def _root(event, step: _Step, t_old: float, t_new: float, g_old: float) -> float
 
 
 def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3,
-              atol: float = 1e-6, events: Sequence[Callable] = ()) -> OdeResult:
+              atol: float = 1e-6, events: Sequence[Callable] = (),
+              max_nfev: int | None = None) -> OdeResult:
     """Integrate ``y' = fun(t, y)`` from ``t_span[0]`` towards ``t_span[1]``.
 
     Each event ``g(t, y)`` may carry a ``direction`` attribute (scipy's
     meaning: > 0 fires only on a rising zero, < 0 only on a falling one);
     every event is terminal.  See the module docstring for what matches
     scipy's RK45.
+
+    ``max_nfev`` bounds the evaluations of ``fun``: the start takes two and
+    each step attempt six, and an attempt that would pass the budget is not
+    made; the result then has status -1 and the message
+    :data:`NFEV_BUDGET_SPENT`.  None sets no bound.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -218,14 +356,23 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     if not atol > 0:
         raise ValueError("atol must be positive")
     rtol = max(rtol, 100 * EPS)   # scipy's floor on rtol
+    if max_nfev is not None and not max_nfev >= 2:
+        raise ValueError("max_nfev must be at least 2: the start takes two evaluations")
+    budget = math.inf if max_nfev is None else max_nfev
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
+    if n == 0:
+        raise ValueError("y0 must hold at least one value")
     sqrt_n = n ** 0.5
+    dp5 = _dp5(n)
+    attempt = dp5.step
     directions = [float(getattr(e, "direction", 0.0)) for e in events]
     g = [e(t, y) for e in events]
     event = None
 
     f = fun(t, y)
+    if len(f) != n:
+        raise ValueError(f"fun returned {len(f)} values for a state of {n}")
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev, n_rejected = 2, 0
     ts, ys, steps = [t], [y], []
@@ -239,28 +386,14 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
             if not h_abs >= min_step:
                 status, message = -1, TOO_SMALL_STEP
                 break
+            if nfev + 6 > budget:
+                status, message = -1, NFEV_BUDGET_SPENT
+                break
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
-            k1 = f
-            k2 = fun(t + C2 * h, [v + (A21 * a) * h for v, a in zip(y, k1)])
-            k3 = fun(t + C3 * h, [v + (A31 * a + A32 * b) * h
-                                  for v, a, b in zip(y, k1, k2)])
-            k4 = fun(t + C4 * h, [v + (A41 * a + A42 * b + A43 * c) * h
-                                  for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = fun(t + C5 * h, [v + (A51 * a + A52 * b + A53 * c + A54 * d) * h
-                                  for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = fun(t + h, [v + (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e) * h
-                             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * f6)
-                     for v, a, c, d, e, f6 in zip(y, k1, k3, k4, k5, k6)]
-            k7 = fun(t + h, y_new)
+            stages, y_new, err = attempt(fun, t, h, y, f, atol, rtol)
             nfev += 6
-            err = 0.0
-            for v, y1, a, c, d, e, f6, g7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                r = ((E1 * a + E3 * c + E4 * d + E5 * e + E6 * f6 + E7 * g7) * h
-                     / (atol + max(abs(v), abs(y1)) * rtol))
-                err += r * r
             error_norm = math.sqrt(err) / sqrt_n
             if error_norm < 1:
                 factor = (MAX_FACTOR if error_norm == 0 else
@@ -273,9 +406,9 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
         if status is not None:
             break
 
-        step = _Step(t, h, y, (k1, k2, k3, k4, k5, k6, k7))
+        step = _Step(dp5, t, h, y, stages)
         steps.append(step)
-        t_old, t, y, f = t, t_new, y_new, k7
+        t_old, t, y, f = t, t_new, y_new, stages[6]
         if t >= t_bound:
             status = 0
         if events:

@@ -24,10 +24,11 @@ from the readable reference functions; the kernel is tested against that
 composition.  Each step record carries the integrator's effort: right-hand
 side evaluations and accepted and rejected steps.
 
-Failures inside a step (fall guard, step timeout, solver breakdown,
-actuation singularity, strict-scuff violation) abort the gait: the offending
-step is recorded with its reason and iteration stops.  Nothing is raised out
-of :func:`run_gait`; callers inspect :class:`GaitSummary`.
+Failures inside a step (fall guard, step timeout, solver breakdown, spent
+evaluation budget, actuation singularity, strict-scuff violation) abort the
+gait: the offending step is recorded with its reason and iteration stops.
+Nothing is raised out of :func:`run_gait`; callers inspect
+:class:`GaitSummary`.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ import numpy as np
 from .control import control_action  # noqa: F401
 from .dynamics import swing_accel, swing_foot_height  # noqa: F401
 from .errors import (FellOverError, GaitAbortError, NonFiniteStateError,
-                     StepTimeoutError, WalkerError)
+                     SolverBudgetError, StepTimeoutError, WalkerError)
 from .impact import ImpactResult, reset_map
 from .kernel import closed_loop
-from .ode import DenseSolution, solve_ivp
+from .ode import NFEV_BUDGET_SPENT, DenseSolution, solve_ivp
 from .params import SimConfig
 
 #: Tolerance on the switching-surface residual |q1(t_end) - q1_switch| (rad).
@@ -57,6 +58,11 @@ EVENT_TOL = 1e-10
 
 #: A leg pitched past this magnitude counts as a fall (rad).
 FALL_GUARD = np.pi / 2
+
+#: Right-hand side evaluations one swing may spend, about 90 times the
+#: reference gait's largest swing: a swing that needs more ends the gait
+#: with :class:`SolverBudgetError` instead of spinning.
+MAX_NFEV_PER_SWING = 200_000
 
 
 @dataclass(frozen=True)
@@ -204,6 +210,8 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     Raises:
         FellOverError: a leg angle left ``(-pi/2, pi/2)``.
         StepTimeoutError: no switching event within ``cfg.max_step_time``.
+        SolverBudgetError: the swing needed more than
+            :data:`MAX_NFEV_PER_SWING` right-hand side evaluations.
         NonFiniteStateError: the solver failed or produced non-finite values.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -225,7 +233,12 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
 
     switch.direction, fall.direction = 1.0, -1.0
     sol = solve_ivp(kernel.rhs, (t0, t0 + cfg.max_step_time), x0,
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, events=(switch, fall))
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, events=(switch, fall),
+                    max_nfev=MAX_NFEV_PER_SWING)
+    if sol.message == NFEV_BUDGET_SPENT:
+        raise SolverBudgetError(
+            f"swing integration spent its {MAX_NFEV_PER_SWING} right-hand side "
+            f"evaluations by t = {float(sol.t[-1]):.4f} s")
     if sol.status < 0:
         raise NonFiniteStateError(f"swing integration failed: {sol.message}")
     t_end, y_end = float(sol.t[-1]), sol.y[:, -1]

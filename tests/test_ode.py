@@ -6,7 +6,9 @@ hand side evaluations and accepted steps), find the same event times to
 1e-8 s and give the same dense output to 1e-12.
 """
 
+import linecache
 import math
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,8 @@ import triped as T
 from triped import simulate
 from triped.impact import reset_map
 from triped.kernel import ClosedLoop, closed_loop
-from triped.ode import TOO_SMALL_STEP, solve_ivp
+from triped import ode
+from triped.ode import NFEV_BUDGET_SPENT, TOO_SMALL_STEP, solve_ivp
 
 EVENT_TIME_TOL = 1e-8
 DENSE_TOL = 1e-12
@@ -90,7 +93,7 @@ def test_dense_output_matches_scipy_at_random_times(reference_gait):
 @st.composite
 def linear_systems(draw):
     """``y' = A y``: decaying rates with coupling, one rate stiff or not."""
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 12))
     rates = draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n))
     if draw(st.booleans()):
         rates[draw(st.integers(0, n - 1))] = draw(st.floats(300.0, 2000.0))
@@ -186,3 +189,165 @@ def test_nan_rhs_surfaces_as_non_finite_state_error(monkeypatch):
     summary = T.run_gait(cfg)
     assert summary.abort_reason.startswith(
         "NonFiniteStateError: swing integration failed")
+
+
+# The Dormand–Prince step and dense output as loops over components: the
+# formulas the generated straight-line code must reproduce bit for bit.
+def textbook_step(fun, t, h, y, k1, atol, rtol):
+    from triped.ode import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54,
+                            A61, A62, A63, A64, A65, B1, B3, B4, B5, B6, C2,
+                            C3, C4, C5, E1, E3, E4, E5, E6, E7)
+    k2 = fun(t + C2 * h, [v + (A21 * a) * h for v, a in zip(y, k1)])
+    k3 = fun(t + C3 * h, [v + (A31 * a + A32 * b) * h
+                          for v, a, b in zip(y, k1, k2)])
+    k4 = fun(t + C4 * h, [v + (A41 * a + A42 * b + A43 * c) * h
+                          for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = fun(t + C5 * h, [v + (A51 * a + A52 * b + A53 * c + A54 * d) * h
+                          for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = fun(t + h, [v + (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e) * h
+                     for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * f6)
+             for v, a, c, d, e, f6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = fun(t + h, y_new)
+    err = 0.0
+    for v, y1, a, c, d, e, f6, g7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        r = ((E1 * a + E3 * c + E4 * d + E5 * e + E6 * f6 + E7 * g7) * h
+             / (atol + max(abs(v), abs(y1)) * rtol))
+        err += r * r
+    return (k1, k2, k3, k4, k5, k6, k7), y_new, err
+
+
+def textbook_coefficients(stages):
+    from triped.ode import P1, P3, P4, P5, P6, P7
+    return [(P1[0] * a + P3[0] * c + P4[0] * d + P5[0] * e + P6[0] * f + P7[0] * g,
+             P1[1] * a + P3[1] * c + P4[1] * d + P5[1] * e + P6[1] * f + P7[1] * g,
+             P1[2] * a + P3[2] * c + P4[2] * d + P5[2] * e + P6[2] * f + P7[2] * g)
+            for a, _, c, d, e, f, g in zip(*stages)]
+
+
+def textbook_interpolate(t, t_old, h, y_old, k1, q):
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return [y + h * (a * x + q2 * x2 + q3 * x3 + q4 * x4)
+            for y, a, (q2, q3, q4) in zip(y_old, k1, q)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 13])
+def test_generated_code_equals_the_textbook_loops(n):
+    rng = np.random.default_rng(n)
+    weights = rng.uniform(-3.0, 3.0, (n, n)).tolist()
+
+    def fun(t, y):  # nonlinear and coupled, so every stage differs
+        return [math.sin(t + w[i]) - sum(a * b for a, b in zip(w, y)) * y[i]
+                for i, w in enumerate(weights)]
+
+    dp5 = ode._dp5(n)
+    for _ in range(20):
+        t, h = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-6.0, 0.0)
+        y = rng.uniform(-2.0, 2.0, n).tolist()
+        atol, rtol = 10.0 ** rng.uniform(-12.0, -6.0), 10.0 ** rng.uniform(-10.0, -3.0)
+        k1 = fun(t, y)
+        stages, y_new, err = dp5.step(fun, t, h, y, k1, atol, rtol)
+        assert (stages, y_new, err) == textbook_step(fun, t, h, y, k1, atol, rtol)
+        q = dp5.coefficients(stages)
+        expected = textbook_coefficients(stages)
+        assert [tuple(q[3 * i:3 * i + 3]) for i in range(n)] == expected
+        for x in rng.uniform(0.0, 1.0, 5):
+            s = t + x * h
+            assert (dp5.interpolate(s, t, h, y, k1, q)
+                    == textbook_interpolate(s, t, h, y, k1, expected))
+
+
+def test_generated_code_shows_its_lines_in_a_traceback():
+    def fun(t, y):
+        if t > 0.5:
+            raise RuntimeError("stage failed")
+        return [-v for v in y]
+
+    with pytest.raises(RuntimeError) as info:
+        solve_ivp(fun, (0.0, 1.0), [1.0, 2.0, 3.0], 1e-3, 1e-6)
+    frames = [f for f in traceback.extract_tb(info.tb)
+              if f.filename == "<triped.ode dp5 n=3>"]
+    assert frames and frames[0].name == "step"
+    assert "fun(t +" in frames[0].line
+    assert linecache.getline(frames[0].filename, 1).startswith("def step(")
+
+
+@pytest.mark.parametrize("rates, returned", [([-1.0, 0.0, 5.0], 3),
+                                             ([-1.0], 1)])
+def test_a_right_hand_side_of_the_wrong_length_is_refused(rates, returned):
+    def fun(t, y):
+        return [r * y[0] for r in rates]
+
+    with pytest.raises(ValueError, match=f"{returned} values for a state of 2"):
+        solve_ivp(fun, (0.0, 1.0), [1.0, 2.0])
+
+
+def test_a_later_stage_of_the_wrong_length_is_refused():
+    def fun(t, y):
+        return [-y[0], -y[1]] if t == 0.0 else [-y[0]]
+
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        solve_ivp(fun, (0.0, 1.0), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("max_nfev", [2, 7, 8, 500, 501])
+def test_evaluation_budget_stops_the_integration(max_nfev):
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return [y[1], -1e4 * y[0]]   # stiff enough to need many steps
+
+    ours = solve_ivp(fun, (0.0, 10.0), [1.0, 0.0], 1e-9, 1e-12,
+                     max_nfev=max_nfev)
+    assert ours.status == -1
+    assert ours.message == NFEV_BUDGET_SPENT
+    assert ours.event is None
+    assert ours.nfev == len(calls) <= max_nfev
+    assert ours.nfev > max_nfev - 6
+    assert ours.nfev == 2 + 6 * (ours.n_accepted + ours.n_rejected)
+    assert ours.t[-1] < 10.0 and len(ours.t) == ours.n_accepted + 1
+
+
+def test_a_budget_that_suffices_changes_nothing():
+    unbounded = solve_ivp(oscillator, (0.0, 5.0), [0.0, 1.0], 1e-9, 1e-12)
+    bounded = solve_ivp(oscillator, (0.0, 5.0), [0.0, 1.0], 1e-9, 1e-12,
+                        max_nfev=unbounded.nfev)
+    assert bounded.status == unbounded.status == 0
+    np.testing.assert_array_equal(bounded.y, unbounded.y)
+    assert bounded.nfev == unbounded.nfev
+
+
+@pytest.mark.parametrize("max_nfev", [1, 0, -5, math.nan])
+def test_a_budget_below_the_start_is_refused(max_nfev):
+    with pytest.raises(ValueError, match="max_nfev"):
+        solve_ivp(oscillator, (0.0, 1.0), [0.0, 1.0], max_nfev=max_nfev)
+
+
+def test_an_empty_state_is_refused():
+    with pytest.raises(ValueError, match="at least one value"):
+        solve_ivp(lambda t, y: [], (0.0, 1.0), [])
+
+
+def test_spent_swing_budget_ends_the_gait_as_a_record(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_NFEV_PER_SWING", 500)
+    real = simulate.closed_loop
+    calls = []
+
+    def counted(cfg):
+        kernel = real(cfg)
+
+        def rhs(t, y):
+            calls.append(t)
+            return kernel.rhs(t, y)
+        return ClosedLoop(control=kernel.control, rhs=rhs)
+
+    monkeypatch.setattr(simulate, "closed_loop", counted)
+    summary = T.run_gait(T.SimConfig())
+    assert len(summary.records) == 1 and summary.records[0].aborted
+    assert summary.abort_reason.startswith(
+        "SolverBudgetError: swing integration spent its 500 right-hand side")
+    assert len(calls) <= 500

@@ -31,6 +31,13 @@ def test_runtime_does_not_load_scipy():
               "assert 'scipy' not in sys.modules, 'scipy imported'")
 
 
+def test_import_generates_no_integrator_code():
+    # The straight-line integrator step is generated on first use of each
+    # state dimension, so importing the package does not pay for it.
+    run_fresh("import triped, triped.cli, triped.ode as ode; "
+              "assert ode._dp5.cache_info().currsize == 0, 'generated at import'")
+
+
 def test_verification_names_are_reexported_on_demand():
     from triped import verification
 
