@@ -48,6 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import (float_if_scalar, matvec, raise_for_states,
+                       solve_vector)
 from .errors import ActuationSingularityError
 from .params import ControllerConfig, GaitTargets, RobotParams
 from .reduced import (ReducedState, input_matrix_e, quadratic_bracket,
@@ -72,7 +74,7 @@ def error_sines(rs: ReducedState) -> np.ndarray:
 def error_potential_gradient(rs: ReducedState, model: RobotParams) -> np.ndarray:
     """Metric gradient of the error potential: ``I_e^{-1} @ error_sines``."""
     i_e, _ = reduced_inertias(rs, model)
-    return error_sines(rs) / np.diag(i_e)
+    return error_sines(rs) / np.diagonal(i_e, axis1=-2, axis2=-1)
 
 
 def _error_vector(rs: ReducedState, cfg: ControllerConfig) -> np.ndarray:
@@ -103,7 +105,7 @@ class ControlAction:
 
 
 def control_action(q, dq, omega_I, cfg: ControllerConfig) -> ControlAction:
-    """Full control law at one state: PID + regularization + allocation.
+    """Full control law at one state or a batch: PID + regularization + allocation.
 
     The shaped PID torque ``tau_tilde``, the regularizing terms from the
     model's reduced forces and bracket, the allocation ``B_e u = tau_ue``
@@ -113,32 +115,34 @@ def control_action(q, dq, omega_I, cfg: ControllerConfig) -> ControlAction:
     the fused kernel of :mod:`triped.kernel`, which is tested against it.
 
     Raises:
-        ActuationSingularityError: propagated from the allocation.
+        ActuationSingularityError: ``|det B_e|`` is at or below the
+            configured floor; over a batch, at any state (``error.bad``
+            marks which).
     """
     omega_I = np.asarray(omega_I, dtype=float)
     rs = to_reduced(q, dq, cfg.targets)
     model = cfg.model
     i_e, _ = reduced_inertias(rs, model)
-    i_e_diag = np.diag(i_e)
+    i_e_diag = np.diagonal(i_e, axis1=-2, axis2=-1)
     bracket = quadratic_bracket(rs, model)
 
     eta = _error_vector(rs, cfg)
     g = cfg.gains
     tau_tilde = -i_e_diag * (g.kp * eta + g.kd * rs.omega_e + g.ki * omega_I)
     tau_e, _, tau_g_e, _ = reduced_forces(rs, model, cfg.incline_assumed)
-    tau_ue = tau_tilde + tau_e + tau_g_e - bracket @ rs.omega_e
+    tau_ue = tau_tilde + tau_e + tau_g_e - matvec(bracket, rs.omega_e)
 
     b_e, _ = input_matrix_e(rs, model)
-    det = b_e[0, 0] * b_e[1, 1] - b_e[0, 1] * b_e[1, 0]
-    if abs(det) <= cfg.det_floor:
-        raise ActuationSingularityError(
-            f"torque allocation singular: |det B_e| = {abs(det):.3e} "
-            f"<= {cfg.det_floor:.3e}")
-    u = np.linalg.solve(b_e, tau_ue)
-    omega_I_rate = eta - (bracket @ omega_I) / i_e_diag
+    det = b_e[..., 0, 0] * b_e[..., 1, 1] - b_e[..., 0, 1] * b_e[..., 1, 0]
+    raise_for_states(
+        ActuationSingularityError, np.abs(det) <= cfg.det_floor,
+        lambda i: (f"torque allocation singular: |det B_e| = "
+                   f"{abs(det[i]):.3e} <= {cfg.det_floor:.3e}"))
+    u = solve_vector(b_e, tau_ue)
+    omega_I_rate = eta - matvec(bracket, omega_I) / i_e_diag
     return ControlAction(u=u, omega_I_rate=omega_I_rate, eta=eta,
                          tau_tilde=tau_tilde, tau_ue=tau_ue,
-                         det_input=float(det))
+                         det_input=float_if_scalar(det))
 
 
 def zeta_distance(q, dq, model: RobotParams, targets: GaitTargets) -> float:

@@ -17,12 +17,26 @@ class NonFiniteStateError(WalkerError):
     """A state, torque, or derivative evaluated to NaN or infinity."""
 
 
-class DegenerateContactError(WalkerError):
+class StateBatchError(WalkerError):
+    """An error about particular states of a call that may take a batch.
+
+    Attributes:
+        bad: boolean array over the call's batch shape, true at each state
+            the error is about (0-d for a call on one state); ``None`` when
+            the raiser did not say.
+    """
+
+    def __init__(self, message: str, bad=None):
+        super().__init__(message)
+        self.bad = bad
+
+
+class DegenerateContactError(StateBatchError):
     """The impact contact operator is singular (legs aligned with the ground
     in a way that makes the impulse problem ill-posed)."""
 
 
-class ActuationSingularityError(WalkerError):
+class ActuationSingularityError(StateBatchError):
     """The torque-allocation matrix is numerically singular; the requested
     generalized force cannot be realized by the two hip torques."""
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import inertia_matrix, mass_points
+from .dynamics import (float_if_scalar, inertia_matrix, mass_points, matvec,
+                       quadratic, raise_for_states, solve_vector, stack_matrix,
+                       stack_vector, unstack)
 from .errors import DegenerateContactError, NonFiniteStateError
 from .params import RobotParams
 
@@ -41,27 +43,29 @@ def free_mass_matrix(q, p: RobotParams) -> np.ndarray:
     torso link.  The Cartesian block is ``total_mass * I`` as it must be for
     a rigid body's base coordinates.
     """
-    q1, q2, q3 = q
+    q1, q2, q3 = unstack(q)
     m, mt = p.leg_mass, p.torso_mass
     r, l = p.leg_length, p.torso_length
-    d = np.zeros((5, 5))
-    d[0, 0] = d[1, 1] = m * r * r / 4.0
-    d[2, 2] = mt * l * l
-    d[0, 3] = d[3, 0] = -m * r * np.cos(q1) / 2.0
-    d[0, 4] = d[4, 0] = m * r * np.sin(q1) / 2.0
-    d[1, 3] = d[3, 1] = -m * r * np.cos(q2) / 2.0
-    d[1, 4] = d[4, 1] = m * r * np.sin(q2) / 2.0
-    d[2, 3] = d[3, 2] = mt * l * np.cos(q3)
-    d[2, 4] = d[4, 2] = -mt * l * np.sin(q3)
-    d[3, 3] = d[4, 4] = p.total_mass
-    return d
+    leg = m * r * r / 4.0
+    c1, s1 = -m * r * np.cos(q1) / 2.0, m * r * np.sin(q1) / 2.0
+    c2, s2 = -m * r * np.cos(q2) / 2.0, m * r * np.sin(q2) / 2.0
+    c3, s3 = mt * l * np.cos(q3), -mt * l * np.sin(q3)
+    total = p.total_mass
+    return stack_matrix([
+        [leg, 0.0, 0.0, c1, s1],
+        [0.0, leg, 0.0, c2, s2],
+        [0.0, 0.0, mt * l * l, c3, s3],
+        [c1, c2, c3, total, 0.0],
+        [s1, s2, s3, 0.0, total],
+    ])
 
 
 def hip_jacobian(q, p: RobotParams) -> np.ndarray:
     """Jacobian of the hip position w.r.t. the pinned coordinates (2x3)."""
+    q1 = unstack(q)[0]
     r = p.leg_length
-    return np.array([[r * np.cos(q[0]), 0.0, 0.0],
-                     [-r * np.sin(q[0]), 0.0, 0.0]])
+    return stack_matrix([[r * np.cos(q1), 0.0, 0.0],
+                         [-r * np.sin(q1), 0.0, 0.0]])
 
 
 def pinned_embedding(q, p: RobotParams) -> np.ndarray:
@@ -71,26 +75,31 @@ def pinned_embedding(q, p: RobotParams) -> np.ndarray:
     pinned at the origin.  Satisfies ``emb.T @ free_mass_matrix @ emb ==
     inertia_matrix`` exactly — the defining reduction identity.
     """
-    return np.vstack([np.eye(3), hip_jacobian(q, p)])
+    hip = hip_jacobian(q, p)
+    eye = np.broadcast_to(np.eye(3), hip.shape[:-2] + (3, 3))
+    return np.concatenate([eye, hip], axis=-2)
 
 
 def landing_foot_jacobian(q, p: RobotParams) -> np.ndarray:
     """Jacobian of the swing-foot position w.r.t. the unpinned coordinates (2x5)."""
+    q2 = unstack(q)[1]
     r = p.leg_length
-    return np.array([[0.0, -r * np.cos(q[1]), 0.0, 1.0, 0.0],
-                     [0.0, r * np.sin(q[1]), 0.0, 0.0, 1.0]])
+    return stack_matrix([[0.0, -r * np.cos(q2), 0.0, 1.0, 0.0],
+                         [0.0, r * np.sin(q2), 0.0, 0.0, 1.0]])
 
 
 def released_foot_jacobian(q, p: RobotParams) -> np.ndarray:
     """Jacobian of the (old) stance-foot position in unpinned coordinates (2x5)."""
+    q1 = unstack(q)[0]
     r = p.leg_length
-    return np.array([[-r * np.cos(q[0]), 0.0, 0.0, 1.0, 0.0],
-                     [r * np.sin(q[0]), 0.0, 0.0, 0.0, 1.0]])
+    return stack_matrix([[-r * np.cos(q1), 0.0, 0.0, 1.0, 0.0],
+                         [r * np.sin(q1), 0.0, 0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
 class ImpactResult:
-    """Outcome of one impact.
+    """Outcome of one impact, or of a batch of them (each field then holds
+    the batch: the arrays gain its leading axes, the float becomes an array).
 
     Attributes:
         q_plus: post-impact configuration (relabeled: new stance leg first).
@@ -118,7 +127,8 @@ def reset_map(q, dq, p: RobotParams) -> ImpactResult:
 
     Raises:
         NonFiniteStateError: non-finite input state.
-        DegenerateContactError: the contact operator is singular.
+        DegenerateContactError: the contact operator is singular; over a
+            batch, at any state (``error.bad`` marks which).
     """
     q = np.asarray(q, dtype=float)
     dq = np.asarray(dq, dtype=float)
@@ -128,29 +138,30 @@ def reset_map(q, dq, p: RobotParams) -> ImpactResult:
     d = free_mass_matrix(q, p)
     e2 = landing_foot_jacobian(q, p)
     emb = pinned_embedding(q, p)
-    v_ext = emb @ dq
+    v_ext = matvec(emb, dq)
 
-    d_inv_e2t = np.linalg.solve(d, e2.T)
+    d_inv_e2t = np.linalg.solve(d, e2.swapaxes(-1, -2))
     contact_op = e2 @ d_inv_e2t
-    if abs(np.linalg.det(contact_op)) <= _CONTACT_DET_FLOOR:
-        raise DegenerateContactError(
-            "contact operator is singular at the impact configuration")
+    raise_for_states(
+        DegenerateContactError,
+        np.abs(np.linalg.det(contact_op)) <= _CONTACT_DET_FLOOR,
+        lambda _: "contact operator is singular at the impact configuration")
 
-    impulse = -np.linalg.solve(contact_op, e2 @ v_ext)
-    v_ext_plus = v_ext + d_inv_e2t @ impulse
+    impulse = -solve_vector(contact_op, matvec(e2, v_ext))
+    v_ext_plus = v_ext + matvec(d_inv_e2t, impulse)
 
-    q_plus = RELABEL @ q
-    dq_plus = RELABEL @ v_ext_plus[:3]
+    q_plus = matvec(RELABEL, q)
+    dq_plus = matvec(RELABEL, v_ext_plus[..., :3])
 
-    t_minus = 0.5 * v_ext @ d @ v_ext
-    t_plus = 0.5 * v_ext_plus @ d @ v_ext_plus
+    t_minus = quadratic(0.5 * v_ext, d, v_ext)
+    t_plus = quadratic(0.5 * v_ext_plus, d, v_ext_plus)
     return ImpactResult(
         q_plus=q_plus,
         dq_plus=dq_plus,
         impulse=impulse,
-        contact_velocity=e2 @ v_ext_plus,
-        liftoff_velocity=released_foot_jacobian(q, p) @ v_ext_plus,
-        kinetic_energy_loss=float(t_minus - t_plus),
+        contact_velocity=matvec(e2, v_ext_plus),
+        liftoff_velocity=matvec(released_foot_jacobian(q, p), v_ext_plus),
+        kinetic_energy_loss=float_if_scalar(t_minus - t_plus),
     )
 
 
@@ -162,26 +173,27 @@ def chain_angular_momentum(q, joint_rates, hip_velocity, p: RobotParams,
     applies equally to the pinned chain (hip velocity implied by ``dq1``) and
     to the post-impact chain whose released foot is already moving.
     """
-    q = np.asarray(q, dtype=float)
-    rates = np.asarray(joint_rates, dtype=float)
+    q1, q2, q3 = unstack(q)
+    rate1, rate2, rate3 = unstack(joint_rates)
     hip_vel = np.asarray(hip_velocity, dtype=float)
     point = np.asarray(point, dtype=float)
     r, l = p.leg_length, p.torso_length
 
     def link_vel(theta, rate, length):
-        return length * np.array([np.cos(theta), -np.sin(theta)]) * rate
+        return stack_vector(length * np.cos(theta) * rate,
+                            length * -np.sin(theta) * rate)
 
     velocities = [
-        hip_vel - link_vel(q[0], rates[0], 0.5 * r),
-        hip_vel - link_vel(q[1], rates[1], 0.5 * r),
+        hip_vel - link_vel(q1, rate1, 0.5 * r),
+        hip_vel - link_vel(q2, rate2, 0.5 * r),
         hip_vel,
-        hip_vel + link_vel(q[2], rates[2], l),
+        hip_vel + link_vel(q3, rate3, l),
     ]
     total = 0.0
     for (mass, pos), vel in zip(mass_points(q, p), velocities):
         rel = pos - point
-        total += mass * (rel[0] * vel[1] - rel[1] * vel[0])
-    return float(total)
+        total += mass * (rel[..., 0] * vel[..., 1] - rel[..., 1] * vel[..., 0])
+    return float_if_scalar(total)
 
 
 def angular_momentum_about(q, dq, p: RobotParams, point) -> float:
@@ -192,7 +204,8 @@ def angular_momentum_about(q, dq, p: RobotParams, point) -> float:
     velocity jump (before relabeling).
     """
     dq = np.asarray(dq, dtype=float)
-    return chain_angular_momentum(q, dq, hip_jacobian(q, p) @ dq, p, point)
+    return chain_angular_momentum(q, dq, matvec(hip_jacobian(q, p), dq), p,
+                                  point)
 
 
 def pinned_reduction_residual(q, p: RobotParams) -> float:
@@ -201,5 +214,6 @@ def pinned_reduction_residual(q, p: RobotParams) -> float:
     A pure certification helper: exactly zero in exact arithmetic.
     """
     emb = pinned_embedding(q, p)
-    reduced = emb.T @ free_mass_matrix(q, p) @ emb
-    return float(np.max(np.abs(reduced - inertia_matrix(q, p))))
+    reduced = emb.swapaxes(-1, -2) @ free_mass_matrix(q, p) @ emb
+    return float_if_scalar(np.max(np.abs(reduced - inertia_matrix(q, p)),
+                                  axis=(-2, -1)))

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (INPUT_MATRIX, gravity_torque, inertia_matrix,
-                       swing_accel, velocity_forces)
+from .dynamics import (INPUT_MATRIX, dot, float_if_scalar, gravity_torque,
+                       inertia_matrix, matvec, stack_matrix,
+                       stack_vector, swing_accel, unstack, velocity_forces)
 from .params import GaitTargets, RobotParams
 
 #: Output map: ``omega_e = OUTPUT_MAP @ dq`` (torso rate, leg-sum rate).
@@ -53,6 +54,9 @@ class ReducedState:
         alpha: shape angle ``2 (q1 - q3)``.
         beta: shape angle ``2 (q1 - q2)``.
         omega_s: shape rates ``(d(alpha)/dt, d(beta)/dt)``.
+
+    For a batch of states (see :mod:`triped.dynamics`), the scalar fields
+    are arrays over the batch and the pairs are ``(..., 2)``.
     """
 
     q_e: np.ndarray
@@ -66,16 +70,16 @@ class ReducedState:
 
 def to_reduced(q, dq, targets: GaitTargets) -> ReducedState:
     """Map a swing state ``(q, dq)`` to output/shape/zero coordinates."""
-    q = np.asarray(q, dtype=float)
-    dq = np.asarray(dq, dtype=float)
+    q1, q2, q3 = unstack(q)
+    d1, d2, d3 = unstack(dq)
     return ReducedState(
-        q_e=np.array([q[2] - targets.q3_ref, q[0] + q[1]]),
-        omega_e=OUTPUT_MAP @ dq,
-        q1=float(q[0]),
-        omega1=float(dq[0]),
-        alpha=float(2.0 * (q[0] - q[2])),
-        beta=float(2.0 * (q[0] - q[1])),
-        omega_s=np.array([2.0 * (dq[0] - dq[2]), 2.0 * (dq[0] - dq[1])]),
+        q_e=stack_vector(q3 - targets.q3_ref, q1 + q2),
+        omega_e=matvec(OUTPUT_MAP, np.asarray(dq, dtype=float)),
+        q1=float_if_scalar(q1),
+        omega1=float_if_scalar(d1),
+        alpha=float_if_scalar(2.0 * (q1 - q3)),
+        beta=float_if_scalar(2.0 * (q1 - q2)),
+        omega_s=stack_vector(2.0 * (d1 - d3), 2.0 * (d1 - d2)),
     )
 
 
@@ -85,14 +89,14 @@ def from_reduced(rs: ReducedState) -> tuple[np.ndarray, np.ndarray]:
     The shape/zero coordinates alone already determine the full state
     (``q3 = q1 - alpha/2``, ``q2 = q1 - beta/2``), so no targets are needed.
     """
-    q = np.array([rs.q1, rs.q1 - rs.beta / 2.0, rs.q1 - rs.alpha / 2.0])
-    dq = np.array([rs.omega1,
-                   rs.omega1 - rs.omega_s[1] / 2.0,
-                   rs.omega1 - rs.omega_s[0] / 2.0])
+    rate_alpha, rate_beta = unstack(rs.omega_s)
+    q = stack_vector(rs.q1, rs.q1 - rs.beta / 2.0, rs.q1 - rs.alpha / 2.0)
+    dq = stack_vector(rs.omega1, rs.omega1 - rate_beta / 2.0,
+                      rs.omega1 - rate_alpha / 2.0)
     return q, dq
 
 
-def shape_inertia_factor(alpha: float, beta: float, p: RobotParams) -> float:
+def shape_inertia_factor(alpha, beta, p: RobotParams):
     """The common shape-dependent factor of both output-channel inertias."""
     return (4.0 * p.hip_mass
             + 2.0 * p.torso_mass * (1.0 - np.cos(alpha))
@@ -102,12 +106,13 @@ def shape_inertia_factor(alpha: float, beta: float, p: RobotParams) -> float:
 def reduced_inertias(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, float]:
     """Output-channel inertia ``I_e`` (2x2 diagonal) and zero-channel ``I_z``."""
     k = shape_inertia_factor(rs.alpha, rs.beta, p)
-    i_e = np.diag([p.torso_length ** 2 * k, p.leg_length ** 2 * k])
-    i_z = p.leg_length ** 2 / 4.0 * (
+    l, r = p.torso_length, p.leg_length
+    i_e = stack_matrix([[l * l * k, 0.0], [0.0, r * r * k]])
+    i_z = r * r / 4.0 * (
         4.0 * p.hip_mass + 2.0 * p.torso_mass + 3.0 * p.leg_mass
         - 2.0 * p.torso_mass * np.cos(rs.alpha)
         - 2.0 * p.leg_mass * np.cos(rs.beta))
-    return i_e, float(i_z)
+    return i_e, float_if_scalar(i_z)
 
 
 def quadratic_bracket(rs: ReducedState, p: RobotParams) -> np.ndarray:
@@ -119,10 +124,10 @@ def quadratic_bracket(rs: ReducedState, p: RobotParams) -> np.ndarray:
     controller's covariant integrator.
     """
     m, mt = p.leg_mass, p.torso_mass
-    l2, r2 = p.torso_length ** 2, p.leg_length ** 2
+    l2, r2 = p.torso_length * p.torso_length, p.leg_length * p.leg_length
     sa, sb = np.sin(rs.alpha), np.sin(rs.beta)
-    da, db = rs.omega_s
-    return np.array([
+    da, db = unstack(rs.omega_s)
+    return stack_matrix([
         [mt * l2 * sa * da + m * l2 * sb * db,
          m * l2 * sb * da - mt * r2 * sa * db],
         [-m * l2 * sb * da + mt * r2 * sa * db,
@@ -131,7 +136,7 @@ def quadratic_bracket(rs: ReducedState, p: RobotParams) -> np.ndarray:
 
 
 def reduced_forces(rs: ReducedState, p: RobotParams,
-                   incline: float) -> tuple[np.ndarray, float, np.ndarray, float]:
+                   incline) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Velocity and gravity forces of both channels, ``(tau_e, tau_z, tau_g_e, tau_g_z)``.
 
     Evaluated by pushing the full model through the coordinate map, so the
@@ -144,14 +149,13 @@ def reduced_forces(rs: ReducedState, p: RobotParams,
     i_e, i_z = reduced_inertias(rs, p)
     cols = np.linalg.solve(
         inertia_matrix(q, p),
-        np.column_stack([velocity_forces(q, dq, p),
-                         gravity_torque(q, p, incline)]))
+        stack_vector(velocity_forces(q, dq, p), gravity_torque(q, p, incline)))
     out = OUTPUT_MAP @ cols
-    tau_e = i_e @ out[:, 0]
-    tau_g_e = -(i_e @ out[:, 1])
-    tau_z = i_z * cols[0, 0]
-    tau_g_z = -i_z * cols[0, 1]
-    return tau_e, float(tau_z), tau_g_e, float(tau_g_z)
+    tau_e = matvec(i_e, out[..., 0])
+    tau_g_e = -matvec(i_e, out[..., 1])
+    tau_z = i_z * cols[..., 0, 0]
+    tau_g_z = -i_z * cols[..., 0, 1]
+    return tau_e, float_if_scalar(tau_z), tau_g_e, float_if_scalar(tau_g_z)
 
 
 def input_matrix_e(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +171,7 @@ def input_matrix_e(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, np.nda
     ca2, cb2 = np.cos(a2), np.cos(b2)
     cmn, cpl = np.cos(a2 - b2), np.cos(a2 + b2)
     leg_term = (4.0 * mh + 3.0 * m - 2.0 * m * np.cos(rs.beta)) / mt
-    b_e = np.array([
+    b_e = stack_matrix([
         [leg_term + 4.0 * (r + l * ca2) / r,
          leg_term + 4.0 * (r + l * cmn + l * cpl) / r],
         [-4.0 * (l + r * ca2) * (2.0 * cb2 + 1.0) / l,
@@ -175,11 +179,11 @@ def input_matrix_e(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, np.nda
                  + 2.0 * m * cb2) / m
          - 4.0 * (r * ca2 + r * cmn + r * cpl) / l],
     ])
-    b_z = np.array([-r / l * ca2 - 1.0, -2.0 * cb2 - r / l * ca2])
+    b_z = stack_vector(-r / l * ca2 - 1.0, -2.0 * cb2 - r / l * ca2)
     return b_e, b_z
 
 
-def consistency_check(q, dq, u, p: RobotParams, incline: float,
+def consistency_check(q, dq, u, p: RobotParams, incline,
                       targets: GaitTargets) -> float:
     """Max residual of the decoupled equations against the full model.
 
@@ -187,7 +191,8 @@ def consistency_check(q, dq, u, p: RobotParams, incline: float,
     reduced channels, and measures how well the closed-form inertias and
     input matrices together with the pushed-forward forces reproduce it.
     Machine-precision small everywhere; any sizable residual would flag a
-    transcription error in the closed forms.
+    transcription error in the closed forms.  Over a batch, one residual per
+    state; a NaN anywhere in a state's equations makes its residual NaN.
     """
     u = np.asarray(u, dtype=float)
     qdd = swing_accel(q, dq, u, p, incline)
@@ -195,9 +200,11 @@ def consistency_check(q, dq, u, p: RobotParams, incline: float,
     i_e, i_z = reduced_inertias(rs, p)
     tau_e, tau_z, tau_g_e, tau_g_z = reduced_forces(rs, p, incline)
     b_e, b_z = input_matrix_e(rs, p)
-    res_e = i_e @ (OUTPUT_MAP @ qdd) + tau_e + tau_g_e - b_e @ u
-    res_z = i_z * qdd[0] + tau_z + tau_g_z - b_z @ u
-    return float(max(np.max(np.abs(res_e)), abs(res_z)))
+    res_e = (matvec(i_e, matvec(OUTPUT_MAP, qdd)) + tau_e + tau_g_e
+             - matvec(b_e, u))
+    res_z = i_z * qdd[..., 0] + tau_z + tau_g_z - dot(b_z, u)
+    return float_if_scalar(np.maximum(np.max(np.abs(res_e), axis=-1),
+                                      np.abs(res_z)))
 
 
 def pushforward_input_matrix(rs: ReducedState,
@@ -209,5 +216,8 @@ def pushforward_input_matrix(rs: ReducedState,
     """
     q, _ = from_reduced(rs)
     i_e, i_z = reduced_inertias(rs, p)
-    cols = np.linalg.solve(inertia_matrix(q, p), INPUT_MATRIX)
-    return i_e @ (OUTPUT_MAP @ cols), i_z * cols[0, :]
+    inertia = inertia_matrix(q, p)
+    cols = np.linalg.solve(
+        inertia, np.broadcast_to(INPUT_MATRIX, inertia.shape[:-1] + (2,)))
+    return (i_e @ (OUTPUT_MAP @ cols),
+            np.expand_dims(i_z, -1) * cols[..., 0, :])

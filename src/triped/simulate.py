@@ -292,7 +292,7 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
     traj, (nfev, n_accepted, n_rejected) = integrate_swing(
         y0, t_start, cfg, step_index)
 
-    clearance = swing_foot_height(traj.q.T, cfg.plant)
+    clearance = swing_foot_height(traj.q, cfg.plant)
     min_clear = float(clearance.min())
     # "Scuffed" means the foot dipped below the slope and came back up —
     # incidental mid-swing contact.  The sub-millimeter terminal descent into

@@ -7,11 +7,12 @@ Lagrangian oracle (:mod:`sympy`): write down the four point-mass positions;
 build the pinned chain's and the free chain's mass matrices as the sum of
 ``m J^T J`` over the masses' position Jacobians ``J``, each entry expanded;
 take the velocity forces from the Christoffel symbols of the pinned one and
-gravity from the potential's gradient; and lambdify onto :mod:`math`
-scalars.  The oracle shares no code with
-:mod:`triped.dynamics`; agreement between the two is therefore meaningful
-evidence, and the certification battery (:func:`run_certification`) turns
-that evidence plus the model's structural invariants into pass/fail checks:
+gravity from the potential's gradient; and lambdify onto :mod:`numpy`, so
+that one call evaluates a whole batch of states.  The oracle shares no code
+with :mod:`triped.dynamics`; agreement between the two is therefore
+meaningful evidence, and the certification battery
+(:func:`run_certification`) turns that evidence plus the model's structural
+invariants into pass/fail checks:
 
 a. hand-coded inertia/gravity/velocity terms match the oracle;
 b. unforced swing conserves total energy through the integrator;
@@ -29,19 +30,25 @@ g. compatibility of both connections (full and error-space): the
 force expressions that accompany this model's original derivation against
 the certified pushforward; several of those printed expressions carry
 transcription errors, which is why the simulator never evaluates them.
+
+Each sampled check draws its random states one by one, in a fixed order per
+state, and evaluates them in batches of :data:`BATCH_STATES` through the
+batched reference functions (see :mod:`triped.dynamics`).  Its worst residual
+is NaN when any state's is: a check with a NaN residual fails.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import sympy as sp
 
 from .control import control_action
-from .dynamics import (coriolis_matrix, gravity_torque, inertia_matrix,
-                       swing_accel, swing_foot_position, total_energy)
+from .dynamics import (coriolis_matrix, float_if_scalar, gravity_torque,
+                       inertia_matrix, matvec, stack_matrix, stack_vector,
+                       swing_accel, swing_foot_position, total_energy, unstack)
 from .errors import ActuationSingularityError, DegenerateContactError
 from .impact import (angular_momentum_about, chain_angular_momentum,
                      free_mass_matrix, pinned_reduction_residual, reset_map)
@@ -51,6 +58,19 @@ from .reduced import (OUTPUT_MAP, ReducedState, consistency_check,
                       input_matrix_e, pushforward_input_matrix,
                       quadratic_bracket, reduced_forces, reduced_inertias,
                       to_reduced)
+
+#: Sampled states per batched evaluation: a check draws and evaluates its
+#: states this many at a time, which bounds the memory of a large battery.
+BATCH_STATES = 1000
+
+
+def _oracle_matrix(rows) -> np.ndarray:
+    """A lambdified matrix over a batch: the entries (scalars or arrays)
+    broadcast together into one ``(..., rows, cols)`` array."""
+    entries = np.broadcast_arrays(
+        *(np.asarray(entry, dtype=float) for row in rows for entry in row))
+    return np.stack(entries, axis=-1).reshape(
+        entries[0].shape + (len(rows), len(rows[0])))
 
 
 @functools.lru_cache(maxsize=1)
@@ -109,9 +129,12 @@ def _oracle():
     free_mass = mass_matrix(zip(masses, free_positions), (*q, px, py))
 
     params = (m, mh, mt, l, r, g)
-    # Scalar math functions; a matrix comes back as a numpy array.
-    lamb = functools.partial(
-        sp.lambdify, modules=[{"ImmutableDenseMatrix": np.array}, "math"])
+    # Onto numpy's sin and cos, so every argument may be a batch; a matrix
+    # comes back as one array with the batch axes leading.  The namespace is
+    # named in full: lambdify's "numpy" module would import numpy's lazy
+    # submodules (testing, f2py ...), which costs more than the whole build.
+    lamb = functools.partial(sp.lambdify, modules=[{
+        "ImmutableDenseMatrix": _oracle_matrix, "sin": np.sin, "cos": np.cos}])
     return {
         "mass": lamb((*q, *params), inertia),
         "mass_rate": lamb((*q, *dq, *params), mass_rate),
@@ -121,35 +144,39 @@ def _oracle():
     }
 
 
-def _pvals(p: RobotParams) -> tuple[float, ...]:
+def _pvals(p: RobotParams) -> tuple:
     return (p.leg_mass, p.hip_mass, p.torso_mass, p.torso_length,
             p.leg_length, p.gravity)
 
 
+def _coords(x) -> np.ndarray:
+    """The components of one state or a batch, last axis first."""
+    return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+
+
 def oracle_inertia(q, p: RobotParams) -> np.ndarray:
     """Swing-phase mass matrix from the symbolic oracle."""
-    return np.asarray(_oracle()["mass"](*q, *_pvals(p)), dtype=float)
+    return _oracle()["mass"](*_coords(q), *_pvals(p))
 
 
 def oracle_inertia_rate(q, dq, p: RobotParams) -> np.ndarray:
     """Time derivative of the mass matrix along ``dq`` (symbolic)."""
-    return np.asarray(_oracle()["mass_rate"](*q, *dq, *_pvals(p)), dtype=float)
+    return _oracle()["mass_rate"](*_coords(q), *_coords(dq), *_pvals(p))
 
 
 def oracle_coriolis(q, dq, p: RobotParams) -> np.ndarray:
     """Velocity-force matrix from the symbolic Christoffel symbols."""
-    return np.asarray(_oracle()["coriolis"](*q, *dq, *_pvals(p)), dtype=float)
+    return _oracle()["coriolis"](*_coords(q), *_coords(dq), *_pvals(p))
 
 
-def oracle_gravity(q, p: RobotParams, incline: float) -> np.ndarray:
+def oracle_gravity(q, p: RobotParams, incline) -> np.ndarray:
     """Gravity torque from the symbolic potential."""
-    return np.asarray(_oracle()["gravity"](*q, *_pvals(p), incline),
-                      dtype=float).reshape(3)
+    return _oracle()["gravity"](*_coords(q), *_pvals(p), incline)[..., 0]
 
 
 def oracle_free_mass_matrix(q, p: RobotParams) -> np.ndarray:
     """Unpinned-chain mass matrix from the symbolic oracle (5x5)."""
-    return np.asarray(_oracle()["free_mass"](*q, *_pvals(p)), dtype=float)
+    return _oracle()["free_mass"](*_coords(q), *_pvals(p))
 
 
 # --------------------------------------------------------------------------
@@ -199,32 +226,84 @@ def _random_states(rng: np.random.Generator, n: int):
 
 
 def _random_params(rng: np.random.Generator) -> RobotParams:
-    scale = functools.partial(rng.uniform, 0.5, 1.5)
-    return RobotParams(leg_mass=1.0 * scale(), hip_mass=1.0 * scale(),
-                       torso_mass=3.0 * scale(), leg_length=1.0 * scale(),
-                       torso_length=0.75 * scale())
+    # One call draws the five scales that five scalar calls would.
+    leg_m, hip_m, torso_m, leg_l, torso_l = rng.uniform(0.5, 1.5, size=5).tolist()
+    return RobotParams(leg_mass=1.0 * leg_m, hip_mass=1.0 * hip_m,
+                       torso_mass=3.0 * torso_m, leg_length=1.0 * leg_l,
+                       torso_length=0.75 * torso_l)
+
+
+def _robot(rng: np.random.Generator, index: int) -> RobotParams:
+    """The nominal robot at even state indices, a random one at odd."""
+    return RobotParams() if index % 2 == 0 else _random_params(rng)
+
+
+def stack_params(robots) -> RobotParams:
+    """One :class:`RobotParams` whose fields are ``(n,)`` arrays, entry
+    ``i`` from robot ``i``: the parameters of a batch of states."""
+    return RobotParams(**{f.name: np.array([getattr(p, f.name) for p in robots])
+                          for f in fields(RobotParams)})
+
+
+def _take(batch, index):
+    """The states ``index`` of a batch: an array's leading axis, or each
+    field of a stacked :class:`RobotParams`."""
+    if isinstance(batch, RobotParams):
+        return RobotParams(**{f.name: getattr(batch, f.name)[index]
+                              for f in fields(RobotParams)})
+    return batch[index]
+
+
+def _slices(n_states: int) -> list[range]:
+    """Consecutive state indices, at most :data:`BATCH_STATES` at a time."""
+    return [range(i, min(i + BATCH_STATES, n_states))
+            for i in range(0, n_states, BATCH_STATES)]
+
+
+def _draw(indices: range, draw) -> list:
+    """``draw(i)`` for each state index in order, each of the values it
+    returns stacked over the states (robots with :func:`stack_params`)."""
+    columns = list(zip(*(draw(i) for i in indices)))
+    return [stack_params(c) if isinstance(c[0], RobotParams) else np.array(c)
+            for c in columns]
+
+
+def _without_bad(call, error: type, batch: tuple):
+    """``call(*batch)``; when it raises ``error`` for some states, the call
+    on the others.  Returns the result (``None`` when no state is left),
+    the batch it ran on, and how many states were dropped."""
+    try:
+        return call(*batch), batch, 0
+    except error as err:
+        keep = ~err.bad
+        kept = tuple(_take(x, keep) for x in batch)
+        result = call(*kept) if keep.any() else None
+        return result, kept, int(np.count_nonzero(err.bad))
+
+
+def _worst(*residuals) -> float:
+    """Largest entry of the residual arrays, or 0 for none; NaN when any
+    entry is NaN, which Python's ``max`` would silently pass over."""
+    return float(np.max([np.max(r, initial=0.0) for r in residuals],
+                        initial=0.0))
 
 
 def certify_swing_terms(n_states: int = 1000, seed: int = 0) -> CheckResult:
     """(a) Hand-coded inertia/gravity/velocity terms vs the oracle."""
     rng = np.random.default_rng(seed)
     qs, dqs = _random_states(rng, n_states)
-    worst = 0.0
-    for i in range(n_states):
-        p = RobotParams() if i % 2 == 0 else _random_params(rng)
-        incline = rng.uniform(-0.6, 0.6)
-        q, dq = qs[i], dqs[i]
-        worst = max(
-            worst,
-            np.max(np.abs(inertia_matrix(q, p) - oracle_inertia(q, p))),
-            np.max(np.abs(gravity_torque(q, p, incline)
-                          - oracle_gravity(q, p, incline))),
-            np.max(np.abs(coriolis_matrix(q, dq, p)
-                          - oracle_coriolis(q, dq, p))),
-            np.max(np.abs(free_mass_matrix(q, p)
-                          - oracle_free_mass_matrix(q, p))),
-        )
-    return CheckResult("swing terms vs symbolic oracle", float(worst), 1e-8,
+    worst = []
+    for states in _slices(n_states):
+        p, incline = _draw(states, lambda i: (_robot(rng, i),
+                                              rng.uniform(-0.6, 0.6)))
+        q, dq = qs[states.start:states.stop], dqs[states.start:states.stop]
+        worst.append(_worst(
+            np.abs(inertia_matrix(q, p) - oracle_inertia(q, p)),
+            np.abs(gravity_torque(q, p, incline) - oracle_gravity(q, p, incline)),
+            np.abs(coriolis_matrix(q, dq, p) - oracle_coriolis(q, dq, p)),
+            np.abs(free_mass_matrix(q, p) - oracle_free_mass_matrix(q, p)),
+        ))
+    return CheckResult("swing terms vs symbolic oracle", _worst(worst), 1e-8,
                        note=f"{n_states} states")
 
 
@@ -240,10 +319,9 @@ def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
 
     sol = solve_ivp(rhs, (0.0, duration), y0, rtol=1e-11, atol=1e-13)
     ts = np.linspace(0.0, duration, 101)
-    ys = np.array(sol.sol.values(ts.tolist())).T
+    ys = np.array(sol.sol.values(ts.tolist()))
     e0 = total_energy(y0[:3], y0[3:6], p, incline)
-    drift = max(abs(total_energy(ys[:3, i], ys[3:6, i], p, incline) - e0)
-                for i in range(len(ts)))
+    drift = _worst(np.abs(total_energy(ys[:, :3], ys[:, 3:6], p, incline) - e0))
     return CheckResult("unforced-swing energy drift",
                        float(drift / max(1.0, abs(e0))), 1e-8,
                        note=f"{duration:.1f} s horizon")
@@ -254,55 +332,56 @@ def certify_reduced_consistency(n_states: int = 1000, seed: int = 1) -> CheckRes
     rng = np.random.default_rng(seed)
     qs, dqs = _random_states(rng, n_states)
     targets = GaitTargets()
-    worst = 0.0
-    for i in range(n_states):
-        p = RobotParams() if i % 2 == 0 else _random_params(rng)
-        u = rng.uniform(-50.0, 50.0, size=2)
-        incline = rng.uniform(-0.6, 0.6)
-        worst = max(worst, consistency_check(qs[i], dqs[i], u, p, incline, targets))
-    return CheckResult("reduced-vs-full consistency", float(worst), 1e-6,
+    worst = []
+    for states in _slices(n_states):
+        p, u, incline = _draw(states, lambda i: (
+            _robot(rng, i), rng.uniform(-50.0, 50.0, size=2),
+            rng.uniform(-0.6, 0.6)))
+        q, dq = qs[states.start:states.stop], dqs[states.start:states.stop]
+        worst.append(_worst(consistency_check(q, dq, u, p, incline, targets)))
+    return CheckResult("reduced-vs-full consistency", _worst(worst), 1e-6,
                        note=f"{n_states} states")
 
 
 def certify_impact(n_states: int = 1000, seed: int = 2) -> CheckResult:
     """(d) Plastic impact: sticks, conserves momentum, dissipates energy."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = []
     skipped = 0
-    for i in range(n_states):
-        p = RobotParams() if i % 2 == 0 else _random_params(rng)
-        q = rng.uniform(-1.2, 1.2, size=3)
-        dq = rng.uniform(-4.0, 4.0, size=3)
-        try:
-            res = reset_map(q, dq, p)
-        except DegenerateContactError:
-            skipped += 1
+    for states in _slices(n_states):
+        drawn = _draw(states, lambda i: (
+            _robot(rng, i), rng.uniform(-1.2, 1.2, size=3),
+            rng.uniform(-4.0, 4.0, size=3)))
+        res, (p, q, dq), dropped = _without_bad(
+            lambda p, q, dq: reset_map(q, dq, p), DegenerateContactError,
+            tuple(drawn))
+        skipped += dropped
+        if res is None:
             continue
         foot = swing_foot_position(q, p)
         l_pre = angular_momentum_about(q, dq, p, foot)
         # Post-impact, pre-relabel: joint rates revert to the old labels via
         # the (involutive) relabel, and the hip velocity is recovered from
         # the released foot's velocity plus its lever term.
-        rates_old = res.dq_plus[[1, 0, 2]]
-        arm = (p.leg_length * np.array([np.cos(q[0]), -np.sin(q[0])])
-               * rates_old[0])
+        rates_old = res.dq_plus[..., [1, 0, 2]]
+        q1, rate1 = q[..., 0], rates_old[..., 0]
+        arm = stack_vector(p.leg_length * np.cos(q1) * rate1,
+                           p.leg_length * -np.sin(q1) * rate1)
         hip_vel = res.liftoff_velocity + arm
         l_post = chain_angular_momentum(q, rates_old, hip_vel, p, foot)
-        rel = max(1.0, abs(l_pre))
-        worst = max(
-            worst,
-            np.max(np.abs(res.contact_velocity)),
-            abs(l_post - l_pre) / rel,
-            max(0.0, -res.kinetic_energy_loss),
-            pinned_reduction_residual(q, p),
-        )
         # Impulse is linear in the pre-impact rates.
         doubled = reset_map(q, 2.0 * dq, p)
-        worst = max(worst, float(np.max(np.abs(doubled.impulse - 2.0 * res.impulse))))
+        worst.append(_worst(
+            np.abs(res.contact_velocity),
+            np.abs(l_post - l_pre) / np.maximum(1.0, np.abs(l_pre)),
+            np.maximum(0.0, -res.kinetic_energy_loss),
+            pinned_reduction_residual(q, p),
+            np.abs(doubled.impulse - 2.0 * res.impulse),
+        ))
     note = f"{n_states - skipped} states"
     if skipped:
         note += f", {skipped} degenerate skipped"
-    return CheckResult("impact stick/momentum/dissipation", float(worst),
+    return CheckResult("impact stick/momentum/dissipation", _worst(worst),
                        1e-6, note=note)
 
 
@@ -311,27 +390,28 @@ def certify_closed_loop(n_states: int = 1000, seed: int = 3) -> CheckResult:
     rng = np.random.default_rng(seed)
     cfg = ControllerConfig()
     p = cfg.model
-    worst = 0.0
+    worst = []
     skipped = 0
-    for _ in range(n_states):
-        q = rng.uniform(-1.0, 1.0, size=3) + np.array([0.0, 0.0, np.pi / 2])
-        dq = rng.uniform(-3.0, 3.0, size=3)
-        omega_i = rng.uniform(-0.5, 0.5, size=2)
-        try:
-            act = control_action(q, dq, omega_i, cfg)
-        except ActuationSingularityError:
-            skipped += 1
+    for states in _slices(n_states):
+        drawn = _draw(states, lambda _: (
+            rng.uniform(-1.0, 1.0, size=3) + np.array([0.0, 0.0, np.pi / 2]),
+            rng.uniform(-3.0, 3.0, size=3), rng.uniform(-0.5, 0.5, size=2)))
+        act, (q, dq, _), dropped = _without_bad(
+            lambda q, dq, omega_i: control_action(q, dq, omega_i, cfg),
+            ActuationSingularityError, tuple(drawn))
+        skipped += dropped
+        if act is None:
             continue
         qdd = swing_accel(q, dq, act.u, p, cfg.incline_assumed)
         rs = to_reduced(q, dq, cfg.targets)
         i_e, _ = reduced_inertias(rs, p)
-        res = (i_e @ (OUTPUT_MAP @ qdd)
-               + quadratic_bracket(rs, p) @ rs.omega_e - act.tau_tilde)
-        worst = max(worst, float(np.max(np.abs(res))))
+        res = (matvec(i_e, matvec(OUTPUT_MAP, qdd))
+               + matvec(quadratic_bracket(rs, p), rs.omega_e) - act.tau_tilde)
+        worst.append(_worst(np.abs(res)))
     note = f"{n_states - skipped} states"
     if skipped:
         note += f", {skipped} singular skipped"
-    return CheckResult("matched-model closed-loop reduction", float(worst),
+    return CheckResult("matched-model closed-loop reduction", _worst(worst),
                        1e-6, note=note)
 
 
@@ -368,9 +448,11 @@ def certify_integrator_transport(seed: int = 4) -> CheckResult:
 
 
 def _error_inertia_rate(rs: ReducedState, p: RobotParams) -> np.ndarray:
-    k_rate = (2.0 * p.torso_mass * np.sin(rs.alpha) * rs.omega_s[0]
-              + 2.0 * p.leg_mass * np.sin(rs.beta) * rs.omega_s[1])
-    return np.diag([p.torso_length ** 2 * k_rate, p.leg_length ** 2 * k_rate])
+    rate_alpha, rate_beta = unstack(rs.omega_s)
+    k_rate = (2.0 * p.torso_mass * np.sin(rs.alpha) * rate_alpha
+              + 2.0 * p.leg_mass * np.sin(rs.beta) * rate_beta)
+    l, r = p.torso_length, p.leg_length
+    return stack_matrix([[l * l * k_rate, 0.0], [0.0, r * r * k_rate]])
 
 
 def certify_skew(n_states: int = 1000, seed: int = 5) -> CheckResult:
@@ -378,18 +460,17 @@ def certify_skew(n_states: int = 1000, seed: int = 5) -> CheckResult:
     rng = np.random.default_rng(seed)
     qs, dqs = _random_states(rng, n_states)
     targets = GaitTargets()
-    worst = 0.0
-    for i in range(n_states):
-        p = RobotParams() if i % 2 == 0 else _random_params(rng)
-        q, dq = qs[i], dqs[i]
+    worst = []
+    for states in _slices(n_states):
+        (p,) = _draw(states, lambda i: (_robot(rng, i),))
+        q, dq = qs[states.start:states.stop], dqs[states.start:states.stop]
         s_full = (oracle_inertia_rate(q, dq, p)
                   - 2.0 * coriolis_matrix(q, dq, p))
         rs = to_reduced(q, dq, targets)
         s_err = _error_inertia_rate(rs, p) - 2.0 * quadratic_bracket(rs, p)
-        worst = max(worst,
-                    float(np.max(np.abs(s_full + s_full.T))),
-                    float(np.max(np.abs(s_err + s_err.T))))
-    return CheckResult("connection compatibility (skew)", float(worst), 1e-8,
+        worst.append(_worst(np.abs(s_full + s_full.swapaxes(-1, -2)),
+                            np.abs(s_err + s_err.swapaxes(-1, -2))))
+    return CheckResult("connection compatibility (skew)", _worst(worst), 1e-8,
                        note=f"{n_states} states")
 
 
@@ -398,6 +479,7 @@ def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationRepor
     must be at least 1, or each sampled check would pass on no evidence."""
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
+    _oracle()  # shared by the swing-term and skew checks: built before both
     return CertificationReport(checks=[
         certify_swing_terms(n_states, seed),
         certify_energy_conservation(),
@@ -423,13 +505,13 @@ def documented_reduced_forces(rs: ReducedState, p: RobotParams, incline: float):
     m, mh, mt = p.leg_mass, p.hip_mass, p.torso_mass
     l, r, g = p.torso_length, p.leg_length, p.gravity
     a, b = rs.alpha, rs.beta
-    we1, we2 = rs.omega_e
+    we1, we2 = unstack(rs.omega_e)
     d1 = rs.omega1
     lam = incline
     q1 = rs.q1
     sin = np.sin
 
-    tau_e = np.array([
+    tau_e = stack_vector(
         -l * ((4 * mh * d1**2 * r + m * we2**2 * r + 3 * m * d1**2 * r)
               * sin(a / 2)
               + 2 * m * d1**2 * r * sin(b - a / 2)
@@ -444,12 +526,12 @@ def documented_reduced_forces(rs: ReducedState, p: RobotParams, incline: float):
                   + (4 * m * we2 * d1 - 2 * m * we2**2) * sin(b)
                   + 2 * mt * d1**2 * sin(a)
                   + 4 * mt * d1**2 * sin(a - b / 2)),
-    ])
+    )
     tau_z = (mt * l * r * sin(a / 2) * we1**2
              + r**2 / 2 * (-(m * we2**2 - m * d1**2 + 2 * m * we2 * d1)
                            * sin(b / 2)
                            + m * d1**2 * sin(b) + mt * d1**2 * sin(a)))
-    tau_g_e = np.array([
+    tau_g_e = stack_vector(
         g * l * (2 * (mh + mt + m) * sin(q1 + a / 2 - lam)
                  - m * sin(q1 + a / 2 - b - lam)
                  + m * sin(q1 - a / 2 + b - lam)
@@ -460,11 +542,11 @@ def documented_reduced_forces(rs: ReducedState, p: RobotParams, incline: float):
                       + (2 * mh + mt + 2 * m) * sin(q1 - lam)
                       - 2 * (mh + mt + m) * sin(q1 - b / 2 - lam)
                       + mt * sin(q1 + a - b / 2 - lam)),
-    ])
+    )
     tau_g_z = (-g * r / 2 * ((2 * mh + mt + 2 * m) * sin(q1 - lam)
                              + mt * sin(a - q1 - lam)
                              + m * sin(b - q1 - lam)))
-    return tau_e, float(tau_z), tau_g_e, float(tau_g_z)
+    return tau_e, float_if_scalar(tau_z), tau_g_e, float_if_scalar(tau_g_z)
 
 
 @dataclass(frozen=True)
@@ -480,7 +562,8 @@ class TranscriptionReport:
 
     @property
     def corrupted_terms(self) -> list[str]:
-        return [k for k, v in self.residuals.items() if v > self.tolerance]
+        """Every term not faithful, a NaN residual included."""
+        return [k for k, v in self.residuals.items() if not v <= self.tolerance]
 
     def as_text(self) -> str:
         lines = ["documented closed forms vs certified model:"]
@@ -501,20 +584,17 @@ def transcription_report(n_states: int = 300, seed: int = 7) -> TranscriptionRep
     names = ("velocity force (output)", "velocity force (zero)",
              "gravity force (output)", "gravity force (zero)",
              "input matrix (output)", "input matrix (zero)")
-    worst = dict.fromkeys(names, 0.0)
-    for _ in range(n_states):
-        q = rng.uniform(-1.2, 1.2, size=3)
-        dq = rng.uniform(-3.0, 3.0, size=3)
-        incline = rng.uniform(-0.6, 0.6)
+    worst = {name: [] for name in names}
+    for states in _slices(n_states):
+        q, dq, incline = _draw(states, lambda _: (
+            rng.uniform(-1.2, 1.2, size=3), rng.uniform(-3.0, 3.0, size=3),
+            rng.uniform(-0.6, 0.6)))
         rs = to_reduced(q, dq, targets)
         cert = reduced_forces(rs, p, incline)
         doc = documented_reduced_forces(rs, p, incline)
-        b_e, b_z = input_matrix_e(rs, p)
-        push_be, push_bz = pushforward_input_matrix(rs, p)
-        worst[names[0]] = max(worst[names[0]], float(np.max(np.abs(doc[0] - cert[0]))))
-        worst[names[1]] = max(worst[names[1]], abs(doc[1] - cert[1]))
-        worst[names[2]] = max(worst[names[2]], float(np.max(np.abs(doc[2] - cert[2]))))
-        worst[names[3]] = max(worst[names[3]], abs(doc[3] - cert[3]))
-        worst[names[4]] = max(worst[names[4]], float(np.max(np.abs(b_e - push_be))))
-        worst[names[5]] = max(worst[names[5]], float(np.max(np.abs(b_z - push_bz))))
-    return TranscriptionReport(residuals=worst)
+        closed = input_matrix_e(rs, p)
+        pushed = pushforward_input_matrix(rs, p)
+        for name, got, want in zip(names, (*doc, *closed), (*cert, *pushed)):
+            worst[name].append(_worst(np.abs(got - want)))
+    return TranscriptionReport(residuals={name: _worst(values)
+                                          for name, values in worst.items()})

@@ -169,7 +169,7 @@ def test_swing_foot_height_frozen_and_symmetric():
 
 def test_swing_foot_height_over_an_array_of_configurations():
     qs = np.array([[0.1, -0.2, 1.8], [0.3, -0.3, 1.0], [-0.4, 0.2, 1.5]])
-    heights = swing_foot_height(qs.T, P)
+    heights = swing_foot_height(qs, P)
     assert heights.shape == (3,)
     np.testing.assert_array_equal(heights, [swing_foot_height(q, P) for q in qs])
 

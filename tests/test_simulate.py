@@ -5,10 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import triped as T
 from conftest import transient_config
+from triped import simulate
 from triped.impact import reset_map
+from triped.params import ERROR_WEIGHTINGS, INTEGRATOR_RESETS
 from triped.simulate import step
 
 
@@ -251,3 +255,61 @@ def test_invalid_start_state_is_rejected_before_any_integration(
     with pytest.raises(T.ConfigValidationError) as err:
         T.run_gait(replace(T.SimConfig(), n_steps=1), x0=x0)
     assert err.value.keys == ["initial_state"]
+
+
+def decades(lo: float, hi: float):
+    """Floats spread evenly over the decades from 10**lo to 10**hi."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+slopes = st.floats(-85.0, 85.0).map(math.radians)
+gains = decades(-2.0, 8.0)
+
+
+@st.composite
+def robots(draw):
+    return T.RobotParams(
+        leg_mass=draw(decades(-2.0, 2.0)), hip_mass=draw(decades(-2.0, 2.0)),
+        torso_mass=draw(decades(-2.0, 2.0)), leg_length=draw(decades(-2.0, 1.0)),
+        torso_length=draw(decades(-2.0, 1.0)))
+
+
+@st.composite
+def sim_configs(draw):
+    """Valid two-step configs: masses and lengths over decades, slopes up
+    to 85 deg either way, gains up to 1e8, the controller's model the plant
+    or a robot of its own, any gait targets and start."""
+    plant = draw(robots())
+    angle = st.floats(-math.pi, math.pi)
+    controller = T.ControllerConfig(
+        gains=T.ControllerGains(kp=draw(gains), kd=draw(gains),
+                                ki=draw(st.just(0.0) | gains)),
+        model=draw(st.just(plant) | robots()),
+        incline_assumed=draw(slopes),
+        targets=draw(st.just(T.GaitTargets()) | st.builds(
+            T.GaitTargets, q1_switch=st.floats(-1.5, 1.5), q3_ref=angle)),
+        error_weighting=draw(st.sampled_from(ERROR_WEIGHTINGS)),
+        integrator_reset=draw(st.sampled_from(INTEGRATOR_RESETS)))
+    start = draw(st.just(T.nominal_initial_state()) | st.tuples(
+        angle, angle, angle, *[st.floats(-20.0, 20.0)] * 3))
+    cfg = T.SimConfig(plant=plant, incline_true=draw(slopes),
+                      controller=controller, initial_state=start, n_steps=2,
+                      strict_scuff=draw(st.booleans()))
+    cfg.validate()
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=sim_configs())
+def test_every_valid_gait_returns_its_records(cfg):
+    """Whatever a valid config asks, ``run_gait`` ends: a failure is the last
+    record's abort, never an exception or an endless swing."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "MAX_NFEV_PER_SWING", 20_000)
+        summary = T.run_gait(cfg)
+    assert 1 <= len(summary.records) <= cfg.n_steps
+    assert not any(r.aborted for r in summary.records[:-1])
+    if summary.records[-1].aborted:
+        assert summary.abort_reason
+    else:
+        assert len(summary.records) == cfg.n_steps
