@@ -8,7 +8,12 @@ build the pinned chain's and the free chain's mass matrices as the sum of
 ``m J^T J`` over the masses' position Jacobians ``J``, each entry expanded;
 take the velocity forces from the Christoffel symbols of the pinned one and
 gravity from the potential's gradient; and lambdify onto :mod:`numpy`, so
-that one call evaluates a whole batch of states.  The oracle shares no code
+that one call evaluates a whole batch of states.  The derivation is pure
+Python and costs about as much as the checks that do not use it, so
+:func:`run_certification` forks a child to derive the oracle while it runs
+those checks, and compiles the child's generated source afterwards (in a
+process with more than one thread, or without ``os.fork``, it derives the
+oracle itself; likewise when the child fails).  The oracle shares no code
 with :mod:`triped.dynamics`; agreement between the two is therefore
 meaningful evidence, and the certification battery
 (:func:`run_certification`) turns that evidence plus the model's structural
@@ -39,7 +44,12 @@ is NaN when any state's is: a check with a NaN residual fails.
 
 from __future__ import annotations
 
-import functools
+import contextlib
+import inspect
+import json
+import os
+import signal
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -73,9 +83,19 @@ def _oracle_matrix(rows) -> np.ndarray:
         entries[0].shape + (len(rows), len(rows[0])))
 
 
-@functools.lru_cache(maxsize=1)
-def _oracle():
-    """Build and lambdify the symbolic model once per process."""
+#: What the oracle's generated sources run against: numpy's ``sin`` and
+#: ``cos``, so every argument may be a batch, and :func:`_oracle_matrix`,
+#: so a matrix comes back as one array with the batch axes leading.  The
+#: namespace is named in full: lambdify's "numpy" module would import
+#: numpy's lazy submodules (testing, f2py ...), which costs more than the
+#: whole build.
+_ORACLE_NAMESPACE = {"ImmutableDenseMatrix": _oracle_matrix,
+                     "sin": np.sin, "cos": np.cos}
+
+
+def _oracle_sources() -> dict[str, str]:
+    """Derive the symbolic model and lambdify it: the Python source that
+    lambdify generates for each of the oracle's matrices."""
     q = sp.symbols("q1 q2 q3")
     dq = sp.symbols("dq1 dq2 dq3")
     m, mh, mt, l, r, g = sp.symbols("m mh mt l r g", positive=True)
@@ -129,19 +149,104 @@ def _oracle():
     free_mass = mass_matrix(zip(masses, free_positions), (*q, px, py))
 
     params = (m, mh, mt, l, r, g)
-    # Onto numpy's sin and cos, so every argument may be a batch; a matrix
-    # comes back as one array with the batch axes leading.  The namespace is
-    # named in full: lambdify's "numpy" module would import numpy's lazy
-    # submodules (testing, f2py ...), which costs more than the whole build.
-    lamb = functools.partial(sp.lambdify, modules=[{
-        "ImmutableDenseMatrix": _oracle_matrix, "sin": np.sin, "cos": np.cos}])
-    return {
-        "mass": lamb((*q, *params), inertia),
-        "mass_rate": lamb((*q, *dq, *params), mass_rate),
-        "coriolis": lamb((*q, *dq, *params), coriolis),
-        "gravity": lamb((*q, *params, lam), gravity),
-        "free_mass": lamb((*q, *params), free_mass),
+    terms = {
+        "mass": ((*q, *params), inertia),
+        "mass_rate": ((*q, *dq, *params), mass_rate),
+        "coriolis": ((*q, *dq, *params), coriolis),
+        "gravity": ((*q, *params, lam), gravity),
+        "free_mass": ((*q, *params), free_mass),
     }
+    # Only the source is kept, so lambdify need not print each expression
+    # once more for the function's docstring (docstring_limit=0).
+    return {name: inspect.getsource(sp.lambdify(
+                args, expr, modules=[_ORACLE_NAMESPACE], docstring_limit=0))
+            for name, (args, expr) in terms.items()}
+
+
+def _compile_oracle(sources: dict[str, str]) -> dict:
+    """The oracle's functions, each source run in the namespace that
+    lambdify generated it for."""
+    compiled = {}
+    for name, text in sources.items():
+        namespace = dict(_ORACLE_NAMESPACE)
+        exec(compile(text, f"<oracle {name}>", "exec"), namespace)
+        compiled[name] = namespace["_lambdifygenerated"]  # lambdify's name
+    return compiled
+
+
+#: The compiled oracle once :func:`_oracle` has built it in this process.
+_built: dict | None = None
+
+
+def _oracle(derived=None) -> dict:
+    """The oracle's functions, built once per process.  ``derived()``, when
+    given, waits for the sources that a forked child derived (see
+    :func:`_forked_derivation`); without it, or when the child failed, the
+    sources are derived here."""
+    global _built
+    if _built is None:
+        sources = derived() if derived is not None else None
+        _built = _compile_oracle(
+            _oracle_sources() if sources is None else sources)
+    return _built
+
+
+def _may_fork() -> bool:
+    """Whether :func:`run_certification` derives the oracle in a child:
+    only while it is not built, where ``os.fork`` exists, and in a process
+    with one thread, which a fork copies safely."""
+    return (_built is None and hasattr(os, "fork")
+            and threading.active_count() == 1)
+
+
+def _decoded(payload: bytes) -> dict[str, str] | None:
+    """The sources a child sent, or ``None`` when the payload is not a
+    JSON object of source texts (a child that failed sends nothing)."""
+    try:
+        sources = json.loads(payload)
+    except ValueError:
+        return None
+    if isinstance(sources, dict) and all(
+            isinstance(text, str) for text in sources.values()):
+        return sources
+    return None
+
+
+@contextlib.contextmanager
+def _forked_derivation():
+    """Derive the oracle's sources in a forked child while the caller works
+    on; yields the ``derived`` argument of :func:`_oracle`.
+
+    The child sends the sources down a pipe as JSON and exits; it never
+    returns into its caller's frames.  On leaving the block the child is
+    killed, if it still runs (the caller raised, or did not need it), and
+    reaped, so no process outlives the block.  When no process can be
+    forked, it yields ``None``: the caller derives the sources itself.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(json.dumps(_oracle_sources()).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            yield lambda: _decoded(pipe.read())
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _pvals(p: RobotParams) -> tuple:
@@ -315,7 +420,9 @@ def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
     u = np.zeros(2)
 
     def rhs(_t, y):
-        return np.concatenate([y[3:6], swing_accel(y[:3], y[3:6], u, p, incline)])
+        # Floats, not an array: the integrator's stage arithmetic then runs
+        # on Python floats rather than numpy scalars, with the same values.
+        return [*y[3:6], *swing_accel(y[:3], y[3:6], u, p, incline).tolist()]
 
     sol = solve_ivp(rhs, (0.0, duration), y0, rtol=1e-11, atol=1e-13)
     ts = np.linspace(0.0, duration, 101)
@@ -438,7 +545,7 @@ def certify_integrator_transport(seed: int = 4) -> CheckResult:
         q, dq = path(t)
         rs = to_reduced(q, dq, targets)
         i_e, _ = reduced_inertias(rs, p)
-        return -np.linalg.solve(i_e, quadratic_bracket(rs, p) @ w)
+        return (-np.linalg.solve(i_e, quadratic_bracket(rs, p) @ w)).tolist()
 
     sol = solve_ivp(rhs, (0.0, 1.0), w0, rtol=1e-12, atol=1e-14)
     n0 = norm_sq(0.0, w0)
@@ -479,15 +586,19 @@ def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationRepor
     must be at least 1, or each sampled check would pass on no evidence."""
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    _oracle()  # shared by the swing-term and skew checks: built before both
+    # The five checks that do not need the oracle run while a child derives
+    # it, when one may be forked; the swing-term and skew checks follow.
+    with (_forked_derivation() if _may_fork()
+          else contextlib.nullcontext()) as derived:
+        energy = certify_energy_conservation()
+        reduced = certify_reduced_consistency(n_states, seed + 1)
+        impact = certify_impact(n_states, seed + 2)
+        closed_loop = certify_closed_loop(n_states, seed + 3)
+        transport = certify_integrator_transport(seed + 4)
+        _oracle(derived)
     return CertificationReport(checks=[
-        certify_swing_terms(n_states, seed),
-        certify_energy_conservation(),
-        certify_reduced_consistency(n_states, seed + 1),
-        certify_impact(n_states, seed + 2),
-        certify_closed_loop(n_states, seed + 3),
-        certify_integrator_transport(seed + 4),
-        certify_skew(n_states, seed + 5),
+        certify_swing_terms(n_states, seed), energy, reduced, impact,
+        closed_loop, transport, certify_skew(n_states, seed + 5),
     ])
 
 

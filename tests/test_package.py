@@ -38,6 +38,14 @@ def test_import_generates_no_integrator_code():
               "assert ode._dp5.cache_info().currsize == 0, 'generated at import'")
 
 
+def test_importing_verification_forks_nothing():
+    # run_certification forks the oracle's derivation; importing the module
+    # that defines it must not.
+    run_fresh("import os; forks = []; fork = os.fork; "
+              "os.fork = lambda: forks.append(1) or fork(); "
+              "import triped.verification; assert not forks, 'forked at import'")
+
+
 def test_verification_names_are_reexported_on_demand():
     from triped import verification
 

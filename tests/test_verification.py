@@ -1,5 +1,9 @@
 """Self-check battery: the package must certify its own dynamics."""
 
+import contextlib
+import errno
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +12,8 @@ import pytest
 import triped as T
 from triped import reduced, verification
 from triped.reduced import input_matrix_e, to_reduced
-from triped.verification import (CheckResult, run_certification, stack_params,
+from triped.verification import (CertificationReport, CheckResult,
+                                 run_certification, stack_params,
                                  transcription_report)
 
 
@@ -44,7 +49,7 @@ def test_check_result_pass_logic():
     good = CheckResult(name="x", max_residual=1e-9, tolerance=1e-6)
     bad = CheckResult(name="x", max_residual=1e-3, tolerance=1e-6)
     assert good.passed and not bad.passed
-    failing = type(run_certification(n_states=2, seed=0))(checks=(good, bad))
+    failing = CertificationReport(checks=[good, bad])
     assert not failing.ok
     assert "[FAIL]" in failing.as_text()
 
@@ -68,6 +73,137 @@ def test_transcription_report_flags_the_documented_force_defects():
     text = report.as_text()
     assert "TRANSCRIPTION ERROR" in text
     assert "matches" in text
+
+
+# --------------------------------------------------------------------------
+# The oracle derived in a forked child
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def unbuilt(monkeypatch):
+    """The oracle not yet built in this process; the built one comes back
+    after the test."""
+    monkeypatch.setattr(verification, "_built", None)
+
+
+def derivations_here(monkeypatch, in_child=None):
+    """A list that gains an entry each time this process derives the
+    oracle's sources; a forked child runs ``in_child`` instead, if given."""
+    parent, derive, calls = os.getpid(), verification._oracle_sources, []
+
+    def counted():
+        if os.getpid() != parent:
+            return (in_child or derive)()
+        calls.append(1)
+        return derive()
+
+    monkeypatch.setattr(verification, "_oracle_sources", counted)
+    return calls
+
+
+def forks(monkeypatch):
+    """A list that gains an entry at each ``os.fork`` in this process."""
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@contextlib.contextmanager
+def another_thread():
+    """A second live thread, which keeps the battery from forking."""
+    release = threading.Event()
+    holder = threading.Thread(target=release.wait)
+    holder.start()
+    try:
+        yield
+    finally:
+        release.set()
+        holder.join()
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_report(got, want):
+    assert [c.max_residual for c in got.checks] == \
+        [c.max_residual for c in want.checks]
+    assert got.as_text() == want.as_text()
+
+
+def test_forked_and_in_process_oracles_give_the_same_report(monkeypatch, unbuilt):
+    derived, forked = derivations_here(monkeypatch), forks(monkeypatch)
+    from_child = run_certification(n_states=40, seed=2)
+    assert (forked, derived) == ([1], [])
+    assert_no_child()
+    monkeypatch.setattr(verification, "_built", None)
+    with another_thread():
+        in_process = run_certification(n_states=40, seed=2)
+    assert (forked, derived) == ([1], [1])
+    assert_same_report(from_child, in_process)
+
+
+def _raise():
+    raise RuntimeError("derivation failed in the child")
+
+
+CHILD_FAILURES = {
+    "raises": _raise,
+    "exits without sending": lambda: os._exit(0),
+    "sends no object": lambda: ["not", "sources"],
+    "sends a non-text source": lambda: {"mass": 1.0},
+}
+
+
+@pytest.mark.parametrize("failure", CHILD_FAILURES.values(), ids=CHILD_FAILURES)
+def test_a_failed_child_leaves_the_report_unchanged(monkeypatch, unbuilt,
+                                                     report, failure):
+    derived = derivations_here(monkeypatch, in_child=failure)
+    forked = forks(monkeypatch)
+    assert_same_report(run_certification(n_states=40, seed=2), report)
+    assert (forked, derived) == ([1], [1])
+    assert_no_child()
+
+
+def test_a_failed_fork_derives_the_oracle_here(monkeypatch, unbuilt, report):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    derived = derivations_here(monkeypatch)
+    assert_same_report(run_certification(n_states=40, seed=2), report)
+    assert derived == [1]
+
+
+def test_no_child_outlives_a_check_that_raises(monkeypatch, unbuilt):
+    forked = forks(monkeypatch)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(verification, "certify_impact", broken)
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_certification(n_states=2)
+    assert forked == [1]
+    assert_no_child()
+
+
+def test_a_derivation_error_raises_in_the_caller(monkeypatch, unbuilt):
+    def broken():
+        raise RuntimeError("no oracle")
+
+    monkeypatch.setattr(verification, "_oracle_sources", broken)
+    with pytest.raises(RuntimeError, match="no oracle"):
+        run_certification(n_states=2)
+    assert_no_child()
+
+
+def test_a_built_oracle_is_not_derived_again(monkeypatch):
+    run_certification(n_states=2)
+    derived, forked = derivations_here(monkeypatch), forks(monkeypatch)
+    run_certification(n_states=2)
+    assert (forked, derived) == ([], [])
 
 
 # --------------------------------------------------------------------------
