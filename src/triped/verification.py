@@ -45,11 +45,13 @@ is NaN when any state's is: a check with a NaN residual fails.
 from __future__ import annotations
 
 import contextlib
+import gc
 import inspect
 import json
 import os
 import signal
 import threading
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -156,10 +158,8 @@ def _oracle_sources() -> dict[str, str]:
         "gravity": ((*q, *params, lam), gravity),
         "free_mass": ((*q, *params), free_mass),
     }
-    # Only the source is kept, so lambdify need not print each expression
-    # once more for the function's docstring (docstring_limit=0).
-    return {name: inspect.getsource(sp.lambdify(
-                args, expr, modules=[_ORACLE_NAMESPACE], docstring_limit=0))
+    return {name: inspect.getsource(
+                sp.lambdify(args, expr, modules=[_ORACLE_NAMESPACE]))
             for name, (args, expr) in terms.items()}
 
 
@@ -194,22 +194,26 @@ def _oracle(derived=None) -> dict:
 def _may_fork() -> bool:
     """Whether :func:`run_certification` derives the oracle in a child:
     only while it is not built, where ``os.fork`` exists, and in a process
-    with one thread, which a fork copies safely."""
+    with one Python thread.
+
+    Native threads are not counted: numpy's BLAS may have started a pool
+    at import.  The fork stays safe because the child runs only sympy,
+    :mod:`inspect` and :mod:`json`, never a BLAS call, so no lock those
+    threads might hold is ever taken in the child.  (Python 3.12+ counts
+    native threads too and warns at such a fork; see
+    :func:`_forked_derivation`.)
+    """
     return (_built is None and hasattr(os, "fork")
             and threading.active_count() == 1)
 
 
 def _decoded(payload: bytes) -> dict[str, str] | None:
-    """The sources a child sent, or ``None`` when the payload is not a
-    JSON object of source texts (a child that failed sends nothing)."""
+    """The sources a child sent, or ``None`` when it sent none (it failed
+    or exited early)."""
     try:
-        sources = json.loads(payload)
+        return json.loads(payload)
     except ValueError:
         return None
-    if isinstance(sources, dict) and all(
-            isinstance(text, str) for text in sources.values()):
-        return sources
-    return None
 
 
 @contextlib.contextmanager
@@ -222,10 +226,17 @@ def _forked_derivation():
     killed, if it still runs (the caller raised, or did not need it), and
     reaped, so no process outlives the block.  When no process can be
     forked, it yields ``None``: the caller derives the sources itself.
+
+    Python 3.12+ warns (``DeprecationWarning``) at a fork of a process that
+    has native threads, such as a BLAS pool; the warning is silenced here,
+    since the child never takes a lock those threads use (see
+    :func:`_may_fork`).
     """
     read, write = os.pipe()
     try:
-        pid = os.fork()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
     except OSError:
         os.close(read)
         os.close(write)
@@ -234,6 +245,10 @@ def _forked_derivation():
     if pid == 0:
         status = 1
         try:
+            # The child's collections then skip every object it inherited:
+            # walking them would write to, and so copy, the pages it shares
+            # with the parent.
+            gc.freeze()
             os.close(read)
             with open(write, "wb") as pipe:
                 pipe.write(json.dumps(_oracle_sources()).encode())
@@ -245,8 +260,12 @@ def _forked_derivation():
         with open(read, "rb") as pipe:
             yield lambda: _decoded(pipe.read())
     finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        # A caller that ignores SIGCHLD, or reaps in its handler, may have
+        # reaped the child already.
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
 
 
 def _pvals(p: RobotParams) -> tuple:
@@ -420,9 +439,7 @@ def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
     u = np.zeros(2)
 
     def rhs(_t, y):
-        # Floats, not an array: the integrator's stage arithmetic then runs
-        # on Python floats rather than numpy scalars, with the same values.
-        return [*y[3:6], *swing_accel(y[:3], y[3:6], u, p, incline).tolist()]
+        return np.concatenate([y[3:6], swing_accel(y[:3], y[3:6], u, p, incline)])
 
     sol = solve_ivp(rhs, (0.0, duration), y0, rtol=1e-11, atol=1e-13)
     ts = np.linspace(0.0, duration, 101)
@@ -545,7 +562,7 @@ def certify_integrator_transport(seed: int = 4) -> CheckResult:
         q, dq = path(t)
         rs = to_reduced(q, dq, targets)
         i_e, _ = reduced_inertias(rs, p)
-        return (-np.linalg.solve(i_e, quadratic_bracket(rs, p) @ w)).tolist()
+        return -np.linalg.solve(i_e, quadratic_bracket(rs, p) @ w)
 
     sol = solve_ivp(rhs, (0.0, 1.0), w0, rtol=1e-12, atol=1e-14)
     n0 = norm_sq(0.0, w0)

@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import os
+import signal
 import threading
 from dataclasses import replace
 
@@ -151,8 +152,6 @@ def _raise():
 CHILD_FAILURES = {
     "raises": _raise,
     "exits without sending": lambda: os._exit(0),
-    "sends no object": lambda: ["not", "sources"],
-    "sends a non-text source": lambda: {"mass": 1.0},
 }
 
 
@@ -186,6 +185,20 @@ def test_no_child_outlives_a_check_that_raises(monkeypatch, unbuilt):
     with pytest.raises(RuntimeError, match="check failed"):
         run_certification(n_states=2)
     assert forked == [1]
+    assert_no_child()
+
+
+def test_a_caller_that_ignores_sigchld_gets_the_same_report(monkeypatch,
+                                                           unbuilt, report):
+    # The kernel then reaps the child itself, before the battery does.
+    derived, forked = derivations_here(monkeypatch), forks(monkeypatch)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        got = run_certification(n_states=40, seed=2)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert_same_report(got, report)
+    assert (forked, derived) == ([1], [])
     assert_no_child()
 
 

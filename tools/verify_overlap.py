@@ -4,11 +4,12 @@
 
 ``run_certification`` derives the symbolic oracle in a forked child while
 it runs the checks that do not need it, whenever the process has one
-thread.  Each pair runs the battery once that way ("forked") and once with
-an extra thread held alive during the call, which makes it build the oracle
-in-process ("in-process"); the two alternate which goes first, and each run
-is a fresh interpreter that has imported ``triped.verification`` and done
-nothing else.  Each run times ``run_certification`` alone:
+Python thread.  Each pair runs the battery once that way ("forked") and
+once with an extra thread held alive during the call, which makes it build
+the oracle in-process ("in-process"); the two alternate which goes first,
+and each run is a fresh interpreter that has imported
+``triped.verification`` and done nothing else.  Each run times
+``run_certification`` alone:
 
 * ``wall_s``: its wall time, the gain a ``triped verify`` user sees;
 * ``cpu_s``: the CPU time of the process and its reaped children;
