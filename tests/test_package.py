@@ -65,6 +65,11 @@ def test_benchmark_hooks_exist():
     for name in ("solve_ivp", "step", "integrate_swing", "reset_map",
                  "control_action", "swing_accel", "swing_foot_height"):
         assert callable(getattr(simulate, name)), name
+    for name in ("_oracle", "certify_swing_terms", "certify_energy_conservation",
+                 "certify_reduced_consistency", "certify_impact",
+                 "certify_closed_loop", "certify_integrator_transport",
+                 "certify_skew", "transcription_report"):
+        assert callable(getattr(verification, name)), name
     assert verification.solve_ivp is simulate.solve_ivp
     sol = simulate.solve_ivp(lambda t, y: [-y[0]], (0.0, 1.0), [1.0])
     assert (sol.t[0], sol.t[-1]) == (0.0, 1.0)

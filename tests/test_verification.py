@@ -5,7 +5,7 @@ import errno
 import os
 import signal
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -57,9 +57,30 @@ def test_check_result_pass_logic():
 
 @pytest.mark.parametrize("n_states", [0, -1])
 def test_battery_refuses_to_certify_without_states(n_states):
-    for battery in (run_certification, transcription_report):
+    for battery in (run_certification, transcription_report,
+                    verification.certify_swing_terms,
+                    verification.certify_reduced_consistency,
+                    verification.certify_impact,
+                    verification.certify_closed_loop,
+                    verification.certify_skew):
         with pytest.raises(ValueError, match="n_states must be >= 1"):
             battery(n_states=n_states)
+
+
+def test_robots_are_nominal_at_even_states_and_scaled_at_odd():
+    n = 41
+    robots = verification._robots(np.random.default_rng(0), n)
+    nominal = T.RobotParams()
+    for f in fields(T.RobotParams):
+        values, value = getattr(robots, f.name), getattr(nominal, f.name)
+        assert values.shape == (n,), f.name
+        assert (values[0::2] == value).all(), f.name
+        if f.name == "gravity":
+            assert (values == value).all()
+        else:
+            odd = values[1::2]
+            assert ((0.5 * value <= odd) & (odd < 1.5 * value)).all(), f.name
+            assert len(set(odd.tolist())) == len(odd), f.name
 
 
 def test_transcription_report_flags_the_documented_force_defects():
@@ -262,29 +283,40 @@ def test_a_nan_at_one_state_flags_the_transcription_term(monkeypatch):
         in report.as_text()
 
 
+def heavy_at(monkeypatch, states):
+    """Robots a million times too heavy at ``states`` of each batch: the
+    contact operator's determinant falls below the floor there."""
+    robots = verification._robots
+
+    def heavy_robots(rng, n):
+        scale = np.ones(n)
+        scale[states] = 1e7
+        return robots(rng, n).scaled_masses(scale)
+
+    monkeypatch.setattr(verification, "_robots", heavy_robots)
+
+
 def test_impact_check_skips_exactly_the_degenerate_state(monkeypatch):
-    """A robot a million times too heavy makes the contact operator's
-    determinant fall below the floor at state 3 of 20."""
-    robot = verification._robot
-
-    def heavy_at_three(rng, index):
-        p = robot(rng, index)
-        return p.scaled_masses(1e7) if index == 3 else p
-
-    monkeypatch.setattr(verification, "_robot", heavy_at_three)
+    heavy_at(monkeypatch, 3)
     result = verification.certify_impact(n_states=20)
     assert result.note == "19 states, 1 degenerate skipped"
     assert result.passed
 
 
+def test_a_check_that_skips_every_state_fails(monkeypatch):
+    heavy_at(monkeypatch, slice(None))
+    result = verification.certify_impact(n_states=20)
+    assert result.note == "0 states, 20 degenerate skipped"
+    assert np.isnan(result.max_residual)
+    assert not result.passed
+
+
 def test_closed_loop_check_skips_exactly_the_singular_state(monkeypatch):
     """A ``det_floor`` a hair above the lowest ``|det B_e|`` among the
-    check's states, drawn here in the check's order, skips that state."""
+    check's states, drawn here as the check draws them, skips that state."""
     rng = np.random.default_rng(3)
-    drawn = [(rng.uniform(-1.0, 1.0, size=3) + [0.0, 0.0, np.pi / 2],
-              rng.uniform(-3.0, 3.0, size=3), rng.uniform(-0.5, 0.5, size=2))
-             for _ in range(20)]
-    q, dq = np.array([s[0] for s in drawn]), np.array([s[1] for s in drawn])
+    q = rng.uniform(-1.0, 1.0, size=(20, 3)) + [0.0, 0.0, np.pi / 2]
+    dq = rng.uniform(-3.0, 3.0, size=(20, 3))
     nominal = T.ControllerConfig()
     b_e, _ = input_matrix_e(to_reduced(q, dq, nominal.targets), nominal.model)
     det = np.abs(b_e[:, 0, 0] * b_e[:, 1, 1] - b_e[:, 0, 1] * b_e[:, 1, 0])
