@@ -3,15 +3,16 @@
 :func:`solve_ivp` integrates ``y' = fun(t, y)`` forward in time with the
 Dormand–Prince 5(4) pair (Dormand & Prince, *J. Comput. Appl. Math.* 6(1),
 1980; Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4–II.6).  It is
-``scipy.integrate.solve_ivp(method="RK45", dense_output=True)`` restated
-over Python floats, so that it takes the same steps:
+``scipy.integrate.solve_ivp(method="RK45")`` restated over Python floats,
+so that it takes the same steps:
 
 * the same tableau, first-same-as-last stage, initial-step rule and RMS
   error norm over ``atol + max(|y|, |y_new|) rtol``;
 * the same step controller: safety 0.9, factors 0.2–10, exponent -1/5 and
   no growth right after a rejection;
-* the same quartic dense output (Shampine's optimum ``c6``), here with each
-  step's coefficients computed only when that step is evaluated;
+* the same quartic interpolant (Shampine's optimum ``c6``), evaluated at
+  the ``t_eval`` times each accepted step covers, cut at the event if one
+  fired, as soon as the step is taken: no step is kept;
 * the same event semantics for direction-filtered events, except that every
   event is terminal and is localised by bisection on the step's interpolant
   to ``4 eps (1 + |t|)``.
@@ -37,8 +38,8 @@ status -1, before an attempt would pass it.
 Two deliberate differences from scipy: a NaN step size fails as a step
 below ``10 ulp(t)`` does (scipy loops forever on it), and ``atol`` must be
 positive (numpy divides by a zero error scale, Python raises).
-``tests/test_ode.py`` holds the steps, the event times and the dense output
-to scipy's.
+``tests/test_ode.py`` holds the steps, the event times and the ``t_eval``
+states to scipy's.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import linecache
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def _dp5_source(n: int) -> str:
     lines += ["    )",
               "",
               "",
-              "def interpolate(t, t_old, h, y_old, k1, q):",
+              "def interpolate(t_old, h, y_old, k1, q, t):",
               f"    {names('v')} = y_old",
               f"    {names('a')} = k1",
               "    " + ", ".join(f"q{i}_{p}" for i in range(n) for p in (2, 3, 4))
@@ -192,8 +193,8 @@ class _Dp5(NamedTuple):
     ``step(fun, t, h, y, k1, atol, rtol)`` returns the seven stages, the
     fifth-order solution and the squared error sum of one attempt;
     ``coefficients(stages)`` the x², x³ and x⁴ coefficients of the quartic,
-    three per component; ``interpolate(t, t_old, h, y_old, k1, q)`` its
-    value at ``t``.
+    three per component; ``interpolate(t_old, h, y_old, k1, q, t)`` its
+    value at ``t``, the step's interpolant once the rest are bound.
     """
 
     step: Callable
@@ -216,47 +217,18 @@ def _dp5(n: int) -> _Dp5:
     return _Dp5(namespace["step"], namespace["coefficients"], namespace["interpolate"])
 
 
-class _Step:
-    """The quartic interpolant of one accepted step."""
-
-    __slots__ = ("dp5", "t_old", "h", "y_old", "stages", "_q")
-
-    def __init__(self, dp5: _Dp5, t_old: float, h: float, y_old: list,
-                 stages: tuple):
-        self.dp5, self.t_old, self.h, self.y_old, self.stages = (
-            dp5, t_old, h, y_old, stages)
-        self._q = None
-
-    def __call__(self, t: float) -> list[float]:
-        q = self._q
-        if q is None:
-            q = self._q = self.dp5.coefficients(self.stages)
-        return self.dp5.interpolate(t, self.t_old, self.h, self.y_old,
-                                    self.stages[0], q)
-
-
-class DenseSolution:
-    """The piecewise-quartic solution over all accepted steps.
-
-    A time on a step boundary is evaluated on the earlier step.
-    """
-
-    def __init__(self, ts: list[float], steps: list[_Step]):
-        self.ts = ts
-        self.steps = steps
-
-    def values(self, times: Sequence[float]) -> list[list[float]]:
-        """The solution at ascending ``times``, in one forward pass over
-        the steps."""
-        out = []
-        ends, steps = self.ts, self.steps
-        last = len(steps) - 1
-        index = 0
-        for t in times:
-            while index < last and t > ends[index + 1]:
-                index += 1
-            out.append(steps[index](t))
-        return out
+def _read(t_eval: Iterable[float], t0: float, t_bound: float) -> Iterator[float]:
+    """The floats of ``t_eval``, each refused as it is read, with scipy's
+    message, if it leaves ``[t0, t_bound]`` or does not rise."""
+    previous = -math.inf
+    for t in t_eval:
+        t = float(t)
+        if not t0 <= t <= t_bound:
+            raise ValueError("Values in `t_eval` are not within `t_span`.")
+        if not t > previous:
+            raise ValueError("Values in `t_eval` are not properly sorted.")
+        previous = t
+        yield t
 
 
 @dataclass(frozen=True)
@@ -266,14 +238,15 @@ class OdeResult:
     ``status`` is 0 at the end of the interval, 1 on an event and -1 when
     the step size collapsed.  ``t`` holds the start and the end of every
     accepted step (the last one cut at the event), ``y`` the states there
-    as an ``(n, len(t))`` array.  ``event`` is the index of the event that
-    ended the integration, None if none did; its time and state are
+    as an ``(n, len(t))`` array, and ``y_eval`` those at the ``k`` times of
+    ``t_eval`` it reached as ``(n, k)``.  ``event`` is the index of the event
+    that ended the integration, None if none did; its time and state are
     ``t[-1]`` and ``y[:, -1]``.
     """
 
     t: np.ndarray
     y: np.ndarray
-    sol: DenseSolution
+    y_eval: np.ndarray
     event: int | None
     nfev: int
     n_accepted: int
@@ -318,14 +291,15 @@ def _active(g_old: list, g_new: list, directions: list) -> list[int]:
     return active
 
 
-def _root(event, step: _Step, t_old: float, t_new: float, g_old: float) -> float:
-    """Bisect ``event(t, y(t))`` on the step's interpolant to 4 eps."""
+def _root(event, dense: Callable[[float], list[float]], t_old: float,
+          t_new: float, g_old: float) -> float:
+    """Bisect ``event(t, dense(t))`` on the step's interpolant to 4 eps."""
     if g_old == 0:
         return t_old
     lo, hi = t_old, t_new
     while hi - lo > 4 * EPS * (1.0 + abs(hi)):
         mid = 0.5 * (lo + hi)
-        g_mid = event(mid, step(mid))
+        g_mid = event(mid, dense(mid))
         if g_mid == 0:
             return mid
         if (g_mid < 0) == (g_old < 0):
@@ -337,7 +311,8 @@ def _root(event, step: _Step, t_old: float, t_new: float, g_old: float) -> float
 
 def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3,
               atol: float = 1e-6, events: Sequence[Callable] = (),
-              max_nfev: int | None = None) -> OdeResult:
+              max_nfev: int | None = None,
+              t_eval: Iterable[float] | None = None) -> OdeResult:
     """Integrate ``y' = fun(t, y)`` from ``t_span[0]`` towards ``t_span[1]``.
 
     Each event ``g(t, y)`` may carry a ``direction`` attribute (scipy's
@@ -349,6 +324,11 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     each step attempt six, and an attempt that would pass the budget is not
     made; the result then has status -1 and the message
     :data:`NFEV_BUDGET_SPENT`.  None sets no bound.
+
+    ``t_eval`` gives times, rising strictly inside ``t_span`` (a
+    ``ValueError`` otherwise), at which ``y_eval`` reports the solution: as
+    in scipy, on the step that contains each, the earlier one on a node.  It
+    is read lazily, at most one time past the last one reached.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -375,7 +355,9 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
         raise ValueError(f"fun returned {len(f)} values for a state of {n}")
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev, n_rejected = 2, 0
-    ts, ys, steps = [t], [y], []
+    ts, ys, y_eval = [t], [y], []
+    times = _read(() if t_eval is None else t_eval, t, t_bound)
+    t_next = next(times, math.inf)
     status, message = None, None
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -406,25 +388,28 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
         if status is not None:
             break
 
-        step = _Step(dp5, t, h, y, stages)
-        steps.append(step)
-        t_old, t, y, f = t, t_new, y_new, stages[6]
+        t_old, y_old, t, y, f = t, y, t_new, y_new, stages[6]
         if t >= t_bound:
             status = 0
-        if events:
-            g_new = [e(t, y) for e in events]
-            active = _active(g, g_new, directions)
-            if active:
-                roots = [_root(events[i], step, t_old, t, g[i]) for i in active]
-                first = min(range(len(active)), key=roots.__getitem__)
-                t = roots[first]
-                y = step(t)
-                event, status = active[first], 1
-            g = g_new
+        g_old, g = g, [e(t, y) for e in events]
+        active = _active(g_old, g, directions)
+        if active or t_next <= t:
+            dense = functools.partial(dp5.interpolate, t_old, h, y_old,
+                                      stages[0], dp5.coefficients(stages))
+        if active:
+            roots = [_root(events[i], dense, t_old, t, g_old[i]) for i in active]
+            first = min(range(len(active)), key=roots.__getitem__)
+            t = roots[first]
+            y = dense(t)
+            event, status = active[first], 1
+        while t_next <= t:
+            y_eval.append(dense(t_next))
+            t_next = next(times, math.inf)
         ts.append(t)
         ys.append(y)
 
     return OdeResult(
-        t=np.array(ts), y=np.array(ys).T, sol=DenseSolution(ts, steps),
-        event=event, nfev=nfev, n_accepted=len(steps), n_rejected=n_rejected,
+        t=np.array(ts), y=np.array(ys).T,
+        y_eval=np.reshape(y_eval, (len(y_eval), n)).T, event=event, nfev=nfev,
+        n_accepted=len(ts) - 1, n_rejected=n_rejected,
         status=status, message=MESSAGES.get(status, message))

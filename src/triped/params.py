@@ -157,6 +157,11 @@ def nominal_initial_state() -> tuple[float, ...]:
     return (q1, -q1, math.radians(105.0), 1.168, -1.168, 0.0)
 
 
+#: Bound on ``max_step_time / sample_dt`` (the default's is 1,000): a swing
+#: holds about a kilobyte per sample, so a finer grid could exhaust memory.
+MAX_SAMPLES_PER_SWING = 100_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One complete closed-loop simulation setup."""
@@ -198,6 +203,10 @@ class SimConfig:
             raise ConfigValidationError(
                 "simulation settings must be positive (and n_steps >= 1, "
                 "initial_state six finite numbers)", keys=bad)
+        if not self.max_step_time / self.sample_dt <= MAX_SAMPLES_PER_SWING:
+            raise ConfigValidationError(
+                f"max_step_time / sample_dt may be at most {MAX_SAMPLES_PER_SWING}"
+                " samples per swing", keys=["max_step_time", "sample_dt"])
 
 
 #: Plant parameters a sweep may perturb, plus the true incline.

@@ -17,8 +17,9 @@ studies rely on.
 Each swing is integrated by :func:`triped.ode.solve_ivp`, the package's
 Dormand–Prince 5(4) integrator over plain floats (the steps of scipy's
 RK45), on the fused scalar kernel of :mod:`triped.kernel`, built once per
-swing; the trajectory is sampled from the integrator's dense output through
-the same kernel.  :func:`~triped.control.control_action` followed by
+swing; it evaluates the trajectory's samples (``t_eval``) on each step as
+it is taken, and their controller outputs come from the same kernel.
+:func:`~triped.control.control_action` followed by
 :func:`~triped.dynamics.swing_accel` is the same right-hand side composed
 from the readable reference functions; the kernel is tested against that
 composition.  Each step record carries the integrator's effort: right-hand
@@ -34,7 +35,7 @@ Nothing is raised out of :func:`run_gait`; callers inspect
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count, islice
+from itertools import count, islice, takewhile
 from typing import Iterator
 
 import numpy as np
@@ -50,7 +51,7 @@ from .errors import (FellOverError, GaitAbortError, NonFiniteStateError,
                      SolverBudgetError, StepTimeoutError, WalkerError)
 from .impact import ImpactResult, reset_map
 from .kernel import closed_loop
-from .ode import NFEV_BUDGET_SPENT, DenseSolution, solve_ivp
+from .ode import NFEV_BUDGET_SPENT, solve_ivp
 from .params import SimConfig
 
 #: Tolerance on the switching-surface residual |q1(t_end) - q1_switch| (rad).
@@ -173,11 +174,18 @@ class GaitSummary:
         return np.linalg.norm(np.diff(states, axis=0), axis=1)
 
 
-def _sample_swing(dense: DenseSolution | None, step_index: int, t0: float,
+def _sample_grid(t0: float, dt: float, t_stop: float) -> Iterator[float]:
+    """``np.arange(t0, ..., dt)`` up to ``t_stop``, one time at a time, by
+    numpy's own fill rule ``t0 + k * ((t0 + dt) - t0)``."""
+    delta = (t0 + dt) - t0
+    return takewhile(t_stop.__ge__, (t0 + k * delta for k in count()))
+
+
+def _sample_swing(y_eval: np.ndarray, step_index: int, t0: float,
                   t_end: float, y_end: np.ndarray, cfg: SimConfig,
                   control) -> Trajectory:
-    """Evaluate the dense solution on the uniform output grid, ending with
-    the exact event state.
+    """The states ``y_eval`` on :func:`_sample_grid` up to ``t_end`` as the
+    swing's uniform samples, ending with the exact event state.
 
     The controller outputs at each sample come from ``control``, which
     enters the closed-loop body the integrator ran and returns after its
@@ -186,7 +194,7 @@ def _sample_swing(dense: DenseSolution | None, step_index: int, t0: float,
     """
     ts = np.arange(t0, t_end, cfg.sample_dt)
     ts = ts[ts < t_end - 1e-12]
-    rows = dense.values(ts.tolist()) if len(ts) else []
+    rows = y_eval[:, :len(ts)].T.tolist()
     rows.append(y_end.tolist())
     ts = np.append(ts, t_end)
     out = np.array([control(*state) for state in rows])
@@ -222,8 +230,8 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
 
     # Already past the surface and moving forward: the crossing is immediate.
     if x0[0] >= q1_switch and x0[3] > 0.0:
-        return (_sample_swing(None, step_index, t0, t0, x0, cfg,
-                              kernel.control), (0, 0, 0))
+        return (_sample_swing(np.empty((len(x0), 0)), step_index, t0, t0, x0,
+                              cfg, kernel.control), (0, 0, 0))
 
     def switch(t, y):
         return y[0] - q1_switch
@@ -232,9 +240,11 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
         return FALL_GUARD - max(abs(y[0]), abs(y[1]))
 
     switch.direction, fall.direction = 1.0, -1.0
-    sol = solve_ivp(kernel.rhs, (t0, t0 + cfg.max_step_time), x0,
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, events=(switch, fall),
-                    max_nfev=MAX_NFEV_PER_SWING)
+    t_bound = t0 + cfg.max_step_time
+    sol = solve_ivp(kernel.rhs, (t0, t_bound), x0, rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol, events=(switch, fall),
+                    max_nfev=MAX_NFEV_PER_SWING,
+                    t_eval=_sample_grid(t0, cfg.sample_dt, t_bound))
     if sol.message == NFEV_BUDGET_SPENT:
         raise SolverBudgetError(
             f"swing integration spent its {MAX_NFEV_PER_SWING} right-hand side "
@@ -252,7 +262,7 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
         raise WalkerError(
             "event localization failed: surface residual "
             f"{abs(y_end[0] - q1_switch):.3e} rad")
-    return (_sample_swing(sol.sol, step_index, t0, t_end, y_end, cfg,
+    return (_sample_swing(sol.y_eval, step_index, t0, t_end, y_end, cfg,
                           kernel.control),
             (sol.nfev, sol.n_accepted, sol.n_rejected))
 

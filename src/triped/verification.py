@@ -335,13 +335,6 @@ def _robots(rng: np.random.Generator, n: int) -> RobotParams:
                        gravity=np.full(n, nominal.gravity))
 
 
-def stack_params(robots) -> RobotParams:
-    """One :class:`RobotParams` whose fields are ``(n,)`` arrays, entry
-    ``i`` from robot ``i``: the parameters of a batch of states."""
-    return RobotParams(**{f.name: np.array([getattr(p, f.name) for p in robots])
-                          for f in fields(RobotParams)})
-
-
 def _take(batch, index):
     """The states ``index`` of a batch: an array's leading axis, or each
     field of a stacked :class:`RobotParams`."""
@@ -412,9 +405,9 @@ def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
         return np.concatenate(
             [y[3:6], swing_accel(y[:3], y[3:6], u, p, incline)]).tolist()
 
-    sol = solve_ivp(rhs, (0.0, duration), y0, rtol=1e-11, atol=1e-13)
-    ts = np.linspace(0.0, duration, 101)
-    ys = np.array(sol.sol.values(ts.tolist()))
+    sol = solve_ivp(rhs, (0.0, duration), y0, rtol=1e-11, atol=1e-13,
+                    t_eval=np.linspace(0.0, duration, 101))
+    ys = sol.y_eval.T
     e0 = total_energy(y0[:3], y0[3:6], p, incline)
     drift = _worst(np.abs(total_energy(ys[:, :3], ys[:, 3:6], p, incline) - e0))
     return CheckResult("unforced-swing energy drift",

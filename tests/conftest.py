@@ -1,8 +1,9 @@
 """Shared fixtures: canonical study configurations and cached gait runs."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import triped as T
@@ -44,6 +45,13 @@ def scaled_masses(leg=1.0, hip=1.0, torso=1.0) -> T.RobotParams:
     p = T.RobotParams()
     return replace(p, leg_mass=p.leg_mass * leg, hip_mass=p.hip_mass * hip,
                    torso_mass=p.torso_mass * torso)
+
+
+def stack_params(robots) -> T.RobotParams:
+    """One :class:`RobotParams` whose fields are ``(n,)`` arrays, entry
+    ``i`` from robot ``i``: the parameters of a batch of states."""
+    return T.RobotParams(**{f.name: np.array([getattr(p, f.name) for p in robots])
+                            for f in fields(T.RobotParams)})
 
 
 @pytest.fixture(scope="session")

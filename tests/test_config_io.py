@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import triped as T
 from triped.analysis import summarize_gait
 from triped.config_io import TRAJECTORY_HEADER, emit_sweep_outputs
-from triped.params import ERROR_WEIGHTINGS, INTEGRATOR_RESETS
+from triped.params import ERROR_WEIGHTINGS, INTEGRATOR_RESETS, MAX_SAMPLES_PER_SWING
 
 
 def modified_config():
@@ -92,7 +92,8 @@ _SIM_CONFIGS = _every_field(
     **dict.fromkeys(("rel_tol", "abs_tol", "max_step_time", "delta",
                      "scuff_tol", "sample_dt"), _POSITIVE),
     initial_state=st.tuples(*[_degrees(720.0)] * 3, *[_FINITE] * 3),
-    strict_scuff=st.booleans())
+    strict_scuff=st.booleans(),
+).filter(lambda c: c.max_step_time / c.sample_dt <= MAX_SAMPLES_PER_SWING)
 _SWEEP_SPECS = _every_field(
     T.SweepSpec,
     axis=st.sampled_from(T.SWEEP_AXES),
@@ -155,6 +156,18 @@ def test_invalid_values_are_rejected_with_keys():
         T.parse_config_text("[controller]\nerror_weighting = fancy\n")
     with pytest.raises(T.ConfigValidationError):
         T.parse_config_text("[sweep]\naxis = warp_factor\n")
+
+
+def test_a_sample_grid_past_its_bound_is_refused():
+    # 100,000 * 2**-16 s is exact, so the ratio sits on the bound.
+    dt = 2.0 ** -16
+    at_bound = replace(T.SimConfig(), max_step_time=MAX_SAMPLES_PER_SWING * dt,
+                       sample_dt=dt)
+    at_bound.validate()
+    for finer in (math.nextafter(dt, 0.0), 1e-9):
+        with pytest.raises(T.ConfigValidationError) as err:
+            replace(at_bound, sample_dt=finer).validate()
+        assert err.value.keys == ["max_step_time", "sample_dt"]
 
 
 def test_statically_unstable_slopes_warn_but_parse():

@@ -1,15 +1,16 @@
 """The package's RK45 against scipy's, which stays the oracle.
 
-``triped.ode.solve_ivp`` restates ``scipy.integrate.solve_ivp(method="RK45",
-dense_output=True)`` over floats.  It must take the same steps (equal right-
-hand side evaluations and accepted steps), find the same event times to
-1e-8 s and give the same dense output to 1e-12.
+``triped.ode.solve_ivp`` restates ``scipy.integrate.solve_ivp(method="RK45")``
+over floats.  It must take the same steps (equal right-hand side evaluations
+and accepted steps), find the same event times to 1e-8 s and give the same
+states at ``t_eval`` to 1e-12.
 """
 
 import linecache
 import math
 import traceback
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,10 +29,10 @@ EVENT_TIME_TOL = 1e-8
 DENSE_TOL = 1e-12
 
 
-def scipy_rk45(fun, t_span, y0, rtol, atol, events=()):
+def scipy_rk45(fun, t_span, y0, rtol, atol, events=(), t_eval=None):
     return scipy_solve_ivp(lambda t, y: fun(t, y.tolist()), t_span, y0,
                            method="RK45", rtol=rtol, atol=atol,
-                           dense_output=True, events=list(events) or None)
+                           events=list(events) or None, t_eval=t_eval)
 
 
 def swing_events(cfg):
@@ -77,17 +78,90 @@ def test_dense_output_matches_scipy_at_random_times(reference_gait):
     record, traj = reference_gait.records[0], reference_gait.trajectories[0]
     y0 = np.concatenate([record.x_post_impact, traj.omega_I[0]])
     t_span = (record.t_start, record.t_start + cfg.max_step_time)
+    # About half the times fall after the swing's switching event.
+    times = np.sort(np.random.default_rng(5).uniform(
+        t_span[0], t_span[0] + 2 * record.step_time, 300))
     kernel = closed_loop(cfg)
     ours = solve_ivp(kernel.rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
-                     swing_events(cfg))
+                     swing_events(cfg), t_eval=times)
     ref = scipy_rk45(kernel.rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
-                     swing_events(cfg))
-    times = np.sort(np.random.default_rng(5).uniform(ours.t[0], ours.t[-1], 300))
-    np.testing.assert_allclose(np.array(ours.sol.values(times.tolist())).T,
-                               ref.sol(times), rtol=0, atol=DENSE_TOL)
+                     swing_events(cfg), t_eval=times)
+    np.testing.assert_array_equal(ref.t, times[:ours.y_eval.shape[1]])
+    assert 100 < len(ref.t) < 200
+    np.testing.assert_allclose(ours.y_eval, ref.y, rtol=0, atol=DENSE_TOL)
     assert ours.event == 0
     np.testing.assert_allclose(ours.y[:, -1], ref.y_events[0][0], rtol=0,
                                atol=DENSE_TOL)
+
+
+def test_a_time_on_a_step_node_is_taken_from_the_earlier_step():
+    rtol, atol = 1e-6, 1e-9
+    nodes = solve_ivp(oscillator, (0.0, 3.0), [0.0, 1.0], rtol, atol).t.tolist()
+    ours = solve_ivp(oscillator, (0.0, 3.0), [0.0, 1.0], rtol, atol,
+                     t_eval=nodes)
+    np.testing.assert_array_equal(ours.t, nodes)
+    assert ours.y_eval[:, 0].tolist() == [0.0, 1.0]
+    # Node k on the quartic of the step that ends there, rebuilt from the
+    # step's start: the same attempt gives the same stages, bit for bit.
+    dp5 = ode._dp5(2)
+    for k in range(1, len(nodes)):
+        t_old, y_old = nodes[k - 1], ours.y[:, k - 1].tolist()
+        h = nodes[k] - t_old
+        k1 = oscillator(t_old, y_old)
+        stages, _, _ = dp5.step(oscillator, t_old, h, y_old, k1, atol, rtol)
+        q = dp5.coefficients(stages)
+        assert ours.y_eval[:, k].tolist() == dp5.interpolate(
+            t_old, h, y_old, k1, q, nodes[k])
+    # The later step would start exactly on the node's state: it differs.
+    assert not np.array_equal(ours.y_eval[:, 1:], ours.y[:, 1:])
+
+
+def test_times_past_the_event_are_not_evaluated():
+    def crossing(t, y):
+        return y[0]
+
+    crossing.direction = -1.0
+    read = []
+
+    def times():  # a millisecond apart, so the event step covers many
+        for t in np.linspace(0.5, 10.0, 9501):
+            read.append(t)
+            yield t
+
+    y0 = [math.sin(0.5), math.cos(0.5)]
+    ours = solve_ivp(oscillator, (0.5, 10.0), y0, 1e-10, 1e-12, (crossing,),
+                     t_eval=times())
+    assert ours.event == 0 and abs(ours.t[-1] - math.pi) < 1e-8
+    evaluated = ours.y_eval.shape[1]
+    assert evaluated == 2642 and read[evaluated - 1] <= ours.t[-1] < read[-1]
+    # Only one time past the event is read: the one that showed it past.
+    assert len(read) == evaluated + 1
+    np.testing.assert_allclose(ours.y_eval[0], np.sin(read[:evaluated]),
+                               rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("t_eval, message", [
+    ([0.0, 0.5, 0.4], "not properly sorted"),
+    ([0.0, 0.5, 0.5], "not properly sorted"),
+    ([-0.1, 0.5], "not within `t_span`"),
+    ([0.5, 1.5], "not within `t_span`"),
+])
+def test_a_t_eval_out_of_order_or_outside_t_span_is_refused(t_eval, message):
+    with pytest.raises(ValueError, match=message):
+        scipy_rk45(oscillator, (0.0, 1.0), [0.0, 1.0], 1e-6, 1e-9,
+                   t_eval=t_eval)
+    with pytest.raises(ValueError, match=message):
+        solve_ivp(oscillator, (0.0, 1.0), [0.0, 1.0], t_eval=t_eval)
+
+
+@settings(max_examples=200, deadline=None)
+@given(t0=st.floats(0.0, 1e5), dt=st.floats(1e-5, 1.0),
+       length=st.integers(0, 3000))
+def test_the_lazy_sample_grid_is_np_arange(t0, dt, length):
+    expected = np.arange(t0, t0 + (length + 1) * dt, dt)
+    assert len(expected) >= length
+    grid = simulate._sample_grid(t0, dt, math.inf)
+    assert list(islice(grid, length)) == expected[:length].tolist()
 
 
 @st.composite
@@ -256,7 +330,7 @@ def test_generated_code_equals_the_textbook_loops(n):
         assert [tuple(q[3 * i:3 * i + 3]) for i in range(n)] == expected
         for x in rng.uniform(0.0, 1.0, 5):
             s = t + x * h
-            assert (dp5.interpolate(s, t, h, y, k1, q)
+            assert (dp5.interpolate(t, h, y, k1, q, s)
                     == textbook_interpolate(s, t, h, y, k1, expected))
 
 
