@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GaitAbortError, NoConvergenceError
 from .params import SimConfig, SweepSpec
-from .simulate import GaitSummary, run_gait, start_state, strides
+from .simulate import GaitSummary, run_gait, strides
 
 #: A gait's step times count as converged when the last five span less than
 #: this range (s) — an order of magnitude looser than a settled orbit's
@@ -65,6 +65,7 @@ class PeriodicOrbit:
         rho_hat: empirical contraction ratio of the approach (< 1 = stable).
         iterations: stride-map applications used.
         distances: successive pre-impact distances of the iteration.
+        tol: the distance below which the iteration was accepted.
     """
 
     x_star: np.ndarray
@@ -73,19 +74,21 @@ class PeriodicOrbit:
     rho_hat: float
     iterations: int
     distances: np.ndarray
+    tol: float
 
 
-def find_periodic_orbit(cfg: SimConfig, x_guess=None, tol: float = 1e-6,
+def find_periodic_orbit(cfg: SimConfig, tol: float = 1e-6,
                         max_iters: int = 200) -> PeriodicOrbit:
     """Iterate the stride map to a fixed point and certify contraction.
 
-    The iteration is the gait's own :func:`~triped.simulate.strides`, so
-    ``x_star`` after ``iterations`` strides is the pre-impact state of
-    ``run_gait`` with that many steps.  Success is ``|x_{k+1} - x_k| < tol``.
+    The iteration is the gait's own :func:`~triped.simulate.strides` from
+    ``cfg.initial_state``, so ``x_star`` after ``iterations`` strides is the
+    pre-impact state of ``run_gait`` with that many steps.  Success is
+    ``|x_{k+1} - x_k| < tol``.
 
     Raises:
         ValueError: ``max_iters`` < 1, or ``tol`` not positive and finite.
-        ConfigValidationError: ``cfg`` or ``x_guess`` is invalid.
+        ConfigValidationError: ``cfg`` is invalid, ``initial_state`` included.
         NoConvergenceError: ``max_iters`` applications without convergence.
         GaitAbortError: a step failed during the iteration.
     """
@@ -93,9 +96,10 @@ def find_periodic_orbit(cfg: SimConfig, x_guess=None, tol: float = 1e-6,
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    x = start_state(cfg, x_guess)
+    run = strides(cfg)
+    x = np.array(cfg.initial_state, dtype=float)
     distances: list[float] = []
-    for record, traj in islice(strides(cfg, x), max_iters):
+    for record, traj in islice(run, max_iters):
         if traj is None:
             raise GaitAbortError(
                 f"gait aborted at stride-map iterate {record.step_index}: "
@@ -107,7 +111,8 @@ def find_periodic_orbit(cfg: SimConfig, x_guess=None, tol: float = 1e-6,
                 x_star=x, omega_I_star=traj.omega_I[-1],
                 step_time=float(record.step_time),
                 rho_hat=contraction_ratio(distances),
-                iterations=len(distances), distances=np.array(distances))
+                iterations=len(distances), distances=np.array(distances),
+                tol=tol)
     raise NoConvergenceError(
         f"stride map not converged after {max_iters} iterations; "
         f"last distance {distances[-1]:.3e} (tol {tol:.3e})")

@@ -10,12 +10,39 @@ makes sweep samples independent and runs reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigValidationError
 
 #: Conventional standard gravity (m/s^2); a declared default, not a derived one.
 DEFAULT_GRAVITY = 9.81
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number (numpy's included, bools and
+    strings not) that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _finite_vector(value, n: int) -> bool:
+    """Whether ``value`` is a sequence of ``n`` numbers that :func:`_finite`
+    accepts."""
+    try:
+        return len(value) == n and all(_finite(v) for v in value)
+    except TypeError:  # no length: a scalar, or an array of no dimensions
+        return False
+
+
+def _count(value) -> bool:
+    """Whether ``value`` is an integer >= 1 (numpy's included, not a bool)."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
 
 
 @dataclass(frozen=True)
@@ -40,7 +67,7 @@ class RobotParams:
         """Raise :class:`ConfigValidationError` unless all fields are positive."""
         bad = [name for name in ("leg_mass", "hip_mass", "torso_mass",
                                  "leg_length", "torso_length", "gravity")
-               if not (getattr(self, name) > 0.0 and math.isfinite(getattr(self, name)))]
+               if not (_finite(getattr(self, name)) and getattr(self, name) > 0.0)]
         if bad:
             raise ConfigValidationError(
                 f"robot parameters must be positive and finite: {', '.join(bad)}", keys=bad)
@@ -59,7 +86,7 @@ class RobotParams:
 
 def validate_incline(incline: float, *, key: str = "incline") -> None:
     """Reject slopes at or beyond vertical (|angle| >= 90 deg)."""
-    if not (math.isfinite(incline) and abs(incline) < math.pi / 2):
+    if not (_finite(incline) and abs(incline) < math.pi / 2):
         raise ConfigValidationError(
             f"{key} must satisfy |angle| < 90 deg, got {math.degrees(incline):.3f} deg",
             keys=[key])
@@ -77,7 +104,7 @@ class GaitTargets:
     q3_ref: float = math.radians(105.0)
 
     def validate(self) -> None:
-        bad = [k for k in ("q1_switch", "q3_ref") if not math.isfinite(getattr(self, k))]
+        bad = [k for k in ("q1_switch", "q3_ref") if not _finite(getattr(self, k))]
         if bad:
             raise ConfigValidationError("gait targets must be finite", keys=bad)
 
@@ -92,11 +119,11 @@ class ControllerGains:
 
     def validate(self) -> None:
         bad = []
-        if not (self.kp > 0 and math.isfinite(self.kp)):
+        if not (_finite(self.kp) and self.kp > 0):
             bad.append("kp")
-        if not (self.kd > 0 and math.isfinite(self.kd)):
+        if not (_finite(self.kd) and self.kd > 0):
             bad.append("kd")
-        if not (self.ki >= 0 and math.isfinite(self.ki)):
+        if not (_finite(self.ki) and self.ki >= 0):
             bad.append("ki")
         if bad:
             raise ConfigValidationError(
@@ -142,7 +169,7 @@ class ControllerConfig:
         if self.integrator_reset not in INTEGRATOR_RESETS:
             raise ConfigValidationError(
                 f"integrator_reset must be one of {INTEGRATOR_RESETS}", keys=["integrator_reset"])
-        if not (self.det_floor > 0 and math.isfinite(self.det_floor)):
+        if not (_finite(self.det_floor) and self.det_floor > 0):
             raise ConfigValidationError("det_floor must be positive", keys=["det_floor"])
 
 
@@ -189,20 +216,20 @@ class SimConfig:
         self.plant.validate()
         self.controller.validate()
         validate_incline(self.incline_true, key="incline_true")
-        bad = []
-        if self.n_steps < 1:
-            bad.append("n_steps")
+        bad = [] if _count(self.n_steps) else ["n_steps"]
         for k in ("rel_tol", "abs_tol", "max_step_time", "delta", "scuff_tol", "sample_dt"):
             v = getattr(self, k)
-            if not (v > 0 and math.isfinite(v)):
+            if not (_finite(v) and v > 0):
                 bad.append(k)
-        if len(self.initial_state) != 6 or not all(
-                math.isfinite(v) for v in self.initial_state):
+        if not _finite_vector(self.initial_state, 6):
             bad.append("initial_state")
+        if not isinstance(self.strict_scuff, bool):
+            bad.append("strict_scuff")
         if bad:
             raise ConfigValidationError(
-                "simulation settings must be positive (and n_steps >= 1, "
-                "initial_state six finite numbers)", keys=bad)
+                "simulation settings must be positive and finite (n_steps an "
+                "integer >= 1, initial_state six finite numbers, strict_scuff "
+                "a bool)", keys=bad)
         if not self.max_step_time / self.sample_dt <= MAX_SAMPLES_PER_SWING:
             raise ConfigValidationError(
                 f"max_step_time / sample_dt may be at most {MAX_SAMPLES_PER_SWING}"
@@ -236,13 +263,14 @@ class SweepSpec:
         if self.axis not in SWEEP_AXES:
             raise ConfigValidationError(
                 f"sweep axis must be one of {SWEEP_AXES}", keys=["axis"])
-        if self.n_samples < 1:
-            raise ConfigValidationError("n_samples must be >= 1", keys=["n_samples"])
-        lo, hi = self.rel_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        if not _count(self.n_samples):
+            raise ConfigValidationError("n_samples must be an integer >= 1",
+                                        keys=["n_samples"])
+        if not (_finite_vector(self.rel_range, 2)
+                and self.rel_range[0] <= self.rel_range[1]):
             raise ConfigValidationError("rel_range must be finite with lo <= hi",
                                         keys=["rel_range"])
-        if self.axis != "incline_true" and lo <= -1.0:
+        if self.axis != "incline_true" and self.rel_range[0] <= -1.0:
             raise ConfigValidationError(
                 "relative perturbation at or below -100% makes a physical "
                 "parameter non-positive", keys=["rel_range"])

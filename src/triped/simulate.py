@@ -6,7 +6,8 @@ the closed-loop swing dynamics until the stance leg reaches the switching
 angle moving forward (``q1 = q1_switch`` with ``dq1 > 0``), and sample the
 swing.  The next pre-impact state is the sampled trajectory's last sample,
 so :func:`step` is the stride map on the 8-dim state; :func:`strides`
-iterates it, and a *gait* is its first ``n_steps`` strides.
+iterates it from ``SimConfig.initial_state``, a run's only start, and a
+*gait* is its first ``n_steps`` strides.
 
 The integrated state is 8-dimensional: the six mechanical coordinates plus
 the controller's two-dimensional covariant integrator.  The plant side of
@@ -34,7 +35,7 @@ Nothing is raised out of :func:`run_gait`; callers inspect
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count, islice, takewhile
 from typing import Iterator
 
@@ -338,25 +339,20 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
     return record, traj
 
 
-def start_state(cfg: SimConfig, x0=None) -> np.ndarray:
-    """The 6-value pre-impact start ``x0`` (``cfg.initial_state`` when None),
-    validated together with ``cfg`` by :meth:`SimConfig.validate`."""
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)  # a non-vector is not six values
-        cfg = replace(cfg, initial_state=tuple(x0.tolist()) if x0.ndim == 1 else ())
-    cfg.validate()
-    return np.array(cfg.initial_state, dtype=float)
-
-
-def strides(cfg: SimConfig, x: np.ndarray,
-            ) -> Iterator[tuple[StepRecord, Trajectory | None]]:
-    """Iterate :func:`step` from the validated pre-impact state ``x`` at
-    gait time 0 with a zero integrator, each stride starting from the last
-    one's ``(record.x_pre_impact, trajectory.omega_I[-1], record.t_end)``.
+def strides(cfg: SimConfig) -> Iterator[tuple[StepRecord, Trajectory | None]]:
+    """Iterate :func:`step` from ``cfg.initial_state`` at gait time 0 with a
+    zero integrator, each stride starting from the last one's
+    ``(record.x_pre_impact, trajectory.omega_I[-1], record.t_end)``.
 
     Yields ``(record, trajectory)``; a failed stride is yielded as its
-    aborted record with trajectory None and ends the iteration.
+    aborted record with trajectory None and ends the iteration.  The call
+    itself validates ``cfg``, before any stride is taken.
     """
+    cfg.validate()
+    return _strides(cfg, np.array(cfg.initial_state, dtype=float))
+
+
+def _strides(cfg: SimConfig, x: np.ndarray):
     omega_i, t = np.zeros(2), 0.0
     for k in count():
         try:
@@ -369,15 +365,10 @@ def strides(cfg: SimConfig, x: np.ndarray,
         x, omega_i, t = record.x_pre_impact, traj.omega_I[-1], record.t_end
 
 
-def run_gait(cfg: SimConfig, x0=None) -> GaitSummary:
-    """Run the first ``cfg.n_steps`` strides; aborts are records, not raised.
-
-    Args:
-        cfg: complete simulation setup (validated here).
-        x0: optional 6-value pre-impact start; defaults to
-            ``cfg.initial_state`` and is validated like it.
-    """
-    run = list(islice(strides(cfg, start_state(cfg, x0)), cfg.n_steps))
+def run_gait(cfg: SimConfig) -> GaitSummary:
+    """Run the first ``cfg.n_steps`` strides from ``cfg.initial_state``;
+    aborts are records, not raised.  The summary's ``config`` is ``cfg``."""
+    run = list(islice(strides(cfg), cfg.n_steps))
     return GaitSummary(
         config=cfg, records=[record for record, _ in run],
         trajectories=[traj for _, traj in run if traj is not None])

@@ -57,14 +57,15 @@ def test_orbit_search_needs_a_positive_finite_tolerance(tol, monkeypatch):
 ], ids=["five-values", "seven-values", "nan"])
 def test_orbit_search_rejects_an_invalid_start(x_guess):
     with pytest.raises(T.ConfigValidationError) as err:
-        find_periodic_orbit(T.SimConfig(), x_guess=np.array(x_guess))
+        find_periodic_orbit(replace(T.SimConfig(), initial_state=x_guess))
     assert err.value.keys == ["initial_state"]
 
 
 def test_orbit_search_recovers_from_a_perturbed_start():
     x_guess = np.array(T.nominal_initial_state()) + np.array(
         [0.03, -0.02, 0.04, 0.10, -0.10, 0.05])
-    orbit = find_periodic_orbit(T.SimConfig(), x_guess=x_guess, tol=1e-3)
+    cfg = replace(T.SimConfig(), initial_state=tuple(map(float, x_guess)))
+    orbit = find_periodic_orbit(cfg, tol=1e-3)
     assert orbit.rho_hat < 1.0
     assert orbit.iterations >= 5
     assert orbit.distances[-1] < orbit.distances[0] / 10.0

@@ -104,6 +104,14 @@ def test_orbit_verb(tmp_path, capsys):
     assert "periodic gait" in capsys.readouterr().out
 
 
+def test_orbit_json_names_its_tolerance(tmp_path):
+    # The tolerance is a flag, not a config field: the run id cannot tell
+    # two searches apart, so orbit.json states it.
+    out = tmp_path / "orbit"
+    assert main(["orbit", "--tol", "0.02", "--out", str(out)]) == 0
+    assert json.loads((out / "orbit.json").read_text())["tol"] == 0.02
+
+
 def test_sweep_verb(tmp_path, capsys):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import fields, replace
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import triped as T
 from triped.analysis import summarize_gait
@@ -158,6 +160,60 @@ def test_invalid_values_are_rejected_with_keys():
         T.parse_config_text("[sweep]\naxis = warp_factor\n")
 
 
+@pytest.mark.parametrize("config, key", [
+    (replace(T.SimConfig(), initial_state=np.zeros((6, 2))), "initial_state"),
+    (replace(T.SimConfig(), initial_state=("0.26",) + T.nominal_initial_state()[1:]),
+     "initial_state"),
+    (replace(T.SimConfig(), initial_state=0.26), "initial_state"),
+    (replace(T.SimConfig(), n_steps=2.5), "n_steps"),
+    (replace(T.SimConfig(), n_steps=True), "n_steps"),
+    (replace(T.SimConfig(), strict_scuff="no"), "strict_scuff"),
+    (replace(T.SimConfig(), rel_tol="1e-9"), "rel_tol"),
+    (replace(T.SimConfig(), plant=T.RobotParams(leg_mass="1")), "leg_mass"),
+    (T.SweepSpec(n_samples=2.5), "n_samples"),
+    (T.SweepSpec(rel_range=(-0.1,)), "rel_range"),
+], ids=["array-rows", "string-entry", "scalar-start", "fractional-steps",
+        "bool-steps", "string-flag", "string-tolerance", "string-mass",
+        "fractional-samples", "one-bound"])
+def test_validate_refuses_wrongly_typed_values_by_key(config, key):
+    # Python callers can put any object in a field; the config file's
+    # parser types every value, so only this gate stands in their way.
+    with pytest.raises(T.ConfigValidationError) as err:
+        config.validate()
+    assert err.value.keys == [key]
+
+
+def test_numpy_integers_count_steps_and_samples():
+    replace(T.SimConfig(), n_steps=np.int64(3)).validate()
+    T.SweepSpec(n_samples=np.int64(2)).validate()
+
+
+_ANY_NUMBER = st.floats() | st.integers()
+_ODD_STARTS = st.one_of(
+    _ANY_NUMBER, st.text(),
+    st.lists(_ANY_NUMBER | st.text(max_size=2)
+             | st.lists(_ANY_NUMBER, max_size=3), max_size=8),
+    st.tuples(*[st.floats()] * 6),
+    arrays(np.float64, st.tuples(st.just(6), st.integers(0, 3))),
+    arrays(np.float64, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=_ODD_STARTS, n_steps=_ANY_NUMBER)
+def test_validate_passes_or_refuses_by_key(start, n_steps):
+    """Whatever a caller puts in the start and the step count, validation
+    either refuses it by key or leaves what the simulator can run."""
+    cfg = replace(T.SimConfig(), initial_state=start, n_steps=n_steps)
+    try:
+        cfg.validate()
+    except T.ConfigValidationError as err:
+        assert err.keys and set(err.keys) <= {"initial_state", "n_steps"}
+        return
+    x0 = np.array(cfg.initial_state, dtype=float)
+    assert x0.shape == (6,) and np.all(np.isfinite(x0))
+    assert operator.index(cfg.n_steps) >= 1
+
+
 def test_a_sample_grid_past_its_bound_is_refused():
     # 100,000 * 2**-16 s is exact, so the ratio sits on the bound.
     dt = 2.0 ** -16
@@ -302,11 +358,13 @@ def test_sweep_outputs(tmp_path):
 def test_orbit_outputs(tmp_path):
     orbit = T.PeriodicOrbit(
         x_star=np.arange(6.0), omega_I_star=np.zeros(2), step_time=0.5,
-        rho_hat=0.8, iterations=3, distances=np.array([1.0, 0.1, 0.01]))
+        rho_hat=0.8, iterations=3, distances=np.array([1.0, 0.1, 0.01]),
+        tol=0.05)
     files = T.emit_orbit_outputs(orbit, T.make_manifest(T.SimConfig()),
                                  tmp_path)
     data = json.loads(files["orbit.json"].read_text())
     assert data["x_star"] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     assert data["iterations"] == 3
+    assert data["tol"] == 0.05
     manifest = json.loads(files["manifest.json"].read_text())
     assert manifest["outputs"].keys() == {"orbit.json"}

@@ -230,8 +230,28 @@ def test_integrator_reset_policies_differ():
 def test_run_gait_accepts_explicit_initial_state():
     cfg = replace(T.SimConfig(), n_steps=1)
     default = T.run_gait(cfg)
-    explicit = T.run_gait(cfg, x0=np.array(T.nominal_initial_state()))
+    x0 = np.array(T.nominal_initial_state())
+    explicit = T.run_gait(replace(cfg, initial_state=tuple(map(float, x0))))
     assert default.records[0].t_end == explicit.records[0].t_end
+
+
+def test_a_perturbed_start_reruns_from_its_own_config():
+    # The config is the run's only start: re-running the summary's config
+    # reproduces the gait bit for bit, and the manifest names the start.
+    cfg = replace(T.SimConfig(), n_steps=2)
+    x0 = np.array(T.nominal_initial_state()) + np.array(
+        [0.02, -0.02, 0.03, 0.1, -0.1, 0.0])
+    summary = T.run_gait(replace(cfg, initial_state=tuple(map(float, x0))))
+    again = T.run_gait(summary.config)
+    assert summary.completed_steps == again.completed_steps == 2
+    for a, b in zip(summary.records, again.records):
+        assert a.t_end == b.t_end
+        assert np.array_equal(a.x_pre_impact, b.x_pre_impact)
+    for a, b in zip(summary.trajectories, again.trajectories):
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.u, b.u)
+    assert summary.records[-1].t_end != T.run_gait(cfg).records[-1].t_end
+    assert (T.make_manifest(summary.config).run_id
+            != T.make_manifest(cfg).run_id)
 
 
 def test_invalid_config_is_rejected_before_any_integration():
@@ -253,7 +273,7 @@ def test_invalid_start_state_is_rejected_before_any_integration(
 
     monkeypatch.setattr(T.simulate, "step", no_step)
     with pytest.raises(T.ConfigValidationError) as err:
-        T.run_gait(replace(T.SimConfig(), n_steps=1), x0=x0)
+        T.run_gait(replace(T.SimConfig(), n_steps=1, initial_state=x0))
     assert err.value.keys == ["initial_state"]
 
 
