@@ -10,9 +10,8 @@ plain-float function body with every parameter-only constant precomputed:
   plant's :func:`triped.dynamics.swing_accel`;
 * ``rhs(t, y, outputs=True)`` returns after the control law with its
   outputs, including the error-metric gradient of
-  :func:`triped.control.zeta_distance`;
-  ``control(q1, q2, q3, dq1, dq2, dq3, wI1, wI2)`` is that call, so the
-  outputs a swing samples are the ones it integrated.
+  :func:`triped.control.zeta_distance`, so the outputs a swing samples are
+  the ones it integrated.
 
 Nothing here is a new law.  The composition is rewritten over scalars:
 
@@ -38,7 +37,7 @@ holds the kernel to the composed path within 1e-10.
 from __future__ import annotations
 
 from math import cos, isfinite, sin
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import ActuationSingularityError, NonFiniteStateError
 from .params import RobotParams, SimConfig
@@ -48,26 +47,17 @@ from .params import RobotParams, SimConfig
 _NON_FINITE = "non-finite state or torque in swing_accel"
 
 
-class ClosedLoop(NamedTuple):
-    """The fused kernel of one configuration (see the module docstring).
+def closed_loop(cfg: SimConfig) -> Callable[..., tuple]:
+    """Build the fused closed-loop kernel of ``cfg``: the one function
+    ``rhs(t, y, outputs=False)`` (see the module docstring).
 
     ``rhs(t, y)`` takes the state as a sequence of eight floats (the
     integrator passes a list) and returns the derivative as an 8-tuple of
     floats.  ``rhs(t, y, outputs=True)`` stops after the control law and
-    returns its outputs instead; ``control(q1, q2, q3, dq1, dq2, dq3, wI1,
-    wI2)`` is that call, so the sampled outputs are the ones the integrator
-    ran.
-    They are ``(u1, u2, rate1, rate2, eta1, eta2, det, grad1, grad2)``:
-    hip torques, integrator rates, the PID error vector, ``det B_e`` and
-    the error-metric gradient ``I_e^-1 sin(q_e)``.
+    returns its outputs instead, ``(u1, u2, rate1, rate2, eta1, eta2, det,
+    grad1, grad2)``: hip torques, integrator rates, the PID error vector,
+    ``det B_e`` and the error-metric gradient ``I_e^-1 sin(q_e)``.
     """
-
-    control: Callable[..., tuple]
-    rhs: Callable[..., tuple]
-
-
-def closed_loop(cfg: SimConfig) -> ClosedLoop:
-    """Build the fused closed-loop kernel of ``cfg``."""
     # Controller constants, from cfg.controller only.
     ctrl = cfg.controller
     model = ctrl.model
@@ -168,10 +158,7 @@ def closed_loop(cfg: SimConfig) -> ClosedLoop:
         return (d1, d2, d3, a1, (f2 - mb * a1) / p_d, (f3 - mc * a1) / p_e,
                 rate1, rate2)
 
-    def control(q1, q2, q3, d1, d2, d3, w1, w2):
-        return rhs(0.0, (q1, q2, q3, d1, d2, d3, w1, w2), outputs=True)
-
-    return ClosedLoop(control=control, rhs=rhs)
+    return rhs
 
 
 def _arrow_constants(p: RobotParams) -> tuple[float, float, float, float, float]:

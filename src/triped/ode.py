@@ -13,6 +13,8 @@ so that it takes the same steps:
 * the same quartic interpolant (Shampine's optimum ``c6``), evaluated at
   the ``t_eval`` times each accepted step covers, cut at the event if one
   fired, as soon as the step is taken: no step is kept;
+* the same refusal of a ``t_eval`` outside ``t_span`` or not rising, with
+  scipy's messages, before the first step;
 * the same event semantics for direction-filtered events, except that every
   event is terminal and is localised by bisection on the step's interpolant
   to ``4 eps (1 + |t|)``.
@@ -49,7 +51,7 @@ import linecache
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -217,20 +219,6 @@ def _dp5(n: int) -> _Dp5:
     return _Dp5(namespace["step"], namespace["coefficients"], namespace["interpolate"])
 
 
-def _read(t_eval: Iterable[float], t0: float, t_bound: float) -> Iterator[float]:
-    """The floats of ``t_eval``, each refused as it is read, with scipy's
-    message, if it leaves ``[t0, t_bound]`` or does not rise."""
-    previous = -math.inf
-    for t in t_eval:
-        t = float(t)
-        if not t0 <= t <= t_bound:
-            raise ValueError("Values in `t_eval` are not within `t_span`.")
-        if not t > previous:
-            raise ValueError("Values in `t_eval` are not properly sorted.")
-        previous = t
-        yield t
-
-
 @dataclass(frozen=True)
 class OdeResult:
     """What :func:`solve_ivp` returns.
@@ -312,7 +300,7 @@ def _root(event, dense: Callable[[float], list[float]], t_old: float,
 def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3,
               atol: float = 1e-6, events: Sequence[Callable] = (),
               max_nfev: int | None = None,
-              t_eval: Iterable[float] | None = None) -> OdeResult:
+              t_eval: Sequence[float] | np.ndarray | None = None) -> OdeResult:
     """Integrate ``y' = fun(t, y)`` from ``t_span[0]`` towards ``t_span[1]``.
 
     Each event ``g(t, y)`` may carry a ``direction`` attribute (scipy's
@@ -325,10 +313,10 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     made; the result then has status -1 and the message
     :data:`NFEV_BUDGET_SPENT`.  None sets no bound.
 
-    ``t_eval`` gives times, rising strictly inside ``t_span`` (a
-    ``ValueError`` otherwise), at which ``y_eval`` reports the solution: as
-    in scipy, on the step that contains each, the earlier one on a node.  It
-    is read lazily, at most one time past the last one reached.
+    ``t_eval`` is an array-like of times, rising strictly inside ``t_span``
+    (scipy's ``ValueError`` otherwise, before the first step), at which
+    ``y_eval`` reports the solution: as in scipy, on the step that contains
+    each, the earlier one on a node.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -339,6 +327,15 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     if max_nfev is not None and not max_nfev >= 2:
         raise ValueError("max_nfev must be at least 2: the start takes two evaluations")
     budget = math.inf if max_nfev is None else max_nfev
+    t_eval = np.asarray(() if t_eval is None else t_eval, dtype=float)
+    if t_eval.ndim != 1:
+        raise ValueError("`t_eval` must be 1-dimensional.")
+    if not np.all((t <= t_eval) & (t_eval <= t_bound)):
+        raise ValueError("Values in `t_eval` are not within `t_span`.")
+    if np.any(np.diff(t_eval) <= 0):
+        raise ValueError("Values in `t_eval` are not properly sorted.")
+    # math.inf ends the walk: no step reaches it.
+    times = [*t_eval.tolist(), math.inf]
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
     if n == 0:
@@ -356,8 +353,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev, n_rejected = 2, 0
     ts, ys, y_eval = [t], [y], []
-    times = _read(() if t_eval is None else t_eval, t, t_bound)
-    t_next = next(times, math.inf)
+    t_next = times[0]
     status, message = None, None
     while status is None:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -404,7 +400,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
             event, status = active[first], 1
         while t_next <= t:
             y_eval.append(dense(t_next))
-            t_next = next(times, math.inf)
+            t_next = times[len(y_eval)]
         ts.append(t)
         ys.append(y)
 

@@ -30,13 +30,23 @@ def _finite(value) -> bool:
         return False
 
 
-def _finite_vector(value, n: int) -> bool:
-    """Whether ``value`` is a sequence of ``n`` numbers that :func:`_finite`
-    accepts."""
-    try:
-        return len(value) == n and all(_finite(v) for v in value)
-    except TypeError:  # no length: a scalar, or an array of no dimensions
-        return False
+def _finite_tuple(value, n: int) -> bool:
+    """Whether ``value`` is a tuple of ``n`` numbers that :func:`_finite`
+    accepts.  A list or an array would leave its frozen config unhashable,
+    and its ``==`` ambiguous."""
+    return (isinstance(value, tuple) and len(value) == n
+            and all(_finite(v) for v in value))
+
+
+def _check_nested(owner, **types: type) -> None:
+    """Refuse by key each nested config of ``owner`` that is not of its
+    type, before its own ``validate`` is looked up."""
+    bad = [name for name, cls in types.items()
+           if not isinstance(getattr(owner, name), cls)]
+    if bad:
+        raise ConfigValidationError(
+            "nested settings must be " + ", ".join(
+                f"{name} a {types[name].__name__}" for name in bad), keys=bad)
 
 
 def _count(value) -> bool:
@@ -159,6 +169,8 @@ class ControllerConfig:
     det_floor: float = 1e-6
 
     def validate(self) -> None:
+        _check_nested(self, gains=ControllerGains, model=RobotParams,
+                      targets=GaitTargets)
         self.gains.validate()
         self.model.validate()
         self.targets.validate()
@@ -177,8 +189,8 @@ def nominal_initial_state() -> tuple[float, ...]:
     """Pre-impact state of the reference gait: on the switching surface, on
     the zero-dynamics manifold, with stance-leg rate 1.168 rad/s.
 
-    Returns a plain 6-tuple ``(q1, q2, q3, dq1, dq2, dq3)``; the simulator
-    accepts any sequence of six floats.
+    Returns a plain 6-tuple ``(q1, q2, q3, dq1, dq2, dq3)``, the form
+    :attr:`SimConfig.initial_state` takes.
     """
     q1 = math.radians(15.0)
     return (q1, -q1, math.radians(105.0), 1.168, -1.168, 0.0)
@@ -213,6 +225,7 @@ class SimConfig:
     strict_scuff: bool = False
 
     def validate(self) -> None:
+        _check_nested(self, plant=RobotParams, controller=ControllerConfig)
         self.plant.validate()
         self.controller.validate()
         validate_incline(self.incline_true, key="incline_true")
@@ -221,15 +234,15 @@ class SimConfig:
             v = getattr(self, k)
             if not (_finite(v) and v > 0):
                 bad.append(k)
-        if not _finite_vector(self.initial_state, 6):
+        if not _finite_tuple(self.initial_state, 6):
             bad.append("initial_state")
         if not isinstance(self.strict_scuff, bool):
             bad.append("strict_scuff")
         if bad:
             raise ConfigValidationError(
                 "simulation settings must be positive and finite (n_steps an "
-                "integer >= 1, initial_state six finite numbers, strict_scuff "
-                "a bool)", keys=bad)
+                "integer >= 1, initial_state a tuple of six finite numbers, "
+                "strict_scuff a bool)", keys=bad)
         if not self.max_step_time / self.sample_dt <= MAX_SAMPLES_PER_SWING:
             raise ConfigValidationError(
                 f"max_step_time / sample_dt may be at most {MAX_SAMPLES_PER_SWING}"
@@ -259,6 +272,7 @@ class SweepSpec:
     base: SimConfig = field(default_factory=SimConfig)
 
     def validate(self) -> None:
+        _check_nested(self, base=SimConfig)
         self.base.validate()
         if self.axis not in SWEEP_AXES:
             raise ConfigValidationError(
@@ -266,10 +280,11 @@ class SweepSpec:
         if not _count(self.n_samples):
             raise ConfigValidationError("n_samples must be an integer >= 1",
                                         keys=["n_samples"])
-        if not (_finite_vector(self.rel_range, 2)
+        if not (_finite_tuple(self.rel_range, 2)
                 and self.rel_range[0] <= self.rel_range[1]):
-            raise ConfigValidationError("rel_range must be finite with lo <= hi",
-                                        keys=["rel_range"])
+            raise ConfigValidationError(
+                "rel_range must be a tuple of two finite numbers with lo <= hi",
+                keys=["rel_range"])
         if self.axis != "incline_true" and self.rel_range[0] <= -1.0:
             raise ConfigValidationError(
                 "relative perturbation at or below -100% makes a physical "

@@ -17,9 +17,10 @@ studies rely on.
 
 Each swing is integrated by :func:`triped.ode.solve_ivp`, the package's
 Dormand–Prince 5(4) integrator over plain floats (the steps of scipy's
-RK45), on the fused scalar kernel of :mod:`triped.kernel`, built once per
-swing; it evaluates the trajectory's samples (``t_eval``) on each step as
-it is taken, and their controller outputs come from the same kernel.
+RK45), on the fused scalar kernel of :mod:`triped.kernel`, one function
+built once per swing.  A swing's sample times are one array, built once:
+the integrator evaluates the states at them (``t_eval``) on each step as it
+is taken, and their controller outputs come from the same kernel function.
 :func:`~triped.control.control_action` followed by
 :func:`~triped.dynamics.swing_accel` is the same right-hand side composed
 from the readable reference functions; the kernel is tested against that
@@ -36,7 +37,7 @@ Nothing is raised out of :func:`run_gait`; callers inspect
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice, takewhile
+from itertools import count, islice
 from typing import Iterator
 
 import numpy as np
@@ -175,30 +176,22 @@ class GaitSummary:
         return np.linalg.norm(np.diff(states, axis=0), axis=1)
 
 
-def _sample_grid(t0: float, dt: float, t_stop: float) -> Iterator[float]:
-    """``np.arange(t0, ..., dt)`` up to ``t_stop``, one time at a time, by
-    numpy's own fill rule ``t0 + k * ((t0 + dt) - t0)``."""
-    delta = (t0 + dt) - t0
-    return takewhile(t_stop.__ge__, (t0 + k * delta for k in count()))
+def _sample_swing(grid: np.ndarray, y_eval: np.ndarray, step_index: int,
+                  t_end: float, y_end: np.ndarray, rhs) -> Trajectory:
+    """The swing's uniform samples: the states ``y_eval`` at the first times
+    of ``grid``, those short of ``t_end``, then the exact event state.
 
-
-def _sample_swing(y_eval: np.ndarray, step_index: int, t0: float,
-                  t_end: float, y_end: np.ndarray, cfg: SimConfig,
-                  control) -> Trajectory:
-    """The states ``y_eval`` on :func:`_sample_grid` up to ``t_end`` as the
-    swing's uniform samples, ending with the exact event state.
-
-    The controller outputs at each sample come from ``control``, which
-    enters the closed-loop body the integrator ran and returns after its
+    The controller outputs at each sample come from ``rhs(0.0, state,
+    True)``, the closed-loop body the integrator ran returning after its
     control law (:func:`triped.kernel.closed_loop`), so a sample's torques
     and integrator rates are the ones that were integrated.
     """
-    ts = np.arange(t0, t_end, cfg.sample_dt)
+    ts = grid[:y_eval.shape[1]]
     ts = ts[ts < t_end - 1e-12]
     rows = y_eval[:, :len(ts)].T.tolist()
     rows.append(y_end.tolist())
     ts = np.append(ts, t_end)
-    out = np.array([control(*state) for state in rows])
+    out = np.array([rhs(0.0, state, True) for state in rows])
     ys = np.array(rows).T
     # Distance to the zero-dynamics manifold, as zeta_distance measures it.
     zd = np.hypot(np.hypot(out[:, 7], out[:, 8]), np.hypot(ys[5], ys[3] + ys[4]))
@@ -227,12 +220,17 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     if not np.all(np.isfinite(x0)):
         raise NonFiniteStateError("non-finite state at swing start")
     q1_switch = cfg.controller.targets.q1_switch
-    kernel = closed_loop(cfg)
+    rhs = closed_loop(cfg)
+    t_bound = t0 + cfg.max_step_time
+    # numpy sizes arange by sample_dt but fills it with t0 + k ((t0 + dt) -
+    # t0), so its last time can pass t_bound: keep it inside t_span.
+    grid = np.arange(t0, t_bound, cfg.sample_dt)
+    grid = grid[grid <= t_bound]
 
     # Already past the surface and moving forward: the crossing is immediate.
     if x0[0] >= q1_switch and x0[3] > 0.0:
-        return (_sample_swing(np.empty((len(x0), 0)), step_index, t0, t0, x0,
-                              cfg, kernel.control), (0, 0, 0))
+        return (_sample_swing(grid, np.empty((len(x0), 0)), step_index, t0,
+                              x0, rhs), (0, 0, 0))
 
     def switch(t, y):
         return y[0] - q1_switch
@@ -241,11 +239,9 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
         return FALL_GUARD - max(abs(y[0]), abs(y[1]))
 
     switch.direction, fall.direction = 1.0, -1.0
-    t_bound = t0 + cfg.max_step_time
-    sol = solve_ivp(kernel.rhs, (t0, t_bound), x0, rtol=cfg.rel_tol,
+    sol = solve_ivp(rhs, (t0, t_bound), x0, rtol=cfg.rel_tol,
                     atol=cfg.abs_tol, events=(switch, fall),
-                    max_nfev=MAX_NFEV_PER_SWING,
-                    t_eval=_sample_grid(t0, cfg.sample_dt, t_bound))
+                    max_nfev=MAX_NFEV_PER_SWING, t_eval=grid)
     if sol.message == NFEV_BUDGET_SPENT:
         raise SolverBudgetError(
             f"swing integration spent its {MAX_NFEV_PER_SWING} right-hand side "
@@ -263,8 +259,7 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
         raise WalkerError(
             "event localization failed: surface residual "
             f"{abs(y_end[0] - q1_switch):.3e} rad")
-    return (_sample_swing(sol.y_eval, step_index, t0, t_end, y_end, cfg,
-                          kernel.control),
+    return (_sample_swing(grid, sol.y_eval, step_index, t_end, y_end, rhs),
             (sol.nfev, sol.n_accepted, sol.n_rejected))
 
 

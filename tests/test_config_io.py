@@ -172,9 +172,26 @@ def test_invalid_values_are_rejected_with_keys():
     (replace(T.SimConfig(), plant=T.RobotParams(leg_mass="1")), "leg_mass"),
     (T.SweepSpec(n_samples=2.5), "n_samples"),
     (T.SweepSpec(rel_range=(-0.1,)), "rel_range"),
+    (replace(T.SimConfig(), initial_state=np.array(T.nominal_initial_state())),
+     "initial_state"),
+    (replace(T.SimConfig(), initial_state=list(T.nominal_initial_state())),
+     "initial_state"),
+    (T.SweepSpec(rel_range=[-0.1, 0.1]), "rel_range"),
+    (T.SweepSpec(rel_range=np.array([-0.1, 0.1])), "rel_range"),
+    (replace(T.SimConfig(), plant=None), "plant"),
+    (replace(T.SimConfig(), controller=None), "controller"),
+    (replace(T.SimConfig(), controller=replace(T.ControllerConfig(), gains=None)),
+     "gains"),
+    (replace(T.SimConfig(), controller=replace(T.ControllerConfig(),
+                                               model=T.GaitTargets())), "model"),
+    (replace(T.SimConfig(), controller=replace(T.ControllerConfig(),
+                                               targets=None)), "targets"),
+    (T.SweepSpec(base=T.ControllerConfig()), "base"),
 ], ids=["array-rows", "string-entry", "scalar-start", "fractional-steps",
         "bool-steps", "string-flag", "string-tolerance", "string-mass",
-        "fractional-samples", "one-bound"])
+        "fractional-samples", "one-bound", "array-start", "list-start",
+        "list-range", "array-range", "no-plant", "no-controller", "no-gains",
+        "targets-as-model", "no-targets", "controller-as-base"])
 def test_validate_refuses_wrongly_typed_values_by_key(config, key):
     # Python callers can put any object in a field; the config file's
     # parser types every value, so only this gate stands in their way.
@@ -189,29 +206,76 @@ def test_numpy_integers_count_steps_and_samples():
 
 
 _ANY_NUMBER = st.floats() | st.integers()
-_ODD_STARTS = st.one_of(
-    _ANY_NUMBER, st.text(),
-    st.lists(_ANY_NUMBER | st.text(max_size=2)
-             | st.lists(_ANY_NUMBER, max_size=3), max_size=8),
-    st.tuples(*[st.floats()] * 6),
-    arrays(np.float64, st.tuples(st.just(6), st.integers(0, 3))),
-    arrays(np.float64, 6))
+
+
+def _odd_vectors(n):
+    """Numbers, strings, ``None``, lists, arrays and tuples of floats, ``n``
+    long among others, where a tuple of ``n`` finite numbers goes."""
+    return st.one_of(
+        st.none(), _ANY_NUMBER, st.text(),
+        st.lists(_ANY_NUMBER | st.text(max_size=2)
+                 | st.lists(_ANY_NUMBER, max_size=3), max_size=8),
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        st.tuples(*[st.floats()] * n),
+        arrays(np.float64, st.tuples(st.just(n), st.integers(0, 3))),
+        arrays(np.float64, n))
+
+
+def _or_odd(valid):
+    """``valid``, or another object in its place: ``None``, a list, an array
+    or a config object of another type."""
+    return st.one_of(
+        st.just(valid), st.none(), st.lists(st.floats(), max_size=6),
+        arrays(np.float64, st.integers(0, 6)),
+        st.sampled_from([T.RobotParams(), T.ControllerGains(), T.GaitTargets(),
+                         T.ControllerConfig(), T.SimConfig()]))
+
+
+_NESTED_KEYS = {"plant", "controller", "gains", "model", "targets"}
+_CONTROLLERS = _or_odd(T.ControllerConfig()) | st.builds(
+    T.ControllerConfig, gains=_or_odd(T.ControllerGains()),
+    model=_or_odd(T.RobotParams()), targets=_or_odd(T.GaitTargets()))
+
+
+def assert_usable(config):
+    """A config that passed ``validate()`` compares and hashes."""
+    assert hash(config) == hash(replace(config))
+    assert (config == type(config)()) in (True, False)
 
 
 @settings(max_examples=300, deadline=None)
-@given(start=_ODD_STARTS, n_steps=_ANY_NUMBER)
-def test_validate_passes_or_refuses_by_key(start, n_steps):
-    """Whatever a caller puts in the start and the step count, validation
-    either refuses it by key or leaves what the simulator can run."""
-    cfg = replace(T.SimConfig(), initial_state=start, n_steps=n_steps)
+@given(start=_odd_vectors(6), n_steps=_ANY_NUMBER,
+       plant=_or_odd(T.RobotParams()), controller=_CONTROLLERS)
+def test_validate_passes_or_refuses_by_key(start, n_steps, plant, controller):
+    """Whatever a caller puts in the start, the step count and the nested
+    configs, validation either refuses it by key or leaves what the
+    simulator can run."""
+    cfg = replace(T.SimConfig(), initial_state=start, n_steps=n_steps,
+                  plant=plant, controller=controller)
     try:
         cfg.validate()
     except T.ConfigValidationError as err:
-        assert err.keys and set(err.keys) <= {"initial_state", "n_steps"}
+        assert err.keys and set(err.keys) <= {"initial_state", "n_steps",
+                                              *_NESTED_KEYS}
         return
     x0 = np.array(cfg.initial_state, dtype=float)
     assert x0.shape == (6,) and np.all(np.isfinite(x0))
     assert operator.index(cfg.n_steps) >= 1
+    assert_usable(cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rel_range=_odd_vectors(2), base=_or_odd(T.SimConfig()))
+def test_sweep_validate_passes_or_refuses_by_key(rel_range, base):
+    spec = T.SweepSpec(rel_range=rel_range, base=base)
+    try:
+        spec.validate()
+    except T.ConfigValidationError as err:
+        assert err.keys and set(err.keys) <= {"rel_range", "base"}
+        return
+    lo, hi = spec.rel_range
+    assert -1.0 < lo <= hi < math.inf
+    assert_usable(spec)
 
 
 def test_a_sample_grid_past_its_bound_is_refused():

@@ -69,7 +69,7 @@ def assert_close(got, ref):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_kernel_rhs_matches_the_composed_path(name):
     cfg = CONFIGS[name]
-    rhs = closed_loop(cfg).rhs
+    rhs = closed_loop(cfg)
     for y in random_states(500, seed=11):
         assert_close(rhs(0.0, y.tolist()), composed_rhs(0.0, y, cfg))
 
@@ -78,9 +78,10 @@ def test_kernel_rhs_matches_the_composed_path(name):
 def test_kernel_control_outputs_match_the_reference(name):
     cfg = CONFIGS[name]
     ctrl = cfg.controller
-    control = closed_loop(cfg).control
+    rhs = closed_loop(cfg)
     for y in random_states(200, seed=12):
-        u1, u2, rate1, rate2, eta1, eta2, det, grad1, grad2 = control(*y.tolist())
+        u1, u2, rate1, rate2, eta1, eta2, det, grad1, grad2 = rhs(
+            0.0, y.tolist(), outputs=True)
         act = control_action(y[:3], y[3:6], y[6:8], ctrl)
         assert_close([u1, u2, rate1, rate2, eta1, eta2, det],
                      [*act.u, *act.omega_I_rate, *act.eta, act.det_input])
@@ -91,11 +92,11 @@ def test_kernel_control_outputs_match_the_reference(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_sampled_outputs_are_the_integrated_ones(name):
-    """``control`` enters the body ``rhs`` runs: the integrator rates it
-    reports are the derivative's, bit for bit."""
-    kernel = closed_loop(CONFIGS[name])
+    """``outputs=True`` returns from the body the integrator runs: the
+    integrator rates it reports are the derivative's, bit for bit."""
+    rhs = closed_loop(CONFIGS[name])
     for y in random_states(200, seed=15).tolist():
-        assert kernel.rhs(0.0, y)[6:8] == kernel.control(*y)[2:4]
+        assert rhs(0.0, y)[6:8] == rhs(0.0, y, outputs=True)[2:4]
 
 
 angles = st.floats(-1.2, 1.2)
@@ -110,7 +111,7 @@ integrals = st.floats(-1.0, 1.0)
 def test_kernel_rhs_matches_the_composed_path_everywhere(q, dq, omega_i, name):
     cfg = CONFIGS[name]
     y = np.array([*q, *dq, *omega_i])
-    assert_close(closed_loop(cfg).rhs(0.0, y.tolist()), composed_rhs(0.0, y, cfg))
+    assert_close(closed_loop(cfg)(0.0, y.tolist()), composed_rhs(0.0, y, cfg))
 
 
 def raised(fn, *args):
@@ -129,7 +130,7 @@ def test_non_finite_state_raises_as_the_composed_path(index, value):
     with np.errstate(invalid="ignore"):
         expected = raised(composed_rhs, 0.0, y, NOMINAL)
     assert expected[0] is T.NonFiniteStateError
-    assert raised(closed_loop(NOMINAL).rhs, 0.0, y.tolist()) == expected
+    assert raised(closed_loop(NOMINAL), 0.0, y.tolist()) == expected
 
 
 def test_singular_allocation_raises_as_the_composed_path():
@@ -142,8 +143,8 @@ def test_singular_allocation_raises_as_the_composed_path():
                                               det_floor=floor))
     expected = raised(composed_rhs, 0.0, y, cfg)
     assert expected[0] is T.ActuationSingularityError
-    assert raised(closed_loop(cfg).rhs, 0.0, y.tolist()) == expected
-    assert raised(closed_loop(cfg).control, *y.tolist()) == expected
+    assert raised(closed_loop(cfg), 0.0, y.tolist()) == expected
+    assert raised(closed_loop(cfg), 0.0, y.tolist(), True) == expected
 
 
 def test_gait_event_times_match_the_composed_path(nominal_three_steps):

@@ -10,7 +10,6 @@ import linecache
 import math
 import traceback
 from dataclasses import replace
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 import triped as T
 from triped import simulate
 from triped.impact import reset_map
-from triped.kernel import ClosedLoop, closed_loop
+from triped.kernel import closed_loop
 from triped import ode
 from triped.ode import NFEV_BUDGET_SPENT, TOO_SMALL_STEP, solve_ivp
 
@@ -57,12 +56,12 @@ def reference_gait():
 
 def test_reference_gait_takes_scipys_steps(reference_gait):
     cfg = reference_gait.config
-    kernel = closed_loop(cfg)
+    rhs = closed_loop(cfg)
     total = 0
     for record, traj in zip(reference_gait.records, reference_gait.trajectories):
         y0 = np.concatenate([record.x_post_impact, traj.omega_I[0]])
         t_span = (record.t_start, record.t_start + cfg.max_step_time)
-        ref = scipy_rk45(kernel.rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
+        ref = scipy_rk45(rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
                          swing_events(cfg))
         assert record.nfev == ref.nfev
         assert record.n_accepted == len(ref.t) - 1
@@ -81,10 +80,10 @@ def test_dense_output_matches_scipy_at_random_times(reference_gait):
     # About half the times fall after the swing's switching event.
     times = np.sort(np.random.default_rng(5).uniform(
         t_span[0], t_span[0] + 2 * record.step_time, 300))
-    kernel = closed_loop(cfg)
-    ours = solve_ivp(kernel.rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
+    rhs = closed_loop(cfg)
+    ours = solve_ivp(rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
                      swing_events(cfg), t_eval=times)
-    ref = scipy_rk45(kernel.rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
+    ref = scipy_rk45(rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
                      swing_events(cfg), t_eval=times)
     np.testing.assert_array_equal(ref.t, times[:ours.y_eval.shape[1]])
     assert 100 < len(ref.t) < 200
@@ -121,22 +120,16 @@ def test_times_past_the_event_are_not_evaluated():
         return y[0]
 
     crossing.direction = -1.0
-    read = []
-
-    def times():  # a millisecond apart, so the event step covers many
-        for t in np.linspace(0.5, 10.0, 9501):
-            read.append(t)
-            yield t
-
+    # A millisecond apart, so the event step covers many.
+    times = np.linspace(0.5, 10.0, 9501)
     y0 = [math.sin(0.5), math.cos(0.5)]
     ours = solve_ivp(oscillator, (0.5, 10.0), y0, 1e-10, 1e-12, (crossing,),
-                     t_eval=times())
+                     t_eval=times)
     assert ours.event == 0 and abs(ours.t[-1] - math.pi) < 1e-8
     evaluated = ours.y_eval.shape[1]
-    assert evaluated == 2642 and read[evaluated - 1] <= ours.t[-1] < read[-1]
-    # Only one time past the event is read: the one that showed it past.
-    assert len(read) == evaluated + 1
-    np.testing.assert_allclose(ours.y_eval[0], np.sin(read[:evaluated]),
+    assert evaluated == 2642
+    assert times[evaluated - 1] <= ours.t[-1] < times[evaluated]
+    np.testing.assert_allclose(ours.y_eval[0], np.sin(times[:evaluated]),
                                rtol=0, atol=1e-9)
 
 
@@ -145,6 +138,7 @@ def test_times_past_the_event_are_not_evaluated():
     ([0.0, 0.5, 0.5], "not properly sorted"),
     ([-0.1, 0.5], "not within `t_span`"),
     ([0.5, 1.5], "not within `t_span`"),
+    ([[0.0, 0.5]], "must be 1-dimensional"),
 ])
 def test_a_t_eval_out_of_order_or_outside_t_span_is_refused(t_eval, message):
     with pytest.raises(ValueError, match=message):
@@ -154,14 +148,49 @@ def test_a_t_eval_out_of_order_or_outside_t_span_is_refused(t_eval, message):
         solve_ivp(oscillator, (0.0, 1.0), [0.0, 1.0], t_eval=t_eval)
 
 
-@settings(max_examples=200, deadline=None)
-@given(t0=st.floats(0.0, 1e5), dt=st.floats(1e-5, 1.0),
-       length=st.integers(0, 3000))
-def test_the_lazy_sample_grid_is_np_arange(t0, dt, length):
-    expected = np.arange(t0, t0 + (length + 1) * dt, dt)
-    assert len(expected) >= length
-    grid = simulate._sample_grid(t0, dt, math.inf)
-    assert list(islice(grid, length)) == expected[:length].tolist()
+def swing_start(cfg):
+    """The 8-dim post-impact state of the first stride from ``cfg``."""
+    x_pre = np.array(cfg.initial_state)
+    res = reset_map(x_pre[:3], x_pre[3:], cfg.plant)
+    return np.concatenate([res.q_plus, res.dq_plus, np.zeros(2)])
+
+
+def test_the_sample_grid_is_one_arange_inside_t_span(monkeypatch):
+    """A swing samples at ``np.arange(t0, t_bound, sample_dt)``, built once
+    and cut to ``t_bound``.  numpy sizes the array by ``sample_dt`` but fills
+    it with ``t0 + k ((t0 + dt) - t0)``: at this start of a swing of the
+    default orbit search, the last time passes ``t_bound``, and ``t_eval``
+    would be refused."""
+    cfg = T.SimConfig()
+    t0 = 11.743562545393855
+    t_bound = t0 + cfg.max_step_time
+    arange = np.arange(t0, t_bound, cfg.sample_dt)
+    assert arange[-1] == 16.74356254539464 > t_bound == 16.743562545393857
+    with pytest.raises(ValueError, match="not within `t_span`"):
+        solve_ivp(oscillator, (t0, t_bound), [0.0, 1.0], t_eval=arange)
+
+    grids, aranges = [], []
+    real_solve, real_arange = simulate.solve_ivp, np.arange
+
+    def recording(fun, t_span, y0, **kwargs):
+        grids.append(kwargs["t_eval"])
+        return real_solve(fun, t_span, y0, **kwargs)
+
+    def counted(*args, **kwargs):
+        aranges.append(args)
+        return real_arange(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "solve_ivp", recording)
+    monkeypatch.setattr(np, "arange", counted)
+    traj, _ = simulate.integrate_swing(swing_start(cfg), t0, cfg)
+    assert len(aranges) == 1
+    (grid,) = grids
+    np.testing.assert_array_equal(grid, arange[:-1])
+    # The samples are the grid's first times, then the event.
+    n = len(traj.t) - 1
+    assert 100 < n < len(grid)
+    np.testing.assert_array_equal(traj.t[:n], grid[:n])
+    assert grid[n - 1] < traj.t[-1] < grid[n]
 
 
 @st.composite
@@ -250,16 +279,13 @@ def test_nan_rhs_surfaces_as_non_finite_state_error(monkeypatch):
     real = closed_loop(cfg)
 
     def poisoned(cfg):
-        def rhs(t, y):
-            return (math.nan,) * 8 if t > 0.05 else real.rhs(t, y)
-        return ClosedLoop(control=real.control, rhs=rhs)
+        def rhs(t, y, outputs=False):
+            return (math.nan,) * 8 if t > 0.05 else real(t, y, outputs)
+        return rhs
 
-    x_pre = np.array(cfg.initial_state)
-    res = reset_map(x_pre[:3], x_pre[3:], cfg.plant)
-    y0 = np.concatenate([res.q_plus, res.dq_plus, np.zeros(2)])
     monkeypatch.setattr(simulate, "closed_loop", poisoned)
     with pytest.raises(T.NonFiniteStateError, match=TOO_SMALL_STEP):
-        simulate.integrate_swing(y0, 0.0, cfg)
+        simulate.integrate_swing(swing_start(cfg), 0.0, cfg)
     summary = T.run_gait(cfg)
     assert summary.abort_reason.startswith(
         "NonFiniteStateError: swing integration failed")
@@ -414,10 +440,10 @@ def test_spent_swing_budget_ends_the_gait_as_a_record(monkeypatch):
     def counted(cfg):
         kernel = real(cfg)
 
-        def rhs(t, y):
+        def rhs(t, y, outputs=False):
             calls.append(t)
-            return kernel.rhs(t, y)
-        return ClosedLoop(control=kernel.control, rhs=rhs)
+            return kernel(t, y, outputs)
+        return rhs
 
     monkeypatch.setattr(simulate, "closed_loop", counted)
     summary = T.run_gait(T.SimConfig())

@@ -1,6 +1,7 @@
 """Package surface: what ``import triped`` loads and re-exports."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -9,39 +10,44 @@ from pathlib import Path
 import triped as T
 
 
-def run_fresh(code: str) -> None:
-    """Run ``code`` in a fresh interpreter that imports this package."""
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def run_fresh(*args: str) -> str:
+    """Run ``python *args`` in a fresh interpreter that imports this
+    package; returns what it printed."""
     src = str(Path(T.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    return subprocess.run([sys.executable, *args], check=True, env=env,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def test_import_does_not_load_sympy():
     # Only the certification battery needs sympy; a fresh interpreter shows
     # whether the package or the CLI module pulls it in anyway.
-    run_fresh("import sys, triped, triped.cli; "
+    run_fresh("-c", "import sys, triped, triped.cli; "
               "assert 'sympy' not in sys.modules, 'sympy imported'")
 
 
 def test_runtime_does_not_load_scipy():
     # The integrator is triped.ode; scipy is only the tests' oracle.
-    run_fresh("import sys, triped, triped.cli, triped.verification; "
+    run_fresh("-c", "import sys, triped, triped.cli, triped.verification; "
               "assert 'scipy' not in sys.modules, 'scipy imported'")
 
 
 def test_import_generates_no_integrator_code():
     # The straight-line integrator step is generated on first use of each
     # state dimension, so importing the package does not pay for it.
-    run_fresh("import triped, triped.cli, triped.ode as ode; "
+    run_fresh("-c", "import triped, triped.cli, triped.ode as ode; "
               "assert ode._dp5.cache_info().currsize == 0, 'generated at import'")
 
 
 def test_importing_verification_forks_nothing():
     # run_certification forks the oracle's derivation; importing the module
     # that defines it must not.
-    run_fresh("import os; forks = []; fork = os.fork; "
+    run_fresh("-c", "import os; forks = []; fork = os.fork; "
               "os.fork = lambda: forks.append(1) or fork(); "
               "import triped.verification; assert not forks, 'forked at import'")
 
@@ -75,3 +81,15 @@ def test_benchmark_hooks_exist():
     assert (sol.t[0], sol.t[-1]) == (0.0, 1.0)
     assert sol.nfev == 2 + 6 * (len(sol.t) - 1 + sol.n_rejected)
     assert "max_workers" in inspect.signature(T.run_sweep).parameters
+
+
+def test_the_tools_run_and_print_one_json_line():
+    # The tools drive the package's internals (replay_split records and
+    # replays solve_ivp's t_eval): an API change can break them silently.
+    replay = run_fresh(str(TOOLS / "replay_split.py"), "--rounds", "1")
+    overlap = run_fresh(str(TOOLS / "verify_overlap.py"), "--pairs", "1",
+                        "--states", "10")
+    for out in (replay, overlap):
+        assert len(out.splitlines()) == 1, out
+    assert json.loads(replay)["nfev"] == 42538
+    assert json.loads(overlap)["pairs"] == 1

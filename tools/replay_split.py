@@ -39,9 +39,6 @@ def record_swings(cfg):
 
     def recording(fun, t_span, y0, **kwargs):
         calls = []
-        if kwargs.get("t_eval") is not None:
-            # A generator is spent by one call: keep its times for the replays.
-            kwargs["t_eval"] = list(kwargs["t_eval"])
 
         def recorded(t, y):
             out = fun(t, y)
