@@ -36,8 +36,7 @@ from .errors import (ActuationSingularityError, ConfigError, ConfigParseError,
                      WalkerError)
 from .impact import ImpactResult, RELABEL, reset_map
 from .params import (ControllerConfig, ControllerGains, GaitTargets,
-                     RobotParams, SimConfig, SweepSpec, SWEEP_AXES,
-                     nominal_initial_state)
+                     RobotParams, SimConfig, SweepSpec, nominal_initial_state)
 from .reduced import (ReducedState, from_reduced, input_matrix_e,
                       reduced_forces, reduced_inertias, to_reduced)
 from .simulate import GaitSummary, StepRecord, Trajectory, run_gait, step
@@ -68,7 +67,7 @@ __all__ = [
     "RobotParams", "RunManifest", "SimConfig", "SolverBudgetError",
     "StaticStabilityWarning",
     "StepRecord", "StepTimeoutError", "SweepSample", "SweepSpec",
-    "SWEEP_AXES", "STEP_TIME_CONVERGENCE_RANGE", "TRAJECTORY_HEADER",
+    "STEP_TIME_CONVERGENCE_RANGE", "TRAJECTORY_HEADER",
     "GaitTargets", "Trajectory", "TranscriptionReport", "WalkerError",
     "__version__", "contraction_ratio", "control_action", "coriolis_matrix",
     "emit_orbit_outputs", "emit_outputs", "emit_sweep_outputs",

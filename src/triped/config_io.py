@@ -41,7 +41,8 @@ import numpy as np
 from .analysis import PeriodicOrbit, SweepSample
 from .control import max_static_incline
 from .errors import ConfigParseError
-from .params import ControllerGains, RobotParams, SimConfig, SweepSpec
+from .params import (ControllerGains, RobotParams, SimConfig, SweepSpec,
+                     get_path, set_path)
 from .simulate import GaitSummary
 
 #: Exact column contract of the trajectory file.
@@ -130,22 +131,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
-def _get(obj, path):
-    for part in path:
-        obj = obj[part] if isinstance(part, int) else getattr(obj, part)
-    return obj
-
-
-def _set(obj, path, value):
-    """A copy of ``obj`` whose field at ``path`` holds ``value``."""
-    head, *rest = path
-    if rest:
-        value = _set(_get(obj, (head,)), rest, value)
-    if isinstance(head, int):
-        return (*obj[:head], value, *obj[head + 1:])
-    return replace(obj, **{head: value})
-
-
 def parse_config_text(text: str, source: str = "<string>"):
     """Parse config text into a :class:`SimConfig` or :class:`SweepSpec`.
 
@@ -207,9 +192,9 @@ def _parse(text: str, source: str) -> SimConfig | SweepSpec:
                 f"bad value for {key!r} in {source}: {exc}",
                 line_no=line_no, key=key) from exc
         if section == "sweep":
-            spec = _set(spec, path, value)
+            spec = set_path(spec, path, value)
         else:
-            cfg = _set(cfg, path, value)
+            cfg = set_path(cfg, path, value)
     return cfg if spec is None else replace(spec, base=cfg)
 
 
@@ -245,7 +230,7 @@ def write_config(config: SimConfig | SweepSpec) -> str:
         root = spec if section == "sweep" else cfg
         if root is not None:
             lines += ["", f"[{section}]"]
-            lines += [f"{key} = {fmt(_get(root, path))}"
+            lines += [f"{key} = {fmt(get_path(root, path))}"
                       for key, ((_, fmt), path) in keys.items()]
     return "\n".join(lines[1:]) + "\n"
 

@@ -55,6 +55,23 @@ def _count(value) -> bool:
             and value >= 1)
 
 
+def get_path(obj, path):
+    """The field of ``obj`` at ``path``; an int in it indexes a tuple."""
+    for part in path:
+        obj = obj[part] if isinstance(part, int) else getattr(obj, part)
+    return obj
+
+
+def set_path(obj, path, value):
+    """A copy of ``obj`` whose field at ``path`` holds ``value``."""
+    head, *rest = path
+    if rest:
+        value = set_path(get_path(obj, (head,)), rest, value)
+    if isinstance(head, int):
+        return (*obj[:head], value, *obj[head + 1:])
+    return replace(obj, **{head: value})
+
+
 @dataclass(frozen=True)
 class RobotParams:
     """Lumped-mass geometry of the planar three-link walker.
@@ -249,21 +266,21 @@ class SimConfig:
                 " samples per swing", keys=["max_step_time", "sample_dt"])
 
 
-#: Plant parameters a sweep may perturb, plus the true incline.
-SWEEP_AXES = ("leg_mass", "hip_mass", "torso_mass", "leg_length", "torso_length",
-              "all_masses", "incline_true")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """A one-dimensional robustness sweep around a base configuration.
 
-    The axis value for sample ``i`` of ``n_samples`` is
+    ``axis`` is the dotted path of a float field of ``base`` (an integer part
+    indexes a tuple): ``incline_true``, ``plant.torso_mass``,
+    ``controller.gains.ki``, ``initial_state.2``.  Or it is ``all_masses``,
+    which scales the plant's three masses and reports the factor.  The value
+    for sample ``i`` of ``n_samples`` is
     ``base * (1 + lo + i*(hi - lo)/(n_samples - 1))`` — multiplicative
     perturbations, so "+50% mass" is ``rel_range=(0.5, 0.5)`` with one sample
     and an incline sweep of 20..26 deg about 25 deg is
-    ``rel_range=(-0.2, 0.04)`` with 7 samples.  Only the plant (or the true
-    incline) is perturbed; the controller keeps its nominal model.
+    ``rel_range=(-0.2, 0.04)`` with 7 samples.  Only that field moves (a
+    plant sweep leaves the controller's model nominal), and a field whose
+    base value is zero, such as ``initial_state.5``, keeps it.
     """
 
     axis: str = "all_masses"
@@ -271,12 +288,21 @@ class SweepSpec:
     n_samples: int = 5
     base: SimConfig = field(default_factory=SimConfig)
 
+    def _path(self) -> tuple:
+        return tuple(int(p) if p.isdecimal() else p for p in self.axis.split("."))
+
     def validate(self) -> None:
         _check_nested(self, base=SimConfig)
         self.base.validate()
-        if self.axis not in SWEEP_AXES:
-            raise ConfigValidationError(
-                f"sweep axis must be one of {SWEEP_AXES}", keys=["axis"])
+        try:
+            named = isinstance(self.axis, str) and (
+                self.axis == "all_masses"
+                or isinstance(get_path(self.base, self._path()), float))
+        except (AttributeError, IndexError, TypeError, ValueError):
+            named = False
+        if not named:
+            raise ConfigValidationError("sweep axis must be all_masses or the "
+                                        "path of a float field", keys=["axis"])
         if not _count(self.n_samples):
             raise ConfigValidationError("n_samples must be an integer >= 1",
                                         keys=["n_samples"])
@@ -285,16 +311,17 @@ class SweepSpec:
             raise ConfigValidationError(
                 "rel_range must be a tuple of two finite numbers with lo <= hi",
                 keys=["rel_range"])
-        if self.axis != "incline_true" and self.rel_range[0] <= -1.0:
-            raise ConfigValidationError(
-                "relative perturbation at or below -100% makes a physical "
-                "parameter non-positive", keys=["rel_range"])
+        # Every per-field rule is an interval and the samples are monotone
+        # in their index, so the two end samples bound all the others.
+        for index in {0, self.n_samples - 1}:
+            try:
+                self.sample_config(index).validate()
+            except ConfigValidationError as err:
+                raise ConfigValidationError(
+                    f"sweep sample {index}: {err}", keys=["rel_range"]) from err
 
     def sample_values(self) -> list[float]:
-        """Absolute axis values for each sample, low to high."""
-        base_value = (self.base.incline_true if self.axis == "incline_true"
-                      else getattr(self.base.plant, "leg_mass" if self.axis == "all_masses"
-                                   else self.axis))
+        """Absolute axis values for each sample, in sample order."""
         lo, hi = self.rel_range
         if self.n_samples == 1:
             rels = [0.5 * (lo + hi)]
@@ -304,13 +331,12 @@ class SweepSpec:
         if self.axis == "all_masses":
             # Report the factor itself; all three masses are scaled by it.
             return [1.0 + rel for rel in rels]
+        base_value = get_path(self.base, self._path())
         return [base_value * (1.0 + rel) for rel in rels]
 
     def sample_config(self, index: int) -> SimConfig:
         """Build the perturbed :class:`SimConfig` for one sample."""
         value = self.sample_values()[index]
-        if self.axis == "incline_true":
-            return replace(self.base, incline_true=value)
         if self.axis == "all_masses":
             return replace(self.base, plant=self.base.plant.scaled_masses(value))
-        return replace(self.base, plant=replace(self.base.plant, **{self.axis: value}))
+        return set_path(self.base, self._path(), value)

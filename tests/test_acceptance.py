@@ -31,9 +31,10 @@ import pytest
 from scipy.linalg import expm
 
 import triped as T
-from conftest import downhill_config, scaled_masses, transient_config
 from triped.analysis import STEP_TIME_CONVERGENCE_RANGE, contraction_ratio
 from triped.reduced import OUTPUT_MAP, reduced_inertias, to_reduced
+
+from triped_helpers import downhill_config, scaled_masses, transient_config
 
 #: Steady step-time window of the reference gait.
 STEP_TIME, STEP_TIME_TOL = 0.56, 0.05

@@ -119,9 +119,9 @@ def test_gait_and_orbit_search_step_once_per_stride(monkeypatch):
 
 
 def test_summarize_gait_flags_convergence(nominal_eight_steps):
-    row = summarize_gait(nominal_eight_steps, index=4, axis="torso_mass",
+    row = summarize_gait(nominal_eight_steps, index=4, axis="plant.torso_mass",
                          value=3.3)
-    assert row.index == 4 and row.axis == "torso_mass" and row.value == 3.3
+    assert row.index == 4 and row.axis == "plant.torso_mass" and row.value == 3.3
     assert row.converged
     assert not row.aborted
     assert row.completed_steps == 8
@@ -163,9 +163,19 @@ def test_sweep_treats_sample_aborts_as_data():
     assert rows[0].abort_reason == rows[1].abort_reason
 
 
+def test_the_benchmark_sweep_samples_are_pinned():
+    # The benchmark's sweep workload and its checks compare these values and
+    # this run id across versions with ==.
+    spec = T.SweepSpec(axis="incline_true", rel_range=(-0.2, 0.04), n_samples=4,
+                       base=replace(T.SimConfig(), n_steps=3))
+    assert spec.sample_values() == [0.34906585039886595, 0.3839724354387525,
+                                    0.41887902047863906, 0.4537856055185257]
+    assert T.make_manifest(spec).run_id == "da57429463d6159c"
+
+
 def test_sweep_axis_values_scale_the_base_parameter():
-    spec = T.SweepSpec(axis="leg_length", rel_range=(-0.5, 0.5), n_samples=3,
-                       base=T.SimConfig())
+    spec = T.SweepSpec(axis="plant.leg_length", rel_range=(-0.5, 0.5),
+                       n_samples=3, base=T.SimConfig())
     np.testing.assert_allclose(spec.sample_values(), [0.5, 1.0, 1.5])
     bumped = spec.sample_config(2)
     assert bumped.plant.leg_length == pytest.approx(1.5)

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import triped as T
-from conftest import stack_params
 from triped.dynamics import coriolis_matrix, gravity_torque, inertia_matrix
 from triped.impact import (angular_momentum_about, chain_angular_momentum,
                            free_mass_matrix)
 from triped.reduced import (consistency_check, input_matrix_e,
                             pushforward_input_matrix, reduced_forces)
+
+from triped_helpers import stack_params
 
 N = 40
 TARGETS = T.GaitTargets()

@@ -116,13 +116,13 @@ def test_sweep_verb(tmp_path, capsys):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(
         "[sim]\nn_steps = 2\n"
-        "[sweep]\naxis = torso_mass\nrel_min = -0.1\nrel_max = 0.1\n"
+        "[sweep]\naxis = plant.torso_mass\nrel_min = -0.1\nrel_max = 0.1\n"
         "n_samples = 2\n")
     out = tmp_path / "sw"
     assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 3
-    assert "swept torso_mass" in capsys.readouterr().out
+    assert "swept plant.torso_mass" in capsys.readouterr().out
 
 
 def test_sweep_verb_wraps_plain_configs_in_the_default_spec(tmp_path):

@@ -14,8 +14,10 @@ from hypothesis.extra.numpy import arrays
 
 import triped as T
 from triped.analysis import summarize_gait
-from triped.config_io import TRAJECTORY_HEADER, emit_sweep_outputs
-from triped.params import ERROR_WEIGHTINGS, INTEGRATOR_RESETS, MAX_SAMPLES_PER_SWING
+from triped.config_io import (_ANGLE, _FLOAT, _SCHEMA, TRAJECTORY_HEADER,
+                              emit_sweep_outputs)
+from triped.params import (ERROR_WEIGHTINGS, INTEGRATOR_RESETS,
+                           MAX_SAMPLES_PER_SWING, get_path, set_path)
 
 
 def modified_config():
@@ -52,8 +54,8 @@ def test_round_trip_default_and_modified():
 
 
 def test_round_trip_sweep_spec():
-    spec = T.SweepSpec(axis="torso_mass", rel_range=(-0.3, 0.3), n_samples=4,
-                       base=modified_config())
+    spec = T.SweepSpec(axis="plant.torso_mass", rel_range=(-0.3, 0.3),
+                       n_samples=4, base=modified_config())
     parsed = T.parse_config_text(T.write_config(spec))
     assert isinstance(parsed, T.SweepSpec)
     assert parsed == spec
@@ -96,14 +98,30 @@ _SIM_CONFIGS = _every_field(
     initial_state=st.tuples(*[_degrees(720.0)] * 3, *[_FINITE] * 3),
     strict_scuff=st.booleans(),
 ).filter(lambda c: c.max_step_time / c.sample_dt <= MAX_SAMPLES_PER_SWING)
+
+#: Every float field a config file sets, by its sweep axis name, and the
+#: one derived axis.
+_AXIS_PATHS = {".".join(map(str, path)): path for section, keys in _SCHEMA.items()
+               if section != "sweep"
+               for kind, path in keys.values() if kind in (_FLOAT, _ANGLE)}
+_AXES = ["all_masses", *_AXIS_PATHS]
+
+
+def _validates(spec) -> bool:
+    try:
+        spec.validate()
+    except T.ConfigValidationError:
+        return False
+    return True
+
+
 _SWEEP_SPECS = _every_field(
     T.SweepSpec,
-    axis=st.sampled_from(T.SWEEP_AXES),
-    rel_range=st.lists(st.floats(min_value=-1.0, exclude_min=True,
-                                 allow_infinity=False),
+    axis=st.sampled_from(_AXES),
+    rel_range=st.lists(st.floats(-1.0, 1.0, exclude_min=True),
                        min_size=2, max_size=2).map(sorted).map(tuple),
     n_samples=st.integers(1, 10**4),
-    base=_SIM_CONFIGS)
+    base=_SIM_CONFIGS).filter(_validates)
 
 
 @pytest.mark.filterwarnings("ignore::triped.StaticStabilityWarning")
@@ -265,17 +283,60 @@ def test_validate_passes_or_refuses_by_key(start, n_steps, plant, controller):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rel_range=_odd_vectors(2), base=_or_odd(T.SimConfig()))
-def test_sweep_validate_passes_or_refuses_by_key(rel_range, base):
-    spec = T.SweepSpec(rel_range=rel_range, base=base)
+@given(axis=st.one_of(st.sampled_from(_AXES), st.none(), st.integers(), st.text(),
+                      st.lists(st.sampled_from(_AXES), max_size=2),
+                      arrays(np.str_, 2, elements=st.sampled_from(_AXES)),
+                      st.sampled_from(["plant", "n_steps", "strict_scuff",
+                                       "initial_state.6", "plant.torso_mass.0"])),
+       rel_range=_odd_vectors(2), base=_or_odd(T.SimConfig()))
+def test_sweep_validate_passes_or_refuses_by_key(axis, rel_range, base):
+    spec = T.SweepSpec(axis=axis, rel_range=rel_range, base=base)
     try:
         spec.validate()
     except T.ConfigValidationError as err:
-        assert err.keys and set(err.keys) <= {"rel_range", "base"}
+        assert err.keys and set(err.keys) <= {"axis", "rel_range", "base"}
         return
     lo, hi = spec.rel_range
-    assert -1.0 < lo <= hi < math.inf
+    assert math.isfinite(lo) and lo <= hi < math.inf
+    for index in range(spec.n_samples):
+        spec.sample_config(index).validate()
     assert_usable(spec)
+
+
+@pytest.mark.parametrize("axis, rel_range, key", [
+    ("incline_true", (0.0, 3.0), "incline_true"),
+    ("plant.torso_mass", (-1.0, 0.0), "torso_mass"),
+    ("all_masses", (-1.0, -0.5), "leg_mass"),
+    ("controller.gains.ki", (-2.0, 0.0), "ki"),
+    ("sample_dt", (-0.999, 0.0), "sample_dt"),
+    ("max_step_time", (0.0, 200.0), "max_step_time"),
+], ids=["incline-past-90-deg", "no-torso-mass", "masses-to-zero",
+        "negative-ki", "fine-grid", "long-swing"])
+def test_sweeps_whose_samples_cannot_run_are_refused(axis, rel_range, key):
+    # Each range has one end that runs and one that cannot, so validation
+    # checks both ends, before any sample is integrated.
+    spec = T.SweepSpec(axis=axis, rel_range=rel_range, n_samples=3)
+    with pytest.raises(T.ConfigValidationError) as err:
+        spec.validate()
+    assert err.value.keys == ["rel_range"]
+    assert key in str(err.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(axis=st.sampled_from(_AXES), data=st.data())
+def test_every_float_config_field_is_a_sweep_axis(axis, data):
+    lo, hi = sorted(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=2,
+                                       max_size=2)))
+    spec = T.SweepSpec(axis=axis, rel_range=(lo, hi),
+                       n_samples=data.draw(st.integers(1, 20)))
+    spec.validate()
+    sample = spec.sample_config(data.draw(st.integers(0, spec.n_samples - 1)))
+    # Putting back the base value at the swept path gives the base again.
+    paths = ([("plant", k) for k in ("leg_mass", "hip_mass", "torso_mass")]
+             if axis == "all_masses" else [_AXIS_PATHS[axis]])
+    for path in paths:
+        sample = set_path(sample, path, get_path(spec.base, path))
+    assert sample == spec.base
 
 
 def test_a_sample_grid_past_its_bound_is_refused():
@@ -404,8 +465,8 @@ def test_phase_and_step_time_files_are_projections(two_step_outputs):
 
 def test_sweep_outputs(tmp_path):
     cfg = replace(T.SimConfig(), n_steps=1, max_step_time=0.05)
-    spec = T.SweepSpec(axis="torso_mass", rel_range=(0.0, 0.0), n_samples=1,
-                       base=cfg)
+    spec = T.SweepSpec(axis="plant.torso_mass", rel_range=(0.0, 0.0),
+                       n_samples=1, base=cfg)
     rows = [summarize_gait(T.run_gait(spec.sample_config(0)), index=0,
                            axis=spec.axis, value=spec.sample_values()[0])]
     files = emit_sweep_outputs(rows, T.make_manifest(spec), tmp_path)

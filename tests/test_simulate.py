@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triped as T
-from conftest import transient_config
 from triped import simulate
 from triped.impact import reset_map
 from triped.params import ERROR_WEIGHTINGS, INTEGRATOR_RESETS
 from triped.simulate import step
+
+from triped_helpers import transient_config
 
 
 def test_steps_end_exactly_on_the_switching_surface(nominal_three_steps):

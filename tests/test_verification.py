@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import triped as T
-from conftest import stack_params
 from triped import reduced, verification
 from triped.reduced import input_matrix_e, to_reduced
 from triped.verification import (CertificationReport, CheckResult,
                                  run_certification, transcription_report)
+
+from triped_helpers import stack_params
 
 
 @pytest.fixture(scope="module")
