@@ -44,7 +44,7 @@ from .simulate import GaitSummary, StepRecord, Trajectory, run_gait, step
 __version__ = "0.1.0"
 
 #: Names re-exported from :mod:`triped.verification`, loaded on first use so
-#: that ``import triped`` does not import sympy.
+#: that ``import triped`` does not load the certification battery.
 _VERIFICATION_NAMES = ("CertificationReport", "CheckResult",
                        "TranscriptionReport", "run_certification",
                        "transcription_report")

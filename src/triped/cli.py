@@ -155,7 +155,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # Imported here: the symbolic oracle needs sympy, which no other verb uses.
+    # Imported here: only this verb runs the certification battery.
     from .verification import run_certification, transcription_report
 
     report = run_certification(n_states=args.checks)

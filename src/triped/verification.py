@@ -9,12 +9,12 @@ build the pinned chain's and the free chain's mass matrices as the sum of
 take the velocity forces from the Christoffel symbols of the pinned one and
 gravity from the potential's gradient; and lambdify them all as one
 function onto :mod:`numpy`, so that one call evaluates a whole batch of
-states.  The derivation is pure Python and costs about as much as the
-checks that do not use it, so :func:`run_certification` forks a child to
-derive the oracle while it runs those checks, and compiles the child's
-generated source afterwards (in a process with more than one thread, or
-without ``os.fork``, it derives the oracle itself; likewise when the child
-fails).  The oracle shares no code with :mod:`triped.dynamics`; agreement
+states.  The derivation (:func:`_oracle_sources`) always gives the same
+generated source, so ``tools/derive_oracle.py`` commits that source as
+:mod:`triped._oracle_source`; the battery compiles it at first use and
+never imports sympy.  ``tests/test_verification.py`` holds the committed
+oracle to a fresh derivation, value for value.  The oracle shares no code
+with :mod:`triped.dynamics`; agreement
 between the two is therefore meaningful evidence, and the certification
 battery (:func:`run_certification`) turns that evidence plus the model's
 structural invariants into pass/fail checks:
@@ -45,19 +45,13 @@ state: a check with a NaN residual fails.
 
 from __future__ import annotations
 
-import contextlib
-import gc
+import functools
 import inspect
-import json
-import os
-import signal
-import threading
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import sympy as sp
 
+from ._oracle_source import SOURCE
 from .control import control_action
 from .dynamics import (coriolis_matrix, float_if_scalar, gravity_torque,
                        inertia_matrix, matvec, stack_matrix, stack_vector,
@@ -99,7 +93,10 @@ _ORACLE_NAMESPACE = {"ImmutableDenseMatrix": _oracle_matrix,
 def _oracle_sources() -> str:
     """Derive the symbolic model and lambdify it: the Python source of one
     function of ``(q, dq, params, incline)`` that returns the oracle's five
-    matrices (see :func:`oracle_terms`)."""
+    matrices (see :func:`oracle_terms`).  The only code here that loads
+    sympy; ``tools/derive_oracle.py`` commits its result."""
+    import sympy as sp
+
     q = sp.symbols("q1 q2 q3")
     dq = sp.symbols("dq1 dq2 dq3")
     m, mh, mt, l, r, g = sp.symbols("m mh mt l r g", positive=True)
@@ -166,98 +163,12 @@ def _compile_oracle(source: str):
     return namespace["_lambdifygenerated"]  # lambdify's name
 
 
-#: The compiled oracle once :func:`_oracle` has built it in this process.
-_built = None
-
-
-def _oracle(derived=None):
-    """The oracle's function, built once per process.  ``derived()``, when
-    given, waits for the source that a forked child derived (see
-    :func:`_forked_derivation`); without it, or when the child failed, the
-    source is derived here."""
-    global _built
-    if _built is None:
-        source = derived() if derived is not None else None
-        _built = _compile_oracle(
-            _oracle_sources() if source is None else source)
-    return _built
-
-
-def _may_fork() -> bool:
-    """Whether :func:`run_certification` derives the oracle in a child:
-    only while it is not built, where ``os.fork`` exists, and in a process
-    with one Python thread.
-
-    Native threads are not counted: numpy's BLAS may have started a pool
-    at import.  The fork stays safe because the child runs only sympy,
-    :mod:`inspect` and :mod:`json`, never a BLAS call, so no lock those
-    threads might hold is ever taken in the child.  (Python 3.12+ counts
-    native threads too and warns at such a fork; see
-    :func:`_forked_derivation`.)
-    """
-    return (_built is None and hasattr(os, "fork")
-            and threading.active_count() == 1)
-
-
-def _decoded(payload: bytes) -> str | None:
-    """The source a child sent, or ``None`` when it sent none (it failed
-    or exited early)."""
-    try:
-        return json.loads(payload)
-    except ValueError:
-        return None
-
-
-@contextlib.contextmanager
-def _forked_derivation():
-    """Derive the oracle's source in a forked child while the caller works
-    on; yields the ``derived`` argument of :func:`_oracle`.
-
-    The child sends the source down a pipe as JSON and exits; it never
-    returns into its caller's frames.  On leaving the block the child is
-    killed, if it still runs (the caller raised, or did not need it), and
-    reaped, so no process outlives the block.  When no process can be
-    forked, it yields ``None``: the caller derives the source itself.
-
-    Python 3.12+ warns (``DeprecationWarning``) at a fork of a process that
-    has native threads, such as a BLAS pool; the warning is silenced here,
-    since the child never takes a lock those threads use (see
-    :func:`_may_fork`).
-    """
-    read, write = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        yield None
-        return
-    if pid == 0:
-        status = 1
-        try:
-            # The child's collections then skip every object it inherited:
-            # walking them would write to, and so copy, the pages it shares
-            # with the parent.
-            gc.freeze()
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pipe.write(json.dumps(_oracle_sources()).encode())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    try:
-        with open(read, "rb") as pipe:
-            yield lambda: _decoded(pipe.read())
-    finally:
-        # A caller that ignores SIGCHLD, or reaps in its handler, may have
-        # reaped the child already.
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
+@functools.cache
+def _oracle():
+    """The oracle's function, compiled once per process from the committed
+    source that ``tools/derive_oracle.py`` writes from
+    :func:`_oracle_sources`."""
+    return _compile_oracle(SOURCE)
 
 
 def oracle_terms(q, dq, p: RobotParams, incline):
@@ -566,19 +477,13 @@ def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationRepor
     must be at least 1, or each sampled check would pass on no evidence."""
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    # The five checks that do not need the oracle run while a child derives
-    # it, when one may be forked; the swing-term and skew checks follow.
-    with (_forked_derivation() if _may_fork()
-          else contextlib.nullcontext()) as derived:
-        energy = certify_energy_conservation()
-        reduced = certify_reduced_consistency(n_states, seed + 1)
-        impact = certify_impact(n_states, seed + 2)
-        closed_loop = certify_closed_loop(n_states, seed + 3)
-        transport = certify_integrator_transport(seed + 4)
-        _oracle(derived)
     return CertificationReport(checks=[
-        certify_swing_terms(n_states, seed), energy, reduced, impact,
-        closed_loop, transport, certify_skew(n_states, seed + 5),
+        certify_swing_terms(n_states, seed), certify_energy_conservation(),
+        certify_reduced_consistency(n_states, seed + 1),
+        certify_impact(n_states, seed + 2),
+        certify_closed_loop(n_states, seed + 3),
+        certify_integrator_transport(seed + 4),
+        certify_skew(n_states, seed + 5),
     ])
 
 

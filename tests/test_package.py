@@ -25,7 +25,7 @@ def run_fresh(*args: str) -> str:
 
 
 def test_import_does_not_load_sympy():
-    # Only the certification battery needs sympy; a fresh interpreter shows
+    # Only the oracle's derivation needs sympy; a fresh interpreter shows
     # whether the package or the CLI module pulls it in anyway.
     run_fresh("-c", "import sys, triped, triped.cli; "
               "assert 'sympy' not in sys.modules, 'sympy imported'")
@@ -44,12 +44,15 @@ def test_import_generates_no_integrator_code():
               "assert ode._dp5.cache_info().currsize == 0, 'generated at import'")
 
 
-def test_importing_verification_forks_nothing():
-    # run_certification forks the oracle's derivation; importing the module
-    # that defines it must not.
-    run_fresh("-c", "import os; forks = []; fork = os.fork; "
+def test_verify_loads_no_sympy_and_forks_nothing():
+    # The battery compiles the committed oracle: `triped verify` neither
+    # derives it with sympy nor forks a process to do so.
+    run_fresh("-c", "import os, sys; forks = []; fork = os.fork; "
               "os.fork = lambda: forks.append(1) or fork(); "
-              "import triped.verification; assert not forks, 'forked at import'")
+              "import triped.cli; "
+              "assert triped.cli.main(['verify', '--checks', '10']) == 0; "
+              "assert not forks, 'forked'; "
+              "assert 'sympy' not in sys.modules, 'sympy imported'")
 
 
 def test_verification_names_are_reexported_on_demand():
@@ -83,13 +86,14 @@ def test_benchmark_hooks_exist():
     assert "max_workers" in inspect.signature(T.run_sweep).parameters
 
 
-def test_the_tools_run_and_print_one_json_line():
+def test_the_tools_run_and_print_one_json_line(tmp_path):
     # The tools drive the package's internals (replay_split records and
     # replays solve_ivp's t_eval): an API change can break them silently.
+    # derive_oracle writes to a temporary file, never into the package.
     replay = run_fresh(str(TOOLS / "replay_split.py"), "--rounds", "1")
-    overlap = run_fresh(str(TOOLS / "verify_overlap.py"), "--pairs", "1",
-                        "--states", "10")
-    for out in (replay, overlap):
-        assert len(out.splitlines()) == 1, out
+    out = tmp_path / "oracle_source.py"
+    derive = run_fresh(str(TOOLS / "derive_oracle.py"), "--out", str(out))
+    for printed in (replay, derive):
+        assert len(printed.splitlines()) == 1, printed
     assert json.loads(replay)["nfev"] == 42538
-    assert json.loads(overlap)["pairs"] == 1
+    assert json.loads(derive)["bytes"] == out.stat().st_size

@@ -1,10 +1,5 @@
 """Self-check battery: the package must certify its own dynamics."""
 
-import contextlib
-import errno
-import os
-import signal
-import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -99,146 +94,36 @@ def test_transcription_report_flags_the_documented_force_defects():
 
 
 # --------------------------------------------------------------------------
-# The oracle derived in a forked child
+# The committed oracle
 # --------------------------------------------------------------------------
 
-@pytest.fixture
-def unbuilt(monkeypatch):
-    """The oracle not yet built in this process; the built one comes back
-    after the test."""
-    monkeypatch.setattr(verification, "_built", None)
-
-
-def derivations_here(monkeypatch, in_child=None):
-    """A list that gains an entry each time this process derives the
-    oracle's sources; a forked child runs ``in_child`` instead, if given."""
-    parent, derive, calls = os.getpid(), verification._oracle_sources, []
-
-    def counted():
-        if os.getpid() != parent:
-            return (in_child or derive)()
-        calls.append(1)
-        return derive()
-
-    monkeypatch.setattr(verification, "_oracle_sources", counted)
-    return calls
-
-
-def forks(monkeypatch):
-    """A list that gains an entry at each ``os.fork`` in this process."""
-    calls, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-    return calls
-
-
-@contextlib.contextmanager
-def another_thread():
-    """A second live thread, which keeps the battery from forking."""
-    release = threading.Event()
-    holder = threading.Thread(target=release.wait)
-    holder.start()
-    try:
-        yield
-    finally:
-        release.set()
-        holder.join()
-
-
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def assert_same_report(got, want):
-    assert [c.max_residual for c in got.checks] == \
-        [c.max_residual for c in want.checks]
-    assert got.as_text() == want.as_text()
-
-
-def test_forked_and_in_process_oracles_give_the_same_report(monkeypatch, unbuilt):
-    derived, forked = derivations_here(monkeypatch), forks(monkeypatch)
-    from_child = run_certification(n_states=40, seed=2)
-    assert (forked, derived) == ([1], [])
-    assert_no_child()
-    monkeypatch.setattr(verification, "_built", None)
-    with another_thread():
-        in_process = run_certification(n_states=40, seed=2)
-    assert (forked, derived) == ([1], [1])
-    assert_same_report(from_child, in_process)
-
-
-def _raise():
-    raise RuntimeError("derivation failed in the child")
-
-
-CHILD_FAILURES = {
-    "raises": _raise,
-    "exits without sending": lambda: os._exit(0),
-}
-
-
-@pytest.mark.parametrize("failure", CHILD_FAILURES.values(), ids=CHILD_FAILURES)
-def test_a_failed_child_leaves_the_report_unchanged(monkeypatch, unbuilt,
-                                                     report, failure):
-    derived = derivations_here(monkeypatch, in_child=failure)
-    forked = forks(monkeypatch)
-    assert_same_report(run_certification(n_states=40, seed=2), report)
-    assert (forked, derived) == ([1], [1])
-    assert_no_child()
-
-
-def test_a_failed_fork_derives_the_oracle_here(monkeypatch, unbuilt, report):
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    derived = derivations_here(monkeypatch)
-    assert_same_report(run_certification(n_states=40, seed=2), report)
-    assert derived == [1]
-
-
-def test_no_child_outlives_a_check_that_raises(monkeypatch, unbuilt):
-    forked = forks(monkeypatch)
-
-    def broken(*args, **kwargs):
-        raise RuntimeError("check failed")
-
-    monkeypatch.setattr(verification, "certify_impact", broken)
-    with pytest.raises(RuntimeError, match="check failed"):
-        run_certification(n_states=2)
-    assert forked == [1]
-    assert_no_child()
-
-
-def test_a_caller_that_ignores_sigchld_gets_the_same_report(monkeypatch,
-                                                           unbuilt, report):
-    # The kernel then reaps the child itself, before the battery does.
-    derived, forked = derivations_here(monkeypatch), forks(monkeypatch)
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        got = run_certification(n_states=40, seed=2)
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-    assert_same_report(got, report)
-    assert (forked, derived) == ([1], [])
-    assert_no_child()
-
-
-def test_a_derivation_error_raises_in_the_caller(monkeypatch, unbuilt):
-    def broken():
-        raise RuntimeError("no oracle")
-
-    monkeypatch.setattr(verification, "_oracle_sources", broken)
-    with pytest.raises(RuntimeError, match="no oracle"):
-        run_certification(n_states=2)
-    assert_no_child()
+def test_the_committed_oracle_is_the_derivation(monkeypatch):
+    # Values, not text: lambdify names the arguments after sympy's Dummy
+    # counter, so two derivations in one process already differ in text.
+    rng = np.random.default_rng(17)
+    n = 2000
+    q, dq = verification._random_states(rng, n)
+    p = verification._robots(rng, n)
+    incline = rng.uniform(-0.6, 0.6, size=n)
+    committed = verification.oracle_terms(q, dq, p, incline)
+    derived = verification._compile_oracle(verification._oracle_sources())
+    monkeypatch.setattr(verification, "_oracle", lambda: derived)
+    fresh = verification.oracle_terms(q, dq, p, incline)
+    assert len(committed) == len(fresh) == 5
+    for got, want in zip(committed, fresh):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_a_built_oracle_is_not_derived_again(monkeypatch):
-    run_certification(n_states=2)
-    derived, forked = derivations_here(monkeypatch), forks(monkeypatch)
-    run_certification(n_states=2)
-    assert (forked, derived) == ([], [])
+    # Neither the first build nor a later battery derives the oracle.
+    def derive():
+        raise AssertionError("the battery derived the oracle")
+
+    monkeypatch.setattr(verification, "_oracle_sources", derive)
+    verification._oracle.cache_clear()
+    for _ in range(2):
+        assert run_certification(n_states=2).ok
 
 
 # --------------------------------------------------------------------------
