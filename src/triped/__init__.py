@@ -40,22 +40,11 @@ from .params import (ControllerConfig, ControllerGains, GaitTargets,
 from .reduced import (ReducedState, from_reduced, input_matrix_e,
                       reduced_forces, reduced_inertias, to_reduced)
 from .simulate import GaitSummary, StepRecord, Trajectory, run_gait, step
+from .verification import (CertificationReport, CheckResult,
+                           TranscriptionReport, run_certification,
+                           transcription_report)
 
 __version__ = "0.1.0"
-
-#: Names re-exported from :mod:`triped.verification`, loaded on first use so
-#: that ``import triped`` does not load the certification battery.
-_VERIFICATION_NAMES = ("CertificationReport", "CheckResult",
-                       "TranscriptionReport", "run_certification",
-                       "transcription_report")
-
-
-def __getattr__(name: str):
-    if name in _VERIFICATION_NAMES:
-        from . import verification
-        return getattr(verification, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "ActuationSingularityError", "CertificationReport", "CheckResult",

@@ -27,6 +27,7 @@ from .config_io import (emit_orbit_outputs, emit_outputs, emit_sweep_outputs,
 from .errors import ConfigError, WalkerError
 from .params import SimConfig, SweepSpec
 from .simulate import run_gait
+from .verification import run_certification, transcription_report
 
 EXIT_OK = 0
 EXIT_GAIT = 1
@@ -155,9 +156,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # Imported here: only this verb runs the certification battery.
-    from .verification import run_certification, transcription_report
-
     report = run_certification(n_states=args.checks)
     print(report.as_text())
     print()

@@ -294,15 +294,12 @@ def _fields_json(obj) -> dict:
     return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
 
 
-def _write_json(path: Path, payload: dict) -> Path:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_lines(path: Path, lines: list[str]) -> Path:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
 def _sampled_rows(header: str, trajectories, columns) -> list[str]:
@@ -316,13 +313,23 @@ def _sampled_rows(header: str, trajectories, columns) -> list[str]:
     return lines
 
 
-def _write_manifest(outdir: Path, manifest: RunManifest,
-                    files: dict[str, Path]) -> Path:
+def _write_run(outdir, manifest: RunManifest,
+               texts: dict[str, str]) -> dict[str, Path]:
+    """Write each text as UTF-8 bytes under its name, then ``manifest.json``
+    with the digests of those same bytes; returns name -> path, in the
+    given order with the manifest last.  Bytes, not text, so that no
+    platform translates the ``\\n`` line ends."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    data = {name: text.encode("utf-8") for name, text in texts.items()}
     payload = _fields_json(manifest)
     payload["config"] = payload.pop("config_text").splitlines()
-    payload["outputs"] = {name: _sha256(p.read_bytes())
-                          for name, p in sorted(files.items())}
-    return _write_json(outdir / "manifest.json", payload)
+    payload["outputs"] = {name: _sha256(b) for name, b in data.items()}
+    data["manifest.json"] = _json(payload).encode("utf-8")
+    files = {name: outdir / name for name in data}
+    for name, path in files.items():
+        path.write_bytes(data[name])
+    return files
 
 
 def emit_outputs(summary: GaitSummary, manifest: RunManifest,
@@ -335,65 +342,52 @@ def emit_outputs(summary: GaitSummary, manifest: RunManifest,
     runs produce byte-identical data files; only the manifest timestamp
     varies.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    files["trajectory.csv"] = _write_lines(
-        outdir / "trajectory.csv",
-        _sampled_rows(TRAJECTORY_HEADER, summary.trajectories,
-                      lambda tr: (tr.t, tr.q, tr.dq, tr.u, tr.eta,
-                                  tr.omega_I, tr.zdelta)))
-    files["steps.json"] = _write_json(outdir / "steps.json", {
-        "run_id": manifest.run_id,
-        "aborted": summary.aborted,
-        "abort_reason": summary.abort_reason,
-        "completed_steps": summary.completed_steps,
-        "records": [{**_fields_json(r), "step_time": _jsonable(r.step_time)}
-                    for r in summary.records],
+    return _write_run(outdir, manifest, {
+        "trajectory.csv": _lines(_sampled_rows(
+            TRAJECTORY_HEADER, summary.trajectories,
+            lambda tr: (tr.t, tr.q, tr.dq, tr.u, tr.eta, tr.omega_I,
+                        tr.zdelta))),
+        "steps.json": _json({
+            "run_id": manifest.run_id,
+            "aborted": summary.aborted,
+            "abort_reason": summary.abort_reason,
+            "completed_steps": summary.completed_steps,
+            "records": [{**_fields_json(r),
+                         "step_time": _jsonable(r.step_time)}
+                        for r in summary.records],
+        }),
+        "step_times.csv": _lines(
+            ["step,t_start,t_end,step_time,zdelta"]
+            + ["%d,%.17g,%.17g,%.17g,%.17g" % (
+                r.step_index, r.t_start, r.t_end, r.step_time,
+                r.z_delta_at_impact)
+               for r in summary.records if not r.aborted]),
+        "phase.csv": _lines(_sampled_rows(
+            "t,q1,dq1,dq3,step", summary.trajectories,
+            lambda tr: (tr.t, tr.q[:, 0], tr.dq[:, 0], tr.dq[:, 2]))),
     })
-    files["step_times.csv"] = _write_lines(
-        outdir / "step_times.csv",
-        ["step,t_start,t_end,step_time,zdelta"]
-        + ["%d,%.17g,%.17g,%.17g,%.17g" % (r.step_index, r.t_start, r.t_end,
-                                          r.step_time, r.z_delta_at_impact)
-           for r in summary.records if not r.aborted])
-    files["phase.csv"] = _write_lines(
-        outdir / "phase.csv",
-        _sampled_rows("t,q1,dq1,dq3,step", summary.trajectories,
-                      lambda tr: (tr.t, tr.q[:, 0], tr.dq[:, 0], tr.dq[:, 2])))
-    files["manifest.json"] = _write_manifest(outdir, manifest, files)
-    return files
 
 
 def emit_sweep_outputs(samples: list[SweepSample], manifest: RunManifest,
                        outdir) -> dict[str, Path]:
     """Write the sweep table (`sweep.csv`, `sweep.json`, `manifest.json`)."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    files["sweep.csv"] = _write_lines(
-        outdir / "sweep.csv",
-        ["index,axis,value,completed_steps,aborted,converged,"
-         "step_time,rho_hat,worst_z_delta"]
-        + ["%d,%s,%.17g,%d,%s,%s,%.17g,%.17g,%.17g" % (
-            s.index, s.axis, s.value, s.completed_steps,
-            str(s.aborted).lower(), str(s.converged).lower(),
-            s.step_time, s.rho_hat, s.worst_z_delta) for s in samples])
-    files["sweep.json"] = _write_json(outdir / "sweep.json", {
-        "run_id": manifest.run_id,
-        "samples": [_fields_json(s) for s in samples],
+    return _write_run(outdir, manifest, {
+        "sweep.csv": _lines(
+            ["index,axis,value,completed_steps,aborted,converged,"
+             "step_time,rho_hat,worst_z_delta"]
+            + ["%d,%s,%.17g,%d,%s,%s,%.17g,%.17g,%.17g" % (
+                s.index, s.axis, s.value, s.completed_steps,
+                str(s.aborted).lower(), str(s.converged).lower(),
+                s.step_time, s.rho_hat, s.worst_z_delta) for s in samples]),
+        "sweep.json": _json({
+            "run_id": manifest.run_id,
+            "samples": [_fields_json(s) for s in samples],
+        }),
     })
-    files["manifest.json"] = _write_manifest(outdir, manifest, files)
-    return files
 
 
 def emit_orbit_outputs(orbit: PeriodicOrbit, manifest: RunManifest,
                        outdir) -> dict[str, Path]:
     """Write the periodic-orbit result (`orbit.json`, `manifest.json`)."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    files["orbit.json"] = _write_json(outdir / "orbit.json", {
-        "run_id": manifest.run_id, **_fields_json(orbit)})
-    files["manifest.json"] = _write_manifest(outdir, manifest, files)
-    return files
+    return _write_run(outdir, manifest, {"orbit.json": _json(
+        {"run_id": manifest.run_id, **_fields_json(orbit)})})

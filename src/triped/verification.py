@@ -474,9 +474,7 @@ def certify_skew(n_states: int = 1000, seed: int = 5) -> CheckResult:
 
 def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationReport:
     """Run the full battery; ``n_states`` scales every sampled check and
-    must be at least 1, or each sampled check would pass on no evidence."""
-    if n_states < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
+    must be at least 1 (each check's :func:`_batches` refuses fewer)."""
     return CertificationReport(checks=[
         certify_swing_terms(n_states, seed), certify_energy_conservation(),
         certify_reduced_consistency(n_states, seed + 1),

@@ -1,5 +1,6 @@
 """Config text format, run manifests, and bit-stable output files."""
 
+import hashlib
 import json
 import math
 import operator
@@ -463,12 +464,25 @@ def test_phase_and_step_time_files_are_projections(two_step_outputs):
     assert len(time_rows) - 1 == 2
 
 
-def test_sweep_outputs(tmp_path):
+def aborted_sweep():
+    """A one-sample sweep whose gait times out: (spec, rows)."""
     cfg = replace(T.SimConfig(), n_steps=1, max_step_time=0.05)
     spec = T.SweepSpec(axis="plant.torso_mass", rel_range=(0.0, 0.0),
                        n_samples=1, base=cfg)
-    rows = [summarize_gait(T.run_gait(spec.sample_config(0)), index=0,
-                           axis=spec.axis, value=spec.sample_values()[0])]
+    return spec, [summarize_gait(T.run_gait(spec.sample_config(0)), index=0,
+                                 axis=spec.axis,
+                                 value=spec.sample_values()[0])]
+
+
+def made_up_orbit():
+    return T.PeriodicOrbit(
+        x_star=np.arange(6.0), omega_I_star=np.zeros(2), step_time=0.5,
+        rho_hat=0.8, iterations=3, distances=np.array([1.0, 0.1, 0.01]),
+        tol=0.05)
+
+
+def test_sweep_outputs(tmp_path):
+    spec, rows = aborted_sweep()
     files = emit_sweep_outputs(rows, T.make_manifest(spec), tmp_path)
     table = files["sweep.csv"].read_text().splitlines()
     assert table[0] == ("index,axis,value,completed_steps,aborted,converged,"
@@ -481,15 +495,31 @@ def test_sweep_outputs(tmp_path):
 
 
 def test_orbit_outputs(tmp_path):
-    orbit = T.PeriodicOrbit(
-        x_star=np.arange(6.0), omega_I_star=np.zeros(2), step_time=0.5,
-        rho_hat=0.8, iterations=3, distances=np.array([1.0, 0.1, 0.01]),
-        tol=0.05)
-    files = T.emit_orbit_outputs(orbit, T.make_manifest(T.SimConfig()),
-                                 tmp_path)
+    files = T.emit_orbit_outputs(made_up_orbit(),
+                                 T.make_manifest(T.SimConfig()), tmp_path)
     data = json.loads(files["orbit.json"].read_text())
     assert data["x_star"] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     assert data["iterations"] == 3
     assert data["tol"] == 0.05
     manifest = json.loads(files["manifest.json"].read_text())
     assert manifest["outputs"].keys() == {"orbit.json"}
+
+
+def test_every_manifest_digests_the_bytes_on_disk(two_step_outputs, tmp_path):
+    # Each emitter returns exactly the files of its run directory, and the
+    # manifest's digest of each data file is that of the file as written.
+    spec, rows = aborted_sweep()
+    runs = [two_step_outputs[3],
+            emit_sweep_outputs(rows, T.make_manifest(spec),
+                               tmp_path / "sweep"),
+            T.emit_orbit_outputs(made_up_orbit(),
+                                 T.make_manifest(T.SimConfig()),
+                                 tmp_path / "orbit")]
+    for files in runs:
+        outdir = files["manifest.json"].parent
+        assert {p.name for p in outdir.iterdir()} == set(files)
+        assert all(path == outdir / name for name, path in files.items())
+        outputs = json.loads(files["manifest.json"].read_text())["outputs"]
+        assert outputs == {
+            name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in files if name != "manifest.json"}

@@ -55,7 +55,7 @@ def test_verify_loads_no_sympy_and_forks_nothing():
               "assert 'sympy' not in sys.modules, 'sympy imported'")
 
 
-def test_verification_names_are_reexported_on_demand():
+def test_verification_names_are_reexported():
     from triped import verification
 
     for name in ("CertificationReport", "CheckResult", "TranscriptionReport",
@@ -64,7 +64,7 @@ def test_verification_names_are_reexported_on_demand():
         assert getattr(T, name) is getattr(verification, name)
 
 
-def test_benchmark_hooks_exist():
+def test_benchmark_hooks_exist(tmp_path):
     # perfbench/tracing.py wraps these module attributes by name and reads
     # t and nfev off the integrator's result, and the sweep workload calls
     # run_sweep(..., max_workers=1): removing or renaming one breaks the
@@ -84,6 +84,19 @@ def test_benchmark_hooks_exist():
     assert (sol.t[0], sol.t[-1]) == (0.0, 1.0)
     assert sol.nfev == 2 + 6 * (len(sol.t) - 1 + sol.n_rejected)
     assert "max_workers" in inspect.signature(T.run_sweep).parameters
+    # perfbench's workloads and verdict call emitter(result, manifest, outdir)
+    # positionally and sum the sizes of the returned paths.
+    cfg = T.SimConfig(n_steps=1)
+    spec = T.SweepSpec(axis="incline_true", rel_range=(0.0, 0.0),
+                       n_samples=1, base=cfg)
+    runs = [T.emit_outputs(T.run_gait(cfg), T.make_manifest(cfg),
+                           tmp_path / "gait"),
+            T.emit_sweep_outputs(T.run_sweep(spec, max_workers=1),
+                                 T.make_manifest(spec), tmp_path / "sweep")]
+    for files in runs:
+        assert "manifest.json" in files
+        for path in files.values():
+            assert isinstance(path, Path) and path.is_file(), path
 
 
 def test_the_tools_run_and_print_one_json_line(tmp_path):
