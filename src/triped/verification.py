@@ -20,16 +20,29 @@ battery (:func:`run_certification`) turns that evidence plus the model's
 structural invariants into pass/fail checks:
 
 a. hand-coded inertia/gravity/velocity terms match the oracle;
-b. unforced swing conserves total energy through the integrator;
+b. along an integrated closed-loop swing, total energy changes by exactly
+   the work of the hip torques;
 c. the reduced (output/zero channel) model is equivalent to the full model;
 d. the impact map zeroes the landing-foot velocity, conserves angular
    momentum about the impact point, and only ever dissipates energy;
 e. the regularized matched-model closed loop reduces the output error
    dynamics exactly to the commanded PID system;
-f. the covariant integrator parallel-transports: zero forcing preserves the
-   error-metric norm of the integral state;
+f. the covariant integrator parallel-transports: along the same swing, the
+   error-metric norm of the integral state changes by exactly the work of
+   the error sines, so the bracket term neither adds nor removes any;
 g. compatibility of both connections (full and error-space): the
-   inertia-rate minus twice the velocity-force bracket is skew-symmetric.
+   inertia-rate minus twice the velocity-force bracket is skew-symmetric;
+h. the simulator's fused kernel (:func:`triped.kernel.closed_loop`) is the
+   reference control law followed by the reference plant, at random plants,
+   controller models, slopes, gains and both error weightings.
+
+Checks (b) and (f) integrate the fused kernel itself, the function every
+gait integrates, on :data:`BALANCE_CONFIG`, and hold it to the reference
+energy and error-space inertia.  Both identities are exact, so along the
+one trajectory they check the kernel's plant half, its torque routing, its
+firewall (the plant half reads only ``cfg.plant`` and ``cfg.incline_true``)
+and its bracket.  Their residual is NaN unless the integration reached the
+end of its interval.
 
 :func:`transcription_report` additionally compares the closed-form reduced
 force expressions that accompany this model's original derivation against
@@ -47,20 +60,24 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._oracle_source import SOURCE
-from .control import control_action
+from .control import control_action, error_potential_gradient
 from .dynamics import (coriolis_matrix, float_if_scalar, gravity_torque,
-                       inertia_matrix, matvec, stack_matrix, stack_vector,
-                       swing_accel, swing_foot_position, total_energy, unstack)
+                       inertia_matrix, matvec, quadratic, stack_matrix,
+                       stack_vector, swing_accel, swing_foot_position,
+                       total_energy, unstack)
 from .errors import ActuationSingularityError, DegenerateContactError
 from .impact import (angular_momentum_about, chain_angular_momentum,
                      free_mass_matrix, pinned_reduction_residual, reset_map)
+from .kernel import closed_loop
 from .ode import solve_ivp
-from .params import ControllerConfig, GaitTargets, RobotParams
+from .params import (ERROR_WEIGHTINGS, ControllerConfig, ControllerGains,
+                     GaitTargets, RobotParams, SimConfig)
 from .reduced import (OUTPUT_MAP, ReducedState, consistency_check,
                       input_matrix_e, pushforward_input_matrix,
                       quadratic_bracket, reduced_forces, reduced_inertias,
@@ -303,27 +320,62 @@ def certify_swing_terms(n_states: int = 1000, seed: int = 0) -> CheckResult:
                        note=f"{n_states} states")
 
 
-def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
-    """(b) Unforced swing keeps total energy to integrator accuracy."""
-    p = RobotParams()
-    incline = np.radians(25.0)
-    y0 = np.array([0.15, -0.3, 1.6, 0.6, -0.4, 0.3])
-    u = np.zeros(2)
+#: The closed loop that checks (b) and (f) integrate, and its start: the
+#: nominal robot on 25 deg under a controller whose model and assumed slope
+#: are both wrong, so that each half of the kernel reads its own
+#: parameters.  The soft gains keep the loop non-stiff (the default gains
+#: need about 13 times the evaluations); ``ki = 0`` keeps the integrator
+#: state out of the torques; the inertia-weighted error makes the rate of
+#: the integrator's norm exactly ``omega_I . sin(q_e)`` (see check (f)).
+BALANCE_CONFIG = SimConfig(
+    plant=RobotParams(), incline_true=math.radians(25.0),
+    controller=ControllerConfig(
+        gains=ControllerGains(kp=10.0, kd=5.0, ki=0.0),
+        model=RobotParams(leg_mass=1.1, hip_mass=0.9, torso_mass=3.3,
+                          leg_length=1.05, torso_length=0.7),
+        incline_assumed=math.radians(20.0), error_weighting="inertia"),
+    initial_state=(0.15, -0.3, 1.6, 0.6, -0.4, 0.3))
 
-    def rhs(_t, y):
-        # Python floats: the integrator's generated step is plain float
-        # arithmetic, which numpy scalars would slow.
-        return np.concatenate(
-            [y[3:6], swing_accel(y[:3], y[3:6], u, p, incline)]).tolist()
 
-    sol = solve_ivp(rhs, (0.0, duration), y0, rtol=1e-11, atol=1e-13,
+def _balance_run(rate, omega_i, duration: float, rtol: float, atol: float):
+    """Integrate the kernel of :data:`BALANCE_CONFIG` from its start with
+    integrator state ``omega_i``, plus a ninth state from 0 whose rate is
+    ``rate(loop, t, x)`` at the closed-loop state ``x``; sampled at 101
+    times.  Returns the solution and the start."""
+    loop = closed_loop(BALANCE_CONFIG)
+
+    def rhs(t, y):
+        x = y[:8]
+        return (*loop(t, x), rate(loop, t, x))
+
+    y0 = [*BALANCE_CONFIG.initial_state, *omega_i, 0.0]
+    sol = solve_ivp(rhs, (0.0, duration), y0, rtol=rtol, atol=atol,
                     t_eval=np.linspace(0.0, duration, 101))
+    return sol, np.array(y0)
+
+
+def _balance_residual(sol, residual) -> float:
+    """The worst of ``residual``, or NaN unless the integration reached the
+    end of its interval: a truncated run certifies nothing."""
+    return _worst(residual) if sol.status == 0 else np.nan
+
+
+def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
+    """(b) The closed loop's energy changes by exactly the hips' work."""
+    def hip_power(loop, t, x):
+        u1, u2 = loop(t, x, True)[:2]
+        return u1 * (x[5] - x[3]) + u2 * (x[5] - x[4])
+
+    sol, y0 = _balance_run(hip_power, (0.0, 0.0), duration, 1e-11, 1e-13)
+    p, incline = BALANCE_CONFIG.plant, BALANCE_CONFIG.incline_true
     ys = sol.y_eval.T
     e0 = total_energy(y0[:3], y0[3:6], p, incline)
-    drift = _worst(np.abs(total_energy(ys[:, :3], ys[:, 3:6], p, incline) - e0))
-    return CheckResult("unforced-swing energy drift",
-                       float(drift / max(1.0, abs(e0))), 1e-8,
-                       note=f"{duration:.1f} s horizon")
+    drift = np.abs(total_energy(ys[:, :3], ys[:, 3:6], p, incline) - e0
+                   - ys[:, 8])
+    return CheckResult("powered-swing energy drift",
+                       _balance_residual(sol, drift / max(1.0, abs(e0))),
+                       1e-8, note=f"{duration:.1f} s horizon, "
+                                  f"{sol.nfev} evaluations")
 
 
 def certify_reduced_consistency(n_states: int = 1000, seed: int = 1) -> CheckResult:
@@ -415,35 +467,32 @@ def certify_closed_loop(n_states: int = 1000, seed: int = 3) -> CheckResult:
 
 
 def certify_integrator_transport(seed: int = 4) -> CheckResult:
-    """(f) Zero forcing: the integrator's error-metric norm is invariant."""
+    """(f) The integrator's error-metric norm changes by exactly the work
+    of the error sines: the bracket transports it.
+
+    The residual is absolute, in the norm's own units.  Each component of
+    the drawn ``omega_I(0)`` is 1 to 2 in size, so the norm is of order 10
+    and a relative slip of 1e-6 in either integrator rate exceeds the
+    tolerance."""
     rng = np.random.default_rng(seed)
-    p = RobotParams()
-    targets = GaitTargets()
-    q0 = rng.uniform(-0.8, 0.8, size=3)
-    q1 = rng.uniform(-0.8, 0.8, size=3)
-    w0 = rng.uniform(-1.0, 1.0, size=2)
+    omega_i0 = rng.uniform(1.0, 2.0, size=2) * rng.choice((-1.0, 1.0), size=2)
+    ctrl = BALANCE_CONFIG.controller
+    q3_ref = ctrl.targets.q3_ref
 
-    def path(t):
-        s = t * t * (3.0 - 2.0 * t)
-        ds = 6.0 * t * (1.0 - t)
-        return q0 + s * (q1 - q0), ds * (q1 - q0)
+    def sine_power(loop, t, x):
+        return x[6] * math.sin(x[2] - q3_ref) + x[7] * math.sin(x[0] + x[1])
 
-    def norm_sq(t, w):
-        q, dq = path(t)
-        i_e, _ = reduced_inertias(to_reduced(q, dq, targets), p)
-        return float(w @ i_e @ w)
+    def norm(y):
+        i_e, _ = reduced_inertias(to_reduced(y[..., :3], y[..., 3:6],
+                                             ctrl.targets), ctrl.model)
+        return 0.5 * quadratic(y[..., 6:8], i_e, y[..., 6:8])
 
-    def rhs(t, w):
-        q, dq = path(t)
-        rs = to_reduced(q, dq, targets)
-        i_e, _ = reduced_inertias(rs, p)
-        return (-np.linalg.solve(i_e, quadratic_bracket(rs, p) @ w)).tolist()
-
-    sol = solve_ivp(rhs, (0.0, 1.0), w0, rtol=1e-12, atol=1e-14)
-    n0 = norm_sq(0.0, w0)
-    n1 = norm_sq(1.0, sol.y[:, -1])
+    sol, y0 = _balance_run(sine_power, omega_i0.tolist(), 1.0, 1e-12, 1e-14)
+    ys = sol.y_eval.T
+    drift = np.abs(norm(ys) - norm(y0) - ys[:, 8])
     return CheckResult("covariant-integrator norm transport",
-                       abs(n1 - n0) / max(1.0, abs(n0)), 1e-6)
+                       _balance_residual(sol, drift), 1e-6,
+                       note=f"1.0 s horizon, {sol.nfev} evaluations")
 
 
 def _error_inertia_rate(rs: ReducedState, p: RobotParams) -> np.ndarray:
@@ -472,6 +521,87 @@ def certify_skew(n_states: int = 1000, seed: int = 5) -> CheckResult:
                        note=f"{n_states} states")
 
 
+def _rows(batch: RobotParams):
+    """The fields of each robot of a stacked :class:`RobotParams`, one
+    tuple of Python floats per state, in field order."""
+    return zip(*(getattr(batch, f.name).tolist() for f in fields(RobotParams)))
+
+
+def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
+    """(h) The simulator's fused kernel is the reference law it fuses."""
+    rng = np.random.default_rng(seed)
+    worst = []
+    skipped = unmatched = 0
+    for n in _batches(n_states):
+        plant, model = _robots(rng, n), _robots(rng, n)
+        incline_true, incline_assumed = rng.uniform(-0.6, 0.6, size=(2, n))
+        gains = np.exp(rng.uniform(np.log(0.1), np.log(1e4), size=(3, n)))
+        q = rng.uniform(-1.0, 1.0, size=(n, 3)) + [0.0, 0.0, np.pi / 2]
+        dq = rng.uniform(-3.0, 3.0, size=(n, 3))
+        omega_i = rng.uniform(-0.5, 0.5, size=(n, 2))
+
+        # The kernel, built and called state by state as a swing does; the
+        # even states take the raw error, the odd ones the inertia-weighted.
+        outputs, rates = np.full((n, 9), np.nan), np.full((n, 8), np.nan)
+        singular = np.zeros(n, dtype=bool)
+        for i, (p, m, lam_t, lam_a, g, state) in enumerate(zip(
+                _rows(plant), _rows(model), incline_true.tolist(),
+                incline_assumed.tolist(), gains.T.tolist(),
+                np.hstack([q, dq, omega_i]))):
+            rhs = closed_loop(SimConfig(
+                plant=RobotParams(*p), incline_true=lam_t,
+                controller=ControllerConfig(
+                    gains=ControllerGains(*g), model=RobotParams(*m),
+                    incline_assumed=lam_a,
+                    error_weighting=ERROR_WEIGHTINGS[i % 2])))
+            y = state.tolist()
+            try:
+                outputs[i] = rhs(0.0, y, True)
+                rates[i] = rhs(0.0, y)
+            except ActuationSingularityError:
+                singular[i] = True
+
+        # The reference, one batch per error weighting.
+        def reference(index, weighting):
+            ctrl = ControllerConfig(
+                gains=ControllerGains(*gains[:, index, None]),
+                model=_take(model, index),
+                incline_assumed=incline_assumed[index],
+                error_weighting=weighting)
+            act = control_action(q[index], dq[index], omega_i[index], ctrl)
+            grad = error_potential_gradient(
+                to_reduced(q[index], dq[index], ctrl.targets), ctrl.model)
+            qdd = swing_accel(q[index], dq[index], act.u, _take(plant, index),
+                              incline_true[index])
+            return (np.column_stack([act.u, act.omega_I_rate, act.eta,
+                                     act.det_input, grad]),
+                    np.column_stack([dq[index], qdd, act.omega_I_rate]))
+
+        for first, weighting in enumerate(ERROR_WEIGHTINGS):
+            drawn = np.arange(first, n, 2)
+            if not drawn.size:
+                continue
+            ref, (index,), dropped = _without_bad(
+                lambda index: reference(index, weighting),
+                ActuationSingularityError, (drawn,))
+            skipped += dropped
+            unmatched += np.count_nonzero(
+                singular[drawn] != ~np.isin(drawn, index))
+            if ref is None:
+                continue
+            for got, want in zip((outputs[index], rates[index]), ref):
+                worst.append(_worst(np.abs(got - want)
+                                    / np.maximum(1.0, np.abs(want))))
+    note = f"{n_states - skipped} states"
+    if skipped:
+        note += f", {skipped} singular skipped"
+    if unmatched:
+        note += f", {unmatched} singular on one path only"
+    return CheckResult("fused kernel vs reference law",
+                       _worst(worst) if skipped < n_states and not unmatched
+                       else np.nan, 1e-10, note=note)
+
+
 def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationReport:
     """Run the full battery; ``n_states`` scales every sampled check and
     must be at least 1 (each check's :func:`_batches` refuses fewer)."""
@@ -482,6 +612,7 @@ def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationRepor
         certify_closed_loop(n_states, seed + 3),
         certify_integrator_transport(seed + 4),
         certify_skew(n_states, seed + 5),
+        certify_kernel(n_states, seed + 6),
     ])
 
 

@@ -1,12 +1,15 @@
 """Self-check battery: the package must certify its own dynamics."""
 
+import functools
+import itertools
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import triped as T
-from triped import reduced, verification
+from triped import kernel, ode, reduced, verification
 from triped.reduced import input_matrix_e, to_reduced
 from triped.verification import (CertificationReport, CheckResult,
                                  run_certification, transcription_report)
@@ -27,7 +30,7 @@ def test_battery_passes_wholesale(report):
 def test_battery_covers_every_certified_structure(report):
     names = " ".join(check.name for check in report.checks)
     for topic in ("swing", "energy", "reduced", "impact", "closed-loop",
-                  "integrator", "skew"):
+                  "integrator", "skew", "kernel"):
         assert topic in names, f"no check covers {topic!r}"
 
 
@@ -58,7 +61,7 @@ def test_battery_refuses_to_certify_without_states(n_states):
                     verification.certify_reduced_consistency,
                     verification.certify_impact,
                     verification.certify_closed_loop,
-                    verification.certify_skew):
+                    verification.certify_skew, verification.certify_kernel):
         with pytest.raises(ValueError, match="n_states must be >= 1"):
             battery(n_states=n_states)
 
@@ -145,6 +148,7 @@ def nan_at(fn, index=3):
     ("certify_impact", verification, "angular_momentum_about"),
     ("certify_closed_loop", verification, "swing_accel"),
     ("certify_skew", verification, "quadratic_bracket"),
+    ("certify_kernel", verification, "swing_accel"),
 ])
 def test_a_nan_at_one_state_fails_the_check(monkeypatch, check, module, name):
     monkeypatch.setattr(module, name, nan_at(getattr(module, name)))
@@ -245,3 +249,104 @@ def test_control_action_batch_error_names_its_first_singular_state():
     assert str(one.value).startswith("torque allocation singular: |det B_e| = ")
     assert str(many.value) == f"{one.value} (at 2 of 5 states, first at index {first})"
     assert many.value.bad.tolist() == (dets <= cfg.det_floor).tolist()
+
+
+# --------------------------------------------------------------------------
+# The balance checks integrate the fused kernel
+# --------------------------------------------------------------------------
+
+BALANCE_CHECKS = ("certify_energy_conservation", "certify_integrator_transport")
+
+
+def test_balance_checks_report_and_bound_their_evaluations(report):
+    # The soft gains of BALANCE_CONFIG keep the closed loop non-stiff; the
+    # default gains would take about 13 times the evaluations.
+    for fragment in ("energy drift", "norm transport"):
+        check, = [c for c in report.checks if fragment in c.name]
+        nfev = int(re.fullmatch(r"1\.0 s horizon, (\d+) evaluations",
+                                check.note).group(1))
+        assert 0 < nfev <= 5000, check.note
+
+
+def test_a_truncated_integration_fails_both_balance_checks(monkeypatch):
+    monkeypatch.setattr(verification, "solve_ivp",
+                        functools.partial(ode.solve_ivp, max_nfev=200))
+    for check in BALANCE_CHECKS:
+        result = getattr(verification, check)()
+        assert np.isnan(result.max_residual), check
+        assert not result.passed, check
+
+
+def heavier_torso(cfg):
+    return kernel.closed_loop(replace(cfg, plant=replace(
+        cfg.plant, torso_mass=cfg.plant.torso_mass * (1 + 1e-6))))
+
+
+def plant_on_the_assumed_slope(cfg):
+    """A firewall breach: the plant half reads the controller's slope."""
+    return kernel.closed_loop(
+        replace(cfg, incline_true=cfg.controller.incline_assumed))
+
+
+def faster_integrator(cfg):
+    """The kernel with its first integrator rate scaled by 1 + 1e-6."""
+    rhs = kernel.closed_loop(cfg)
+
+    def scaled(t, y, outputs=False):
+        rates = rhs(t, y, outputs)
+        if outputs:
+            return rates
+        return (*rates[:6], rates[6] * (1 + 1e-6), rates[7])
+    return scaled
+
+
+@pytest.mark.parametrize("build, failing", [
+    (heavier_torso, "certify_energy_conservation"),
+    (plant_on_the_assumed_slope, "certify_energy_conservation"),
+    (faster_integrator, "certify_integrator_transport"),
+])
+def test_a_wrong_kernel_fails_its_balance_check(monkeypatch, build, failing):
+    monkeypatch.setattr(verification, "closed_loop", build)
+    for check in BALANCE_CHECKS:
+        result = getattr(verification, check)()
+        assert np.isfinite(result.max_residual), check
+        assert result.passed == (check != failing), (check, result)
+
+
+# --------------------------------------------------------------------------
+# The kernel check
+# --------------------------------------------------------------------------
+
+def test_kernel_check_skips_the_states_both_paths_find_singular(monkeypatch):
+    monkeypatch.setattr(verification, "ControllerConfig",
+                        functools.partial(T.ControllerConfig, det_floor=200.0))
+    result = verification.certify_kernel(n_states=20)
+    assert result.note == "16 states, 4 singular skipped"
+    assert result.passed
+
+
+def test_kernel_check_fails_when_only_one_path_is_singular(monkeypatch):
+    builds = itertools.count()
+
+    def singular_at_the_fourth_state(cfg):
+        rhs = kernel.closed_loop(cfg)
+        if next(builds) != 3:
+            return rhs
+
+        def singular(t, y, outputs=False):
+            raise T.ActuationSingularityError("torque allocation singular")
+        return singular
+
+    monkeypatch.setattr(verification, "closed_loop",
+                        singular_at_the_fourth_state)
+    result = verification.certify_kernel(n_states=20)
+    assert result.note == "20 states, 1 singular on one path only"
+    assert np.isnan(result.max_residual)
+    assert not result.passed
+
+
+def test_kernel_check_fails_on_a_wrong_kernel(monkeypatch):
+    monkeypatch.setattr(verification, "closed_loop", faster_integrator)
+    result = verification.certify_kernel(n_states=20)
+    assert 1e-7 < result.max_residual < 1e-5
+    assert not result.passed
