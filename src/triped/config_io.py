@@ -202,8 +202,8 @@ def _checked(config: SimConfig | SweepSpec) -> SimConfig | SweepSpec:
     """Validate a parsed configuration and warn about slopes without a
     standing equilibrium.  Each public parser calls this directly, so
     ``stacklevel=3`` attributes the warning to that parser's caller."""
+    config.validate()
     cfg = config.base if isinstance(config, SweepSpec) else config
-    cfg.validate()
     checks = (
         ("lambda_true_deg", cfg.incline_true, max_static_incline(cfg.plant)),
         ("lambda_assumed_deg", cfg.controller.incline_assumed,
@@ -216,8 +216,6 @@ def _checked(config: SimConfig | SweepSpec) -> SimConfig | SweepSpec:
                 f"static-stability bound {math.degrees(bound):.2f} deg; no "
                 "standing equilibrium exists there (dynamic walking may "
                 "still succeed)", StaticStabilityWarning, stacklevel=3)
-    if config is not cfg:
-        config.validate()
     return config
 
 

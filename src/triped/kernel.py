@@ -31,7 +31,8 @@ functions.  The checks are the composed path's, with the same exceptions
 and messages: ``|det B_e| <= det_floor`` raises
 :class:`~triped.errors.ActuationSingularityError`, a non-finite state
 raises :class:`~triped.errors.NonFiniteStateError`.  ``tests/test_kernel.py``
-holds the kernel to the composed path within 1e-10.
+and :func:`triped.verification.certify_kernel`, check (h) of ``triped
+verify``, hold the kernel to the composed path within 1e-10.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ makes sweep samples independent and runs reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigValidationError
 
@@ -38,21 +39,42 @@ def _finite_tuple(value, n: int) -> bool:
             and all(_finite(v) for v in value))
 
 
-def _check_nested(owner, **types: type) -> None:
-    """Refuse by key each nested config of ``owner`` that is not of its
-    type, before its own ``validate`` is looked up."""
-    bad = [name for name, cls in types.items()
-           if not isinstance(getattr(owner, name), cls)]
-    if bad:
-        raise ConfigValidationError(
-            "nested settings must be " + ", ".join(
-                f"{name} a {types[name].__name__}" for name in bad), keys=bad)
-
-
 def _count(value) -> bool:
     """Whether ``value`` is an integer >= 1 (numpy's included, not a bool)."""
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= 1)
+
+
+def _refuse(owner, **rules) -> None:
+    """Raise one :class:`ConfigValidationError` that names, in order, every
+    field of ``owner`` whose rule fails.  A rule is a pair ``(test, text)``:
+    ``test`` takes the field's value, ``text`` says what it must be."""
+    bad = [name for name, (test, _) in rules.items()
+           if not test(getattr(owner, name))]
+    if bad:
+        raise ConfigValidationError("; ".join(
+            f"{name} must be {rules[name][1]}" for name in bad), keys=bad)
+
+
+_POSITIVE = (lambda v: _finite(v) and v > 0, "positive and finite")
+_NONNEGATIVE = (lambda v: _finite(v) and v >= 0, "non-negative and finite")
+_FINITE = (_finite, "finite")
+_COUNT = (_count, "an integer >= 1")
+_INCLINE = (lambda v: _finite(v) and abs(v) < math.pi / 2,
+            "finite with |angle| < 90 deg")
+
+
+@functools.cache
+def _instance(cls: type) -> tuple:
+    """The rule that a field holds a ``cls``, such as a nested config."""
+    return (lambda v: isinstance(v, cls), f"a {cls.__name__}")
+
+
+@functools.cache
+def _choice(choices: tuple[str, ...]) -> tuple:
+    """The rule that a field is a ``str`` in ``choices``, not an array."""
+    return (lambda v: isinstance(v, str) and v in choices,
+            "one of " + ", ".join(choices))
 
 
 def get_path(obj, path):
@@ -92,12 +114,7 @@ class RobotParams:
 
     def validate(self) -> None:
         """Raise :class:`ConfigValidationError` unless all fields are positive."""
-        bad = [name for name in ("leg_mass", "hip_mass", "torso_mass",
-                                 "leg_length", "torso_length", "gravity")
-               if not (_finite(getattr(self, name)) and getattr(self, name) > 0.0)]
-        if bad:
-            raise ConfigValidationError(
-                f"robot parameters must be positive and finite: {', '.join(bad)}", keys=bad)
+        _refuse(self, **{f.name: _POSITIVE for f in fields(self)})
 
     def scaled_masses(self, factor: float) -> "RobotParams":
         """Return a copy with all three masses multiplied by ``factor``."""
@@ -109,14 +126,6 @@ class RobotParams:
     def total_mass(self) -> float:
         """Total mass of the robot (two legs + hip + torso tip)."""
         return 2.0 * self.leg_mass + self.hip_mass + self.torso_mass
-
-
-def validate_incline(incline: float, *, key: str = "incline") -> None:
-    """Reject slopes at or beyond vertical (|angle| >= 90 deg)."""
-    if not (_finite(incline) and abs(incline) < math.pi / 2):
-        raise ConfigValidationError(
-            f"{key} must satisfy |angle| < 90 deg, got {math.degrees(incline):.3f} deg",
-            keys=[key])
 
 
 @dataclass(frozen=True)
@@ -131,9 +140,7 @@ class GaitTargets:
     q3_ref: float = math.radians(105.0)
 
     def validate(self) -> None:
-        bad = [k for k in ("q1_switch", "q3_ref") if not _finite(getattr(self, k))]
-        if bad:
-            raise ConfigValidationError("gait targets must be finite", keys=bad)
+        _refuse(self, q1_switch=_FINITE, q3_ref=_FINITE)
 
 
 @dataclass(frozen=True)
@@ -145,16 +152,7 @@ class ControllerGains:
     ki: float = 120.0
 
     def validate(self) -> None:
-        bad = []
-        if not (_finite(self.kp) and self.kp > 0):
-            bad.append("kp")
-        if not (_finite(self.kd) and self.kd > 0):
-            bad.append("kd")
-        if not (_finite(self.ki) and self.ki >= 0):
-            bad.append("ki")
-        if bad:
-            raise ConfigValidationError(
-                "gains must satisfy kp > 0, kd > 0, ki >= 0", keys=bad)
+        _refuse(self, kp=_POSITIVE, kd=_POSITIVE, ki=_NONNEGATIVE)
 
 
 #: PID error-vector conventions (see :mod:`triped.control` for the physics).
@@ -186,20 +184,14 @@ class ControllerConfig:
     det_floor: float = 1e-6
 
     def validate(self) -> None:
-        _check_nested(self, gains=ControllerGains, model=RobotParams,
-                      targets=GaitTargets)
+        _refuse(self, gains=_instance(ControllerGains),
+                model=_instance(RobotParams), targets=_instance(GaitTargets))
         self.gains.validate()
         self.model.validate()
         self.targets.validate()
-        validate_incline(self.incline_assumed, key="incline_assumed")
-        if self.error_weighting not in ERROR_WEIGHTINGS:
-            raise ConfigValidationError(
-                f"error_weighting must be one of {ERROR_WEIGHTINGS}", keys=["error_weighting"])
-        if self.integrator_reset not in INTEGRATOR_RESETS:
-            raise ConfigValidationError(
-                f"integrator_reset must be one of {INTEGRATOR_RESETS}", keys=["integrator_reset"])
-        if not (_finite(self.det_floor) and self.det_floor > 0):
-            raise ConfigValidationError("det_floor must be positive", keys=["det_floor"])
+        _refuse(self, incline_assumed=_INCLINE,
+                error_weighting=_choice(ERROR_WEIGHTINGS),
+                integrator_reset=_choice(INTEGRATOR_RESETS), det_floor=_POSITIVE)
 
 
 def nominal_initial_state() -> tuple[float, ...]:
@@ -242,24 +234,16 @@ class SimConfig:
     strict_scuff: bool = False
 
     def validate(self) -> None:
-        _check_nested(self, plant=RobotParams, controller=ControllerConfig)
+        _refuse(self, plant=_instance(RobotParams),
+                controller=_instance(ControllerConfig))
         self.plant.validate()
         self.controller.validate()
-        validate_incline(self.incline_true, key="incline_true")
-        bad = [] if _count(self.n_steps) else ["n_steps"]
-        for k in ("rel_tol", "abs_tol", "max_step_time", "delta", "scuff_tol", "sample_dt"):
-            v = getattr(self, k)
-            if not (_finite(v) and v > 0):
-                bad.append(k)
-        if not _finite_tuple(self.initial_state, 6):
-            bad.append("initial_state")
-        if not isinstance(self.strict_scuff, bool):
-            bad.append("strict_scuff")
-        if bad:
-            raise ConfigValidationError(
-                "simulation settings must be positive and finite (n_steps an "
-                "integer >= 1, initial_state a tuple of six finite numbers, "
-                "strict_scuff a bool)", keys=bad)
+        _refuse(self, incline_true=_INCLINE, n_steps=_COUNT,
+                **dict.fromkeys(("rel_tol", "abs_tol", "max_step_time", "delta",
+                                 "scuff_tol", "sample_dt"), _POSITIVE),
+                initial_state=(lambda v: _finite_tuple(v, 6),
+                               "a tuple of six finite numbers"),
+                strict_scuff=_instance(bool))
         if not self.max_step_time / self.sample_dt <= MAX_SAMPLES_PER_SWING:
             raise ConfigValidationError(
                 f"max_step_time / sample_dt may be at most {MAX_SAMPLES_PER_SWING}"
@@ -291,26 +275,22 @@ class SweepSpec:
     def _path(self) -> tuple:
         return tuple(int(p) if p.isdecimal() else p for p in self.axis.split("."))
 
-    def validate(self) -> None:
-        _check_nested(self, base=SimConfig)
-        self.base.validate()
+    def _names_a_float(self, axis) -> bool:
         try:
-            named = isinstance(self.axis, str) and (
-                self.axis == "all_masses"
+            return isinstance(axis, str) and (
+                axis == "all_masses"
                 or isinstance(get_path(self.base, self._path()), float))
         except (AttributeError, IndexError, TypeError, ValueError):
-            named = False
-        if not named:
-            raise ConfigValidationError("sweep axis must be all_masses or the "
-                                        "path of a float field", keys=["axis"])
-        if not _count(self.n_samples):
-            raise ConfigValidationError("n_samples must be an integer >= 1",
-                                        keys=["n_samples"])
-        if not (_finite_tuple(self.rel_range, 2)
-                and self.rel_range[0] <= self.rel_range[1]):
-            raise ConfigValidationError(
-                "rel_range must be a tuple of two finite numbers with lo <= hi",
-                keys=["rel_range"])
+            return False
+
+    def validate(self) -> None:
+        _refuse(self, base=_instance(SimConfig))
+        self.base.validate()
+        _refuse(self, axis=(self._names_a_float,
+                            "all_masses or the path of a float field"),
+                rel_range=(lambda v: _finite_tuple(v, 2) and v[0] <= v[1],
+                           "a tuple of two finite numbers with lo <= hi"),
+                n_samples=_COUNT)
         # Every per-field rule is an interval and the samples are monotone
         # in their index, so the two end samples bound all the others.
         for index in {0, self.n_samples - 1}:

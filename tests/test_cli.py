@@ -95,6 +95,14 @@ def test_gait_abort_exits_with_code_one(tmp_path, capsys):
     assert "StepTimeoutError" in capsys.readouterr().err
 
 
+def test_a_failed_orbit_search_exits_with_code_one(tmp_path, capsys):
+    cfg_file = tmp_path / "short.cfg"
+    cfg_file.write_text("[sim]\nmax_step_time = 0.3\n")
+    assert main(["orbit", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "orbit")]) == 1
+    assert capsys.readouterr().err.startswith("gait failed: ")
+
+
 def test_orbit_verb(tmp_path, capsys):
     out = tmp_path / "orbit"
     assert main(["orbit", "--tol", "0.05", "--out", str(out)]) == 0

@@ -161,6 +161,7 @@ def test_comments_whitespace_and_case_are_tolerated():
     ("leg_mass = 1\n", 1),
     ("[plant]\nleg_mass = 1\nleg_mass = 2\n", 3),
     ("[plant]\nleg_mass\n", 2),
+    ("[sim]\nstrict_scuff = maybe\n", 2),
 ])
 def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(T.ConfigParseError) as err:
@@ -206,17 +207,80 @@ def test_invalid_values_are_rejected_with_keys():
     (replace(T.SimConfig(), controller=replace(T.ControllerConfig(),
                                                targets=None)), "targets"),
     (T.SweepSpec(base=T.ControllerConfig()), "base"),
+    (replace(T.SimConfig(), incline_true=None), "incline_true"),
+    (replace(T.SimConfig(), incline_true="0.4"), "incline_true"),
+    (replace(T.ControllerConfig(), incline_assumed=None), "incline_assumed"),
+    (replace(T.ControllerConfig(), error_weighting=np.array(["inertia"])),
+     "error_weighting"),
+    (replace(T.ControllerConfig(), error_weighting=np.array(ERROR_WEIGHTINGS)),
+     "error_weighting"),
+    (replace(T.ControllerConfig(), integrator_reset=np.array(["zero"])),
+     "integrator_reset"),
+    (replace(T.ControllerConfig(), integrator_reset=np.array(INTEGRATOR_RESETS)),
+     "integrator_reset"),
 ], ids=["array-rows", "string-entry", "scalar-start", "fractional-steps",
         "bool-steps", "string-flag", "string-tolerance", "string-mass",
         "fractional-samples", "one-bound", "array-start", "list-start",
         "list-range", "array-range", "no-plant", "no-controller", "no-gains",
-        "targets-as-model", "no-targets", "controller-as-base"])
+        "targets-as-model", "no-targets", "controller-as-base", "no-slope",
+        "string-slope", "no-assumed-slope", "weighting-array",
+        "weightings-array", "reset-array", "resets-array"])
 def test_validate_refuses_wrongly_typed_values_by_key(config, key):
     # Python callers can put any object in a field; the config file's
     # parser types every value, so only this gate stands in their way.
     with pytest.raises(T.ConfigValidationError) as err:
         config.validate()
     assert err.value.keys == [key]
+
+
+_OUT_OF_RANGE = [
+    (T.RobotParams(gravity=-9.81), "gravity"),
+    (T.GaitTargets(q1_switch=math.nan), "q1_switch"),
+    (T.GaitTargets(q3_ref=math.inf), "q3_ref"),
+    (T.ControllerGains(kp=0.0), "kp"),
+    (T.ControllerGains(kd=math.nan), "kd"),
+    (T.ControllerGains(ki=-1e-9), "ki"),
+    (replace(T.ControllerConfig(), incline_assumed=math.pi / 2), "incline_assumed"),
+    (replace(T.ControllerConfig(), error_weighting="Inertia"), "error_weighting"),
+    (replace(T.ControllerConfig(), integrator_reset="reset"), "integrator_reset"),
+    (replace(T.ControllerConfig(), det_floor=0.0), "det_floor"),
+    (replace(T.SimConfig(), incline_true=-math.pi / 2), "incline_true"),
+    (replace(T.SimConfig(), n_steps=0), "n_steps"),
+    (replace(T.SimConfig(), delta=math.inf), "delta"),
+    (T.SweepSpec(axis="n_steps"), "axis"),
+    (T.SweepSpec(rel_range=(0.1, -0.1)), "rel_range"),
+    (T.SweepSpec(n_samples=0), "n_samples"),
+]
+
+
+@pytest.mark.parametrize("config, key", _OUT_OF_RANGE,
+                         ids=[key for _, key in _OUT_OF_RANGE])
+def test_validate_refuses_out_of_range_values_by_key(config, key):
+    with pytest.raises(T.ConfigValidationError) as err:
+        config.validate()
+    assert err.value.keys == [key]
+
+
+_CONFIG_TYPES = (T.RobotParams, T.GaitTargets, T.ControllerGains,
+                 T.ControllerConfig, T.SimConfig, T.SweepSpec)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in _CONFIG_TYPES for f in fields(cls)],
+    ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_every_config_field_is_gated(cls, name):
+    # A field added without a rule in its class's validate() fails here.
+    with pytest.raises(T.ConfigValidationError) as err:
+        replace(cls(), **{name: None}).validate()
+    assert err.value.keys == [name]
+
+
+def test_one_error_names_every_bad_field():
+    with pytest.raises(T.ConfigValidationError) as err:
+        replace(T.SimConfig(), rel_tol=0.0, strict_scuff="no").validate()
+    assert err.value.keys == ["rel_tol", "strict_scuff"]
+    assert str(err.value) == ("rel_tol must be positive and finite; "
+                              "strict_scuff must be a bool")
 
 
 def test_numpy_integers_count_steps_and_samples():
@@ -250,10 +314,38 @@ def _or_odd(valid):
                          T.ControllerConfig(), T.SimConfig()]))
 
 
-_NESTED_KEYS = {"plant", "controller", "gains", "model", "targets"}
-_CONTROLLERS = _or_odd(T.ControllerConfig()) | st.builds(
-    T.ControllerConfig, gains=_or_odd(T.ControllerGains()),
-    model=_or_odd(T.RobotParams()), targets=_or_odd(T.GaitTargets()))
+#: Numbers, ``None``, text and small float arrays, where a number goes.
+_ODD_NUMBERS = st.one_of(_ANY_NUMBER, st.none(), st.text(max_size=3),
+                         arrays(np.float64, st.integers(0, 2)))
+
+
+def _odd_choice(choices):
+    """One of ``choices``, or ``None``, text or a string array of them."""
+    return st.one_of(st.sampled_from(choices), st.none(), st.text(max_size=8),
+                     arrays(np.str_, st.integers(1, 2),
+                            elements=st.sampled_from(choices)))
+
+
+_ODD_KEYS = {"plant", "controller", "gains", "model", "targets", "kp",
+                    "kd", "ki", "q1_switch", "q3_ref", "error_weighting",
+                    "integrator_reset", "det_floor"}
+
+
+def _with_odd_fields(valid, **odd):
+    """``valid`` with some of the named fields drawn from their strategies."""
+    return st.fixed_dictionaries({}, optional=odd).map(
+        lambda drawn: replace(valid, **drawn))
+
+
+_CONTROLLERS = _or_odd(T.ControllerConfig()) | _with_odd_fields(
+    T.ControllerConfig(),
+    gains=_or_odd(T.ControllerGains()) | _with_odd_fields(
+        T.ControllerGains(), kp=_ODD_NUMBERS, kd=_ODD_NUMBERS, ki=_ODD_NUMBERS),
+    model=_or_odd(T.RobotParams()),
+    targets=_or_odd(T.GaitTargets()) | _with_odd_fields(
+        T.GaitTargets(), q1_switch=_ODD_NUMBERS, q3_ref=_ODD_NUMBERS),
+    error_weighting=_odd_choice(ERROR_WEIGHTINGS),
+    integrator_reset=_odd_choice(INTEGRATOR_RESETS), det_floor=_ODD_NUMBERS)
 
 
 def assert_usable(config):
@@ -266,20 +358,34 @@ def assert_usable(config):
 @given(start=_odd_vectors(6), n_steps=_ANY_NUMBER,
        plant=_or_odd(T.RobotParams()), controller=_CONTROLLERS)
 def test_validate_passes_or_refuses_by_key(start, n_steps, plant, controller):
-    """Whatever a caller puts in the start, the step count and the nested
-    configs, validation either refuses it by key or leaves what the
-    simulator can run."""
+    """Whatever a caller puts in the start, the step count, the nested
+    configs and the controller's fields, validation either refuses it by
+    key or leaves what the simulator can run."""
     cfg = replace(T.SimConfig(), initial_state=start, n_steps=n_steps,
                   plant=plant, controller=controller)
     try:
         cfg.validate()
     except T.ConfigValidationError as err:
         assert err.keys and set(err.keys) <= {"initial_state", "n_steps",
-                                              *_NESTED_KEYS}
+                                              *_ODD_KEYS}
         return
     x0 = np.array(cfg.initial_state, dtype=float)
     assert x0.shape == (6,) and np.all(np.isfinite(x0))
     assert operator.index(cfg.n_steps) >= 1
+    assert_usable(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(controller=_CONTROLLERS)
+def test_controller_validate_passes_or_refuses_by_key(controller):
+    """As above for the controller alone, whose odd values then also reach
+    the passing side."""
+    cfg = replace(T.SimConfig(), controller=controller)
+    try:
+        cfg.validate()
+    except T.ConfigValidationError as err:
+        assert err.keys and set(err.keys) <= _ODD_KEYS
+        return
     assert_usable(cfg)
 
 

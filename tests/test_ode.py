@@ -148,6 +148,18 @@ def test_a_t_eval_out_of_order_or_outside_t_span_is_refused(t_eval, message):
         solve_ivp(oscillator, (0.0, 1.0), [0.0, 1.0], t_eval=t_eval)
 
 
+@pytest.mark.parametrize("t_span, atol, message", [
+    ((1.0, 1.0), 1e-6, "t_span must increase"),
+    ((1.0, 0.0), 1e-6, "t_span must increase"),
+    ((0.0, 1.0), 0.0, "atol must be positive"),
+    ((0.0, 1.0), -1e-9, "atol must be positive"),
+])
+def test_a_span_that_does_not_rise_or_a_non_positive_atol_is_refused(
+        t_span, atol, message):
+    with pytest.raises(ValueError, match=message):
+        solve_ivp(oscillator, t_span, [0.0, 1.0], atol=atol)
+
+
 def swing_start(cfg):
     """The 8-dim post-impact state of the first stride from ``cfg``."""
     x_pre = np.array(cfg.initial_state)

@@ -325,6 +325,12 @@ def test_kernel_check_skips_the_states_both_paths_find_singular(monkeypatch):
     assert result.passed
 
 
+def test_kernel_check_on_one_state_draws_only_the_raw_weighting():
+    result = verification.certify_kernel(n_states=1)
+    assert result.note == "1 states"
+    assert result.passed
+
+
 def test_kernel_check_fails_when_only_one_path_is_singular(monkeypatch):
     builds = itertools.count()
 
