@@ -34,7 +34,9 @@ g. compatibility of both connections (full and error-space): the
    inertia-rate minus twice the velocity-force bracket is skew-symmetric;
 h. the simulator's fused kernel (:func:`triped.kernel.closed_loop`) is the
    reference control law followed by the reference plant, at random plants,
-   controller models, slopes, gains and both error weightings.
+   controller models, slopes, gains and both error weightings; each kernel
+   it builds serves about :data:`KERNEL_STATES` states in a row, so an
+   answer carried from one call to the next shows too.
 
 Checks (b) and (f) integrate the fused kernel itself, the function every
 gait integrates, on :data:`BALANCE_CONFIG`, and hold it to the reference
@@ -60,7 +62,9 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -523,62 +527,88 @@ def certify_skew(n_states: int = 1000, seed: int = 5) -> CheckResult:
 
 def _rows(batch: RobotParams):
     """The fields of each robot of a stacked :class:`RobotParams`, one
-    tuple of Python floats per state, in field order."""
+    tuple of Python floats per robot, in field order."""
     return zip(*(getattr(batch, f.name).tolist() for f in fields(RobotParams)))
 
 
+#: States per drawn controller in check (h): each built kernel serves about
+#: this many states in a row, so a kernel that carries state from one call
+#: to the next shows, and the check builds a quarter of the kernels.
+KERNEL_STATES = 4
+
+#: What check (h) records for a state the kernel finds singular: its nine
+#: outputs and eight rates, all NaN.
+_SINGULAR = (math.nan,) * 17
+
+
 def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
-    """(h) The simulator's fused kernel is the reference law it fuses."""
+    """(h) The simulator's fused kernel is the reference law it fuses.
+
+    Each batch of ``n`` states draws ``ceil(n / KERNEL_STATES)`` controllers,
+    at least two when ``n >= 2``: one plant, one controller model, a true
+    and an assumed slope, three gains, and the raw error at even
+    controllers, the inertia-weighted at odd ones.  Each controller serves
+    one contiguous run of states.  Its kernel is built once and called on
+    each of them in turn, ``outputs=True`` then the full derivative; the
+    reference evaluates one batch per error weighting."""
     rng = np.random.default_rng(seed)
     worst = []
     skipped = unmatched = 0
     for n in _batches(n_states):
-        plant, model = _robots(rng, n), _robots(rng, n)
-        incline_true, incline_assumed = rng.uniform(-0.6, 0.6, size=(2, n))
-        gains = np.exp(rng.uniform(np.log(0.1), np.log(1e4), size=(3, n)))
+        k = max(-(-n // KERNEL_STATES), min(n, 2))
+        plant, model = _robots(rng, k), _robots(rng, k)
+        incline_true, incline_assumed = rng.uniform(-0.6, 0.6, size=(2, k))
+        gains = np.exp(rng.uniform(np.log(0.1), np.log(1e4), size=(3, k)))
         q = rng.uniform(-1.0, 1.0, size=(n, 3)) + [0.0, 0.0, np.pi / 2]
         dq = rng.uniform(-3.0, 3.0, size=(n, 3))
         omega_i = rng.uniform(-0.5, 0.5, size=(n, 2))
+        owner = np.arange(n) * k // n
+        states = map(np.ndarray.tolist, np.hstack([q, dq, omega_i]))
 
-        # The kernel, built and called state by state as a swing does; the
-        # even states take the raw error, the odd ones the inertia-weighted.
-        outputs, rates = np.full((n, 9), np.nan), np.full((n, 8), np.nan)
-        singular = np.zeros(n, dtype=bool)
-        for i, (p, m, lam_t, lam_a, g, state) in enumerate(zip(
+        # The kernel, built once per controller and called on its states
+        # in turn, as a swing calls it.  Each state's outputs and rates go
+        # into one buffer of doubles, read as one array per batch.
+        answers, singular = array("d"), []
+        for j, (p, m, lam_t, lam_a, g, size) in enumerate(zip(
                 _rows(plant), _rows(model), incline_true.tolist(),
                 incline_assumed.tolist(), gains.T.tolist(),
-                np.hstack([q, dq, omega_i]))):
+                np.bincount(owner).tolist())):
             rhs = closed_loop(SimConfig(
                 plant=RobotParams(*p), incline_true=lam_t,
                 controller=ControllerConfig(
                     gains=ControllerGains(*g), model=RobotParams(*m),
                     incline_assumed=lam_a,
-                    error_weighting=ERROR_WEIGHTINGS[i % 2])))
-            y = state.tolist()
-            try:
-                outputs[i] = rhs(0.0, y, True)
-                rates[i] = rhs(0.0, y)
-            except ActuationSingularityError:
-                singular[i] = True
+                    error_weighting=ERROR_WEIGHTINGS[j % 2])))
+            for y in itertools.islice(states, size):
+                try:
+                    answer = (*rhs(0.0, y, True), *rhs(0.0, y))
+                except ActuationSingularityError:
+                    answer = _SINGULAR
+                answers.extend(answer)
+                singular.append(answer is _SINGULAR)
+        answers = np.frombuffer(answers).reshape(n, 17)
+        outputs, rates = answers[:, :9], answers[:, 9:]
+        singular = np.array(singular)
 
-        # The reference, one batch per error weighting.
+        # The reference, one batch per error weighting, each state on its
+        # controller's draws.
         def reference(index, weighting):
+            c = owner[index]
             ctrl = ControllerConfig(
-                gains=ControllerGains(*gains[:, index, None]),
-                model=_take(model, index),
-                incline_assumed=incline_assumed[index],
+                gains=ControllerGains(*gains[:, c, None]),
+                model=_take(model, c), incline_assumed=incline_assumed[c],
                 error_weighting=weighting)
             act = control_action(q[index], dq[index], omega_i[index], ctrl)
             grad = error_potential_gradient(
                 to_reduced(q[index], dq[index], ctrl.targets), ctrl.model)
-            qdd = swing_accel(q[index], dq[index], act.u, _take(plant, index),
-                              incline_true[index])
+            qdd = swing_accel(q[index], dq[index], act.u, _take(plant, c),
+                              incline_true[c])
             return (np.column_stack([act.u, act.omega_I_rate, act.eta,
                                      act.det_input, grad]),
                     np.column_stack([dq[index], qdd, act.omega_I_rate]))
 
-        for first, weighting in enumerate(ERROR_WEIGHTINGS):
-            drawn = np.arange(first, n, 2)
+        for parity, weighting in enumerate(ERROR_WEIGHTINGS):
+            drawn = np.flatnonzero(owner % 2 == parity)
             if not drawn.size:
                 continue
             ref, (index,), dropped = _without_bad(

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -355,20 +355,22 @@ def assert_usable(config):
 
 
 @settings(max_examples=300, deadline=None)
-@given(start=_odd_vectors(6), n_steps=_ANY_NUMBER,
-       plant=_or_odd(T.RobotParams()), controller=_CONTROLLERS)
-def test_validate_passes_or_refuses_by_key(start, n_steps, plant, controller):
+@given(cfg=_with_odd_fields(
+    T.SimConfig(), initial_state=_odd_vectors(6), n_steps=_ANY_NUMBER,
+    plant=_or_odd(T.RobotParams()), controller=_CONTROLLERS))
+def test_validate_passes_or_refuses_by_key(cfg):
     """Whatever a caller puts in the start, the step count, the nested
     configs and the controller's fields, validation either refuses it by
-    key or leaves what the simulator can run."""
-    cfg = replace(T.SimConfig(), initial_state=start, n_steps=n_steps,
-                  plant=plant, controller=controller)
+    key or leaves what the simulator can run.  A random subset of the four
+    fields is perturbed, so both branches are reached."""
     try:
         cfg.validate()
     except T.ConfigValidationError as err:
+        event("refused")
         assert err.keys and set(err.keys) <= {"initial_state", "n_steps",
                                               *_ODD_KEYS}
         return
+    event("passed")
     x0 = np.array(cfg.initial_state, dtype=float)
     assert x0.shape == (6,) and np.all(np.isfinite(x0))
     assert operator.index(cfg.n_steps) >= 1

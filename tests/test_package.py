@@ -106,7 +106,11 @@ def test_the_tools_run_and_print_one_json_line(tmp_path):
     replay = run_fresh(str(TOOLS / "replay_split.py"), "--rounds", "1")
     out = tmp_path / "oracle_source.py"
     derive = run_fresh(str(TOOLS / "derive_oracle.py"), "--out", str(out))
-    for printed in (replay, derive):
+    timed = run_fresh(str(TOOLS / "time_kernel_check.py"), "--states", "10",
+                      "--rounds", "1")
+    for printed in (replay, derive, timed):
         assert len(printed.splitlines()) == 1, printed
     assert json.loads(replay)["nfev"] == 42538
     assert json.loads(derive)["bytes"] == out.stat().st_size
+    timed = json.loads(timed)
+    assert timed["passed"] and timed["note"] == "10 states"

@@ -321,20 +321,42 @@ def test_kernel_check_skips_the_states_both_paths_find_singular(monkeypatch):
     monkeypatch.setattr(verification, "ControllerConfig",
                         functools.partial(T.ControllerConfig, det_floor=200.0))
     result = verification.certify_kernel(n_states=20)
-    assert result.note == "16 states, 4 singular skipped"
+    assert result.note == "15 states, 5 singular skipped"
     assert result.passed
 
 
-def test_kernel_check_on_one_state_draws_only_the_raw_weighting():
+def built_weightings(monkeypatch):
+    """The error weighting of every kernel the kernel check builds, in
+    order, once the check has run."""
+    built = []
+
+    def counting(cfg):
+        built.append(cfg.controller.error_weighting)
+        return kernel.closed_loop(cfg)
+
+    monkeypatch.setattr(verification, "closed_loop", counting)
+    return built
+
+
+def test_kernel_check_on_one_state_draws_only_the_raw_weighting(monkeypatch):
+    built = built_weightings(monkeypatch)
     result = verification.certify_kernel(n_states=1)
     assert result.note == "1 states"
     assert result.passed
+    assert built == ["raw"]
+
+
+def test_kernel_check_builds_one_kernel_per_drawn_controller(monkeypatch):
+    built = built_weightings(monkeypatch)
+    assert verification.certify_kernel(n_states=20).passed
+    assert len(built) == -(-20 // verification.KERNEL_STATES)
+    assert set(built) == {"raw", "inertia"}
 
 
 def test_kernel_check_fails_when_only_one_path_is_singular(monkeypatch):
     builds = itertools.count()
 
-    def singular_at_the_fourth_state(cfg):
+    def singular_at_the_fourth_build(cfg):
         rhs = kernel.closed_loop(cfg)
         if next(builds) != 3:
             return rhs
@@ -344,10 +366,34 @@ def test_kernel_check_fails_when_only_one_path_is_singular(monkeypatch):
         return singular
 
     monkeypatch.setattr(verification, "closed_loop",
-                        singular_at_the_fourth_state)
+                        singular_at_the_fourth_build)
     result = verification.certify_kernel(n_states=20)
-    assert result.note == "20 states, 1 singular on one path only"
+    # The fourth build serves KERNEL_STATES states, all singular on it.
+    assert result.note == (f"20 states, {verification.KERNEL_STATES} "
+                           "singular on one path only")
     assert np.isnan(result.max_residual)
+    assert not result.passed
+
+
+def first_answer_kept(cfg):
+    """A kernel that carries state between calls: it returns its first
+    answer for each value of ``outputs`` ever after."""
+    rhs, kept = kernel.closed_loop(cfg), {}
+
+    def stale(t, y, outputs=False):
+        if outputs not in kept:
+            kept[outputs] = rhs(t, y, outputs)
+        return kept[outputs]
+    return stale
+
+
+def test_kernel_check_fails_on_a_kernel_that_carries_state(monkeypatch):
+    # Each built kernel serves several states in a row, so an answer left
+    # over from an earlier state shows.
+    monkeypatch.setattr(verification, "closed_loop", first_answer_kept)
+    result = verification.certify_kernel(n_states=20)
+    assert np.isfinite(result.max_residual)
+    assert result.max_residual > 1e-10
     assert not result.passed
 
 
