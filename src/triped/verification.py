@@ -51,11 +51,13 @@ force expressions that accompany this model's original derivation against
 the certified pushforward; several of those printed expressions carry
 transcription errors, which is why the simulator never evaluates them.
 
-Each sampled check draws its random states a batch of at most
-:data:`BATCH_STATES` at a time, one array per quantity, and evaluates each
-batch through the batched reference functions (see :mod:`triped.dynamics`).
-Its worst residual is NaN when any state's is, or when it skipped every
-state: a check with a NaN residual fails.
+Each sampled check is a draw and a residual function run by one driver,
+:func:`_sampled`.  It draws the check's random states a batch of at most
+:data:`BATCH_STATES` at a time, one array per quantity, evaluates each
+batch through the batched reference functions (see :mod:`triped.dynamics`)
+and skips, and counts in the note, the states they find degenerate or
+singular.  The worst residual is NaN when any state's is, or when the
+check skipped every state: a check with a NaN residual fails.
 """
 
 from __future__ import annotations
@@ -251,6 +253,13 @@ def _random_states(rng: np.random.Generator, n: int):
     return q, dq
 
 
+def _gait_states(rng: np.random.Generator, n: int):
+    """``n`` closed-loop states near the gait: ``(q, dq, omega_I)``."""
+    q = rng.uniform(-1.0, 1.0, size=(n, 3)) + [0.0, 0.0, np.pi / 2]
+    dq = rng.uniform(-3.0, 3.0, size=(n, 3))
+    return q, dq, rng.uniform(-0.5, 0.5, size=(n, 2))
+
+
 def _robots(rng: np.random.Generator, n: int) -> RobotParams:
     """The robots of ``n`` states, each field an ``(n,)`` array: the nominal
     robot at even indices; at odd ones each mass and length scaled by
@@ -285,19 +294,6 @@ def _batches(n_states: int) -> list[int]:
             for start in range(0, n_states, BATCH_STATES)]
 
 
-def _without_bad(call, error: type, batch: tuple):
-    """``call(*batch)``; when it raises ``error`` for some states, the call
-    on the others.  Returns the result (``None`` when no state is left),
-    the batch it ran on, and how many states were dropped."""
-    try:
-        return call(*batch), batch, 0
-    except error as err:
-        keep = ~err.bad
-        kept = tuple(_take(x, keep) for x in batch)
-        result = call(*kept) if keep.any() else None
-        return result, kept, int(np.count_nonzero(err.bad))
-
-
 def _worst(*residuals) -> float:
     """Largest entry of the residual arrays, or 0 for none; NaN when any
     entry is NaN, which Python's ``max`` would silently pass over."""
@@ -305,23 +301,58 @@ def _worst(*residuals) -> float:
                         initial=0.0))
 
 
-def certify_swing_terms(n_states: int = 1000, seed: int = 0) -> CheckResult:
-    """(a) Hand-coded inertia/gravity/velocity terms vs the oracle."""
+def _sampled(name: str, tolerance: float, n_states: int, seed: int, draw,
+             residuals, skip=(), why: str = "singular",
+             paired: bool = False) -> CheckResult:
+    """A sampled check, batch by batch on one seeded generator.
+
+    ``draw(rng, n)`` draws ``n`` states, a tuple of arrays (or stacked
+    :class:`RobotParams`) with the states on the leading axis, and
+    ``residuals(*drawn)`` returns their residual arrays.  The states it
+    raises ``skip`` for (``()`` catches nothing) are dropped, noted as
+    ``why`` skipped, and the rest evaluated again.  With ``paired``, the
+    draw's first array marks the states the checked code found singular,
+    and a state singular on one path only is noted and makes the residual
+    NaN, as skipping every state does."""
     rng = np.random.default_rng(seed)
     worst = []
+    skipped = unmatched = 0
     for n in _batches(n_states):
-        q, dq = _random_states(rng, n)
-        p = _robots(rng, n)
-        incline = rng.uniform(-0.6, 0.6, size=n)
+        drawn = draw(rng, n)
+        try:
+            found, dropped = residuals(*drawn), False
+        except skip as err:
+            dropped = err.bad
+            found = (residuals(*(_take(x, ~dropped) for x in drawn))
+                     if not dropped.all() else ())
+        skipped += np.count_nonzero(dropped)
+        if paired:
+            unmatched += np.count_nonzero(drawn[0] != dropped)
+        worst.append(_worst(*found))
+    note = f"{n_states - skipped} states"
+    if skipped:
+        note += f", {skipped} {why} skipped"
+    if unmatched:
+        note += f", {unmatched} singular on one path only"
+    return CheckResult(name, np.nan if skipped == n_states or unmatched
+                       else _worst(worst), tolerance, note=note)
+
+
+def certify_swing_terms(n_states: int = 1000, seed: int = 0) -> CheckResult:
+    """(a) Hand-coded inertia/gravity/velocity terms vs the oracle."""
+    def draw(rng, n):
+        return (*_random_states(rng, n), _robots(rng, n),
+                rng.uniform(-0.6, 0.6, size=n))
+
+    def residuals(q, dq, p, incline):
         mass, _, coriolis, gravity, free_mass = oracle_terms(q, dq, p, incline)
-        worst.append(_worst(
-            np.abs(inertia_matrix(q, p) - mass),
-            np.abs(gravity_torque(q, p, incline) - gravity),
-            np.abs(coriolis_matrix(q, dq, p) - coriolis),
-            np.abs(free_mass_matrix(q, p) - free_mass),
-        ))
-    return CheckResult("swing terms vs symbolic oracle", _worst(worst), 1e-8,
-                       note=f"{n_states} states")
+        return (np.abs(inertia_matrix(q, p) - mass),
+                np.abs(gravity_torque(q, p, incline) - gravity),
+                np.abs(coriolis_matrix(q, dq, p) - coriolis),
+                np.abs(free_mass_matrix(q, p) - free_mass))
+
+    return _sampled("swing terms vs symbolic oracle", 1e-8, n_states, seed,
+                    draw, residuals)
 
 
 #: The closed loop that checks (b) and (f) integrate, and its start: the
@@ -384,33 +415,28 @@ def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
 
 def certify_reduced_consistency(n_states: int = 1000, seed: int = 1) -> CheckResult:
     """(c) Reduced two-channel model is the full model in new coordinates."""
-    rng = np.random.default_rng(seed)
     targets = GaitTargets()
-    worst = []
-    for n in _batches(n_states):
-        q, dq = _random_states(rng, n)
-        p = _robots(rng, n)
-        u = rng.uniform(-50.0, 50.0, size=(n, 2))
-        incline = rng.uniform(-0.6, 0.6, size=n)
-        worst.append(_worst(consistency_check(q, dq, u, p, incline, targets)))
-    return CheckResult("reduced-vs-full consistency", _worst(worst), 1e-6,
-                       note=f"{n_states} states")
+
+    def draw(rng, n):
+        return (*_random_states(rng, n), _robots(rng, n),
+                rng.uniform(-50.0, 50.0, size=(n, 2)),
+                rng.uniform(-0.6, 0.6, size=n))
+
+    def residuals(q, dq, p, u, incline):
+        return (consistency_check(q, dq, u, p, incline, targets),)
+
+    return _sampled("reduced-vs-full consistency", 1e-6, n_states, seed, draw,
+                    residuals)
 
 
 def certify_impact(n_states: int = 1000, seed: int = 2) -> CheckResult:
     """(d) Plastic impact: sticks, conserves momentum, dissipates energy."""
-    rng = np.random.default_rng(seed)
-    worst = []
-    skipped = 0
-    for n in _batches(n_states):
-        drawn = (_robots(rng, n), rng.uniform(-1.2, 1.2, size=(n, 3)),
-                 rng.uniform(-4.0, 4.0, size=(n, 3)))
-        res, (p, q, dq), dropped = _without_bad(
-            lambda p, q, dq: reset_map(q, dq, p), DegenerateContactError,
-            drawn)
-        skipped += dropped
-        if res is None:
-            continue
+    def draw(rng, n):
+        return (_robots(rng, n), rng.uniform(-1.2, 1.2, size=(n, 3)),
+                rng.uniform(-4.0, 4.0, size=(n, 3)))
+
+    def residuals(p, q, dq):
+        res = reset_map(q, dq, p)
         foot = swing_foot_position(q, p)
         l_pre = angular_momentum_about(q, dq, p, foot)
         # Post-impact, pre-relabel: joint rates revert to the old labels via
@@ -424,50 +450,33 @@ def certify_impact(n_states: int = 1000, seed: int = 2) -> CheckResult:
         l_post = chain_angular_momentum(q, rates_old, hip_vel, p, foot)
         # Impulse is linear in the pre-impact rates.
         doubled = reset_map(q, 2.0 * dq, p)
-        worst.append(_worst(
-            np.abs(res.contact_velocity),
-            np.abs(l_post - l_pre) / np.maximum(1.0, np.abs(l_pre)),
-            np.maximum(0.0, -res.kinetic_energy_loss),
-            pinned_reduction_residual(q, p),
-            np.abs(doubled.impulse - 2.0 * res.impulse),
-        ))
-    note = f"{n_states - skipped} states"
-    if skipped:
-        note += f", {skipped} degenerate skipped"
-    return CheckResult("impact stick/momentum/dissipation",
-                       _worst(worst) if skipped < n_states else np.nan,
-                       1e-6, note=note)
+        return (np.abs(res.contact_velocity),
+                np.abs(l_post - l_pre) / np.maximum(1.0, np.abs(l_pre)),
+                np.maximum(0.0, -res.kinetic_energy_loss),
+                pinned_reduction_residual(q, p),
+                np.abs(doubled.impulse - 2.0 * res.impulse))
+
+    return _sampled("impact stick/momentum/dissipation", 1e-6, n_states, seed,
+                    draw, residuals, skip=DegenerateContactError,
+                    why="degenerate")
 
 
 def certify_closed_loop(n_states: int = 1000, seed: int = 3) -> CheckResult:
     """(e) Matched model: regularized loop equals the commanded PID system."""
-    rng = np.random.default_rng(seed)
     cfg = ControllerConfig()
-    p = cfg.model
-    worst = []
-    skipped = 0
-    for n in _batches(n_states):
-        drawn = (rng.uniform(-1.0, 1.0, size=(n, 3)) + [0.0, 0.0, np.pi / 2],
-                 rng.uniform(-3.0, 3.0, size=(n, 3)),
-                 rng.uniform(-0.5, 0.5, size=(n, 2)))
-        act, (q, dq, _), dropped = _without_bad(
-            lambda q, dq, omega_i: control_action(q, dq, omega_i, cfg),
-            ActuationSingularityError, drawn)
-        skipped += dropped
-        if act is None:
-            continue
-        qdd = swing_accel(q, dq, act.u, p, cfg.incline_assumed)
+
+    def residuals(q, dq, omega_i):
+        act = control_action(q, dq, omega_i, cfg)
+        qdd = swing_accel(q, dq, act.u, cfg.model, cfg.incline_assumed)
         rs = to_reduced(q, dq, cfg.targets)
-        i_e, _ = reduced_inertias(rs, p)
-        res = (matvec(i_e, matvec(OUTPUT_MAP, qdd))
-               + matvec(quadratic_bracket(rs, p), rs.omega_e) - act.tau_tilde)
-        worst.append(_worst(np.abs(res)))
-    note = f"{n_states - skipped} states"
-    if skipped:
-        note += f", {skipped} singular skipped"
-    return CheckResult("matched-model closed-loop reduction",
-                       _worst(worst) if skipped < n_states else np.nan,
-                       1e-6, note=note)
+        i_e, _ = reduced_inertias(rs, cfg.model)
+        return (np.abs(matvec(i_e, matvec(OUTPUT_MAP, qdd))
+                       + matvec(quadratic_bracket(rs, cfg.model), rs.omega_e)
+                       - act.tau_tilde),)
+
+    return _sampled("matched-model closed-loop reduction", 1e-6, n_states,
+                    seed, _gait_states, residuals,
+                    skip=ActuationSingularityError)
 
 
 def certify_integrator_transport(seed: int = 4) -> CheckResult:
@@ -509,20 +518,21 @@ def _error_inertia_rate(rs: ReducedState, p: RobotParams) -> np.ndarray:
 
 def certify_skew(n_states: int = 1000, seed: int = 5) -> CheckResult:
     """(g) Inertia-rate minus twice the bracket is skew, both models."""
-    rng = np.random.default_rng(seed)
     targets = GaitTargets()
-    worst = []
-    for n in _batches(n_states):
-        q, dq = _random_states(rng, n)
-        p = _robots(rng, n)
+
+    def draw(rng, n):
+        return (*_random_states(rng, n), _robots(rng, n))
+
+    def residuals(q, dq, p):
         _, mass_rate, *_ = oracle_terms(q, dq, p, 0.0)
         s_full = mass_rate - 2.0 * coriolis_matrix(q, dq, p)
         rs = to_reduced(q, dq, targets)
         s_err = _error_inertia_rate(rs, p) - 2.0 * quadratic_bracket(rs, p)
-        worst.append(_worst(np.abs(s_full + s_full.swapaxes(-1, -2)),
-                            np.abs(s_err + s_err.swapaxes(-1, -2))))
-    return CheckResult("connection compatibility (skew)", _worst(worst), 1e-8,
-                       note=f"{n_states} states")
+        return (np.abs(s_full + s_full.swapaxes(-1, -2)),
+                np.abs(s_err + s_err.swapaxes(-1, -2)))
+
+    return _sampled("connection compatibility (skew)", 1e-8, n_states, seed,
+                    draw, residuals)
 
 
 def _rows(batch: RobotParams):
@@ -545,23 +555,19 @@ def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
     """(h) The simulator's fused kernel is the reference law it fuses.
 
     Each batch of ``n`` states draws ``ceil(n / KERNEL_STATES)`` controllers,
-    at least two when ``n >= 2``: one plant, one controller model, a true
-    and an assumed slope, three gains, and the raw error at even
-    controllers, the inertia-weighted at odd ones.  Each controller serves
+    at least two when ``n >= 2``: a plant, a controller model, a true and an
+    assumed slope, three gains, and the raw error at controllers 0, 3, 4,
+    7, 8 ..., the inertia-weighted at 1, 2, 5, 6 ..., so that each meets
+    nominal and scaled robots (:func:`_robots`).  Each controller serves
     one contiguous run of states.  Its kernel is built once and called on
-    each of them in turn, ``outputs=True`` then the full derivative; the
-    reference evaluates one batch per error weighting."""
-    rng = np.random.default_rng(seed)
-    worst = []
-    skipped = unmatched = 0
-    for n in _batches(n_states):
+    each in turn, ``outputs=True`` then the full derivative."""
+    def draw(rng, n):
         k = max(-(-n // KERNEL_STATES), min(n, 2))
         plant, model = _robots(rng, k), _robots(rng, k)
         incline_true, incline_assumed = rng.uniform(-0.6, 0.6, size=(2, k))
         gains = np.exp(rng.uniform(np.log(0.1), np.log(1e4), size=(3, k)))
-        q = rng.uniform(-1.0, 1.0, size=(n, 3)) + [0.0, 0.0, np.pi / 2]
-        dq = rng.uniform(-3.0, 3.0, size=(n, 3))
-        omega_i = rng.uniform(-0.5, 0.5, size=(n, 2))
+        q, dq, omega_i = _gait_states(rng, n)
+        weighting = np.array([(j + j // 2) % 2 for j in range(k)])
         owner = np.arange(n) * k // n
         states = map(np.ndarray.tolist, np.hstack([q, dq, omega_i]))
 
@@ -569,16 +575,16 @@ def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
         # in turn, as a swing calls it.  Each state's outputs and rates go
         # into one buffer of doubles, read as one array per batch.
         answers, singular = array("d"), []
-        for j, (p, m, lam_t, lam_a, g, size) in enumerate(zip(
+        for p, m, lam_t, lam_a, g, w, size in zip(
                 _rows(plant), _rows(model), incline_true.tolist(),
-                incline_assumed.tolist(), gains.T.tolist(),
-                np.bincount(owner).tolist())):
+                incline_assumed.tolist(), gains.T.tolist(), weighting.tolist(),
+                np.bincount(owner).tolist()):
             rhs = closed_loop(SimConfig(
                 plant=RobotParams(*p), incline_true=lam_t,
                 controller=ControllerConfig(
                     gains=ControllerGains(*g), model=RobotParams(*m),
                     incline_assumed=lam_a,
-                    error_weighting=ERROR_WEIGHTINGS[j % 2])))
+                    error_weighting=ERROR_WEIGHTINGS[w])))
             for y in itertools.islice(states, size):
                 try:
                     answer = (*rhs(0.0, y, True), *rhs(0.0, y))
@@ -586,50 +592,43 @@ def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
                     answer = _SINGULAR
                 answers.extend(answer)
                 singular.append(answer is _SINGULAR)
-        answers = np.frombuffer(answers).reshape(n, 17)
-        outputs, rates = answers[:, :9], answers[:, 9:]
-        singular = np.array(singular)
+        # Each state with its controller's draws.
+        return (np.array(singular), weighting[owner], q, dq, omega_i,
+                np.frombuffer(answers).reshape(n, 17), _take(plant, owner),
+                incline_true[owner], _take(model, owner),
+                incline_assumed[owner], gains.T[owner])
 
-        # The reference, one batch per error weighting, each state on its
-        # controller's draws.
-        def reference(index, weighting):
-            c = owner[index]
-            ctrl = ControllerConfig(
-                gains=ControllerGains(*gains[:, c, None]),
-                model=_take(model, c), incline_assumed=incline_assumed[c],
-                error_weighting=weighting)
-            act = control_action(q[index], dq[index], omega_i[index], ctrl)
-            grad = error_potential_gradient(
-                to_reduced(q[index], dq[index], ctrl.targets), ctrl.model)
-            qdd = swing_accel(q[index], dq[index], act.u, _take(plant, c),
-                              incline_true[c])
-            return (np.column_stack([act.u, act.omega_I_rate, act.eta,
-                                     act.det_input, grad]),
-                    np.column_stack([dq[index], qdd, act.omega_I_rate]))
+    def residuals(singular, weighting, *states):
+        # One reference batch per error weighting; the states it finds
+        # singular under either weighting are dropped together.
+        found, bad = [], np.zeros(weighting.shape, dtype=bool)
+        for w, name in enumerate(ERROR_WEIGHTINGS):
+            at = weighting == w
+            if not at.any():
+                continue
+            try:
+                found.append(reference(name, *(_take(x, at) for x in states)))
+            except ActuationSingularityError as err:
+                bad[at] = err.bad
+        if bad.any():
+            raise ActuationSingularityError("reference law singular", bad)
+        return found
 
-        for parity, weighting in enumerate(ERROR_WEIGHTINGS):
-            drawn = np.flatnonzero(owner % 2 == parity)
-            if not drawn.size:
-                continue
-            ref, (index,), dropped = _without_bad(
-                lambda index: reference(index, weighting),
-                ActuationSingularityError, (drawn,))
-            skipped += dropped
-            unmatched += np.count_nonzero(
-                singular[drawn] != ~np.isin(drawn, index))
-            if ref is None:
-                continue
-            for got, want in zip((outputs[index], rates[index]), ref):
-                worst.append(_worst(np.abs(got - want)
-                                    / np.maximum(1.0, np.abs(want))))
-    note = f"{n_states - skipped} states"
-    if skipped:
-        note += f", {skipped} singular skipped"
-    if unmatched:
-        note += f", {unmatched} singular on one path only"
-    return CheckResult("fused kernel vs reference law",
-                       _worst(worst) if skipped < n_states and not unmatched
-                       else np.nan, 1e-10, note=note)
+    def reference(weighting, q, dq, omega_i, answers, plant, incline_true,
+                  model, incline_assumed, gains):
+        ctrl = ControllerConfig(
+            gains=ControllerGains(*gains.T[..., None]), model=model,
+            incline_assumed=incline_assumed, error_weighting=weighting)
+        act = control_action(q, dq, omega_i, ctrl)
+        grad = error_potential_gradient(to_reduced(q, dq, ctrl.targets), model)
+        qdd = swing_accel(q, dq, act.u, plant, incline_true)
+        want = np.column_stack([act.u, act.omega_I_rate, act.eta,
+                                act.det_input, grad, dq, qdd, act.omega_I_rate])
+        return np.abs(answers - want) / np.maximum(1.0, np.abs(want))
+
+    return _sampled("fused kernel vs reference law", 1e-10, n_states, seed,
+                    draw, residuals, skip=ActuationSingularityError,
+                    paired=True)
 
 
 def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationReport:

@@ -133,25 +133,61 @@ def test_a_built_oracle_is_not_derived_again(monkeypatch):
 # A NaN at one state of a batch, and the states a check skips
 # --------------------------------------------------------------------------
 
-def nan_at(fn, index=3):
-    """``fn`` with its result NaN at batch entry ``index``."""
+def nan_at(fn, index=3, call=None):
+    """``fn`` with its result NaN at batch entry ``index``, at every call or
+    only at call number ``call`` (counted from 1)."""
+    calls = itertools.count(1)
+
     def patched(*args, **kwargs):
         result = np.array(fn(*args, **kwargs), dtype=float)
-        result[index] = np.nan
+        if next(calls) == call or call is None:
+            result[index] = np.nan
         return result
     return patched
 
 
-@pytest.mark.parametrize("check, module, name", [
+#: Each sampled check, and a function its residuals evaluate once per batch
+#: (check (h): once per error weighting of a batch).
+RESIDUAL_CALLS = [
     ("certify_swing_terms", verification, "coriolis_matrix"),
     ("certify_reduced_consistency", reduced, "swing_accel"),
     ("certify_impact", verification, "angular_momentum_about"),
     ("certify_closed_loop", verification, "swing_accel"),
     ("certify_skew", verification, "quadratic_bracket"),
     ("certify_kernel", verification, "swing_accel"),
-])
+]
+
+
+@pytest.mark.parametrize("check, module, name", RESIDUAL_CALLS)
 def test_a_nan_at_one_state_fails_the_check(monkeypatch, check, module, name):
     monkeypatch.setattr(module, name, nan_at(getattr(module, name)))
+    result = getattr(verification, check)(n_states=20)
+    assert np.isnan(result.max_residual)
+    assert not result.passed
+
+
+@pytest.mark.parametrize("check, module, name", RESIDUAL_CALLS)
+def test_a_check_evaluates_every_state_of_every_batch(monkeypatch, check,
+                                                      module, name):
+    monkeypatch.setattr(verification, "BATCH_STATES", 7)
+    fn, sizes = getattr(module, name), []
+
+    def sized(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        sizes.append(len(result))
+        return result
+
+    monkeypatch.setattr(module, name, sized)
+    result = getattr(verification, check)(n_states=20)
+    assert result.passed
+    assert result.note == "20 states"
+    assert sum(sizes) == 20
+    if check != "certify_kernel":
+        assert sizes == [7, 7, 6]
+    # The last call is on the third batch, and its last entry is the last
+    # state (in check (h), that state's controller is the batch's last,
+    # which has the inertia-weighted error, evaluated after the raw).
+    monkeypatch.setattr(module, name, nan_at(fn, index=-1, call=len(sizes)))
     result = getattr(verification, check)(n_states=20)
     assert np.isnan(result.max_residual)
     assert not result.passed
@@ -193,10 +229,23 @@ def test_impact_check_skips_exactly_the_degenerate_state(monkeypatch):
     assert result.passed
 
 
-def test_a_check_that_skips_every_state_fails(monkeypatch):
-    heavy_at(monkeypatch, slice(None))
-    result = verification.certify_impact(n_states=20)
-    assert result.note == "0 states, 20 degenerate skipped"
+def floor_above_every_det(monkeypatch):
+    """A ``det_floor`` no torque allocation clears: every state singular,
+    on the reference and on the kernel alike."""
+    monkeypatch.setattr(verification, "ControllerConfig",
+                        functools.partial(T.ControllerConfig, det_floor=1e30))
+
+
+@pytest.mark.parametrize("check, degenerate, why", [
+    ("certify_impact", lambda mp: heavy_at(mp, slice(None)), "degenerate"),
+    ("certify_closed_loop", floor_above_every_det, "singular"),
+    ("certify_kernel", floor_above_every_det, "singular"),
+], ids=["impact", "closed_loop", "kernel"])
+def test_a_check_that_skips_every_state_fails(monkeypatch, check, degenerate,
+                                              why):
+    degenerate(monkeypatch)
+    result = getattr(verification, check)(n_states=20)
+    assert result.note == f"0 states, 20 {why} skipped"
     assert np.isnan(result.max_residual)
     assert not result.passed
 
@@ -249,6 +298,32 @@ def test_control_action_batch_error_names_its_first_singular_state():
     assert str(one.value).startswith("torque allocation singular: |det B_e| = ")
     assert str(many.value) == f"{one.value} (at 2 of 5 states, first at index {first})"
     assert many.value.bad.tolist() == (dets <= cfg.det_floor).tolist()
+
+
+BATTERY = ("certify_swing_terms", "certify_energy_conservation",
+           "certify_reduced_consistency", "certify_impact",
+           "certify_closed_loop", "certify_integrator_transport",
+           "certify_skew", "certify_kernel")
+
+
+def test_the_battery_calls_each_check_as_a_module_attribute(monkeypatch):
+    # A benchmark's tracer wraps these attributes by name; a battery that
+    # held the functions themselves would run unwrapped.
+    called = []
+
+    def recorded(name, check):
+        def call(*args, **kwargs):
+            called.append(name)
+            return check(*args, **kwargs)
+        return call
+
+    for name in BATTERY:
+        monkeypatch.setattr(verification, name,
+                            recorded(name, getattr(verification, name)))
+    report = run_certification(n_states=5)
+    assert called == list(BATTERY)
+    assert len(report.checks) == len(BATTERY)
+    assert report.ok
 
 
 # --------------------------------------------------------------------------
@@ -394,6 +469,38 @@ def test_kernel_check_fails_on_a_kernel_that_carries_state(monkeypatch):
     result = verification.certify_kernel(n_states=20)
     assert np.isfinite(result.max_residual)
     assert result.max_residual > 1e-10
+    assert not result.passed
+
+
+def raw_model_is_the_plant(cfg):
+    """A kernel whose controller half reads the plant instead of the
+    controller's model, under the raw error weighting only."""
+    if cfg.controller.error_weighting == "raw":
+        cfg = replace(cfg, controller=replace(cfg.controller, model=cfg.plant))
+    return kernel.closed_loop(cfg)
+
+
+def test_kernel_check_draws_each_weighting_on_nominal_and_scaled_robots(
+        monkeypatch):
+    built = []
+
+    def recording(cfg):
+        built.append((cfg.controller.error_weighting,
+                      cfg.plant == T.RobotParams(),
+                      cfg.controller.model == T.RobotParams()))
+        return kernel.closed_loop(cfg)
+
+    monkeypatch.setattr(verification, "closed_loop", recording)
+    assert verification.certify_kernel(n_states=20).passed
+    assert {(w, nominal, nominal) for w in ("raw", "inertia")
+            for nominal in (True, False)} <= set(built)
+
+
+def test_kernel_check_fails_when_the_raw_weighting_reads_the_plant(monkeypatch):
+    monkeypatch.setattr(verification, "closed_loop", raw_model_is_the_plant)
+    result = verification.certify_kernel(n_states=20)
+    assert np.isfinite(result.max_residual)
+    assert result.max_residual > 1e-3
     assert not result.passed
 
 
