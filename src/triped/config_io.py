@@ -32,6 +32,7 @@ import hashlib
 import json
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -300,34 +301,47 @@ def _lines(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sampled_rows(header: str, trajectories, columns) -> list[str]:
-    """CSV lines of sampled swings: the ``columns(traj)`` arrays side by side
+def _sampled_rows(header: str, trajectories, columns):
+    """Chunks of a CSV of sampled swings: the header line, then one chunk
+    per swing holding its rows, the ``columns(traj)`` arrays side by side
     with 17 significant digits, one format call per row, then the step."""
-    lines = [header]
+    yield header + "\n"
     for traj in trajectories:
         table = np.column_stack(columns(traj))
-        row = ",".join(["%.17g"] * table.shape[1]) + f",{traj.step_index}"
-        lines += [row % tuple(values) for values in table.tolist()]
-    return lines
+        row = ",".join(["%.17g"] * table.shape[1]) + f",{traj.step_index}\n"
+        yield "".join([row % tuple(values) for values in table.tolist()])
 
 
 def _write_run(outdir, manifest: RunManifest,
-               texts: dict[str, str]) -> dict[str, Path]:
-    """Write each text as UTF-8 bytes under its name, then ``manifest.json``
-    with the digests of those same bytes; returns name -> path, in the
-    given order with the manifest last.  Bytes, not text, so that no
-    platform translates the ``\\n`` line ends."""
+               texts: dict[str, str | Iterable[str]]) -> dict[str, Path]:
+    """Write each text, or each chunk of it in turn, as UTF-8 bytes under
+    its name, then ``manifest.json`` with the digests of those same bytes;
+    returns name -> path, in the given order with the manifest last.
+
+    Only one chunk is held at a time, so a gait's sampled files cost one
+    swing of text however long the gait.  Bytes, not text, so that no
+    platform translates the ``\\n`` line ends.  An old manifest is deleted
+    first: a directory without ``manifest.json`` is an incomplete run.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    data = {name: text.encode("utf-8") for name, text in texts.items()}
+    manifest_path = outdir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    files, digests = {}, {}
+    for name, chunks in texts.items():
+        files[name] = outdir / name
+        digest = hashlib.sha256()
+        with files[name].open("wb") as stream:
+            for chunk in [chunks] if isinstance(chunks, str) else chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                stream.write(data)
+        digests[name] = digest.hexdigest()
     payload = _fields_json(manifest)
     payload["config"] = payload.pop("config_text").splitlines()
-    payload["outputs"] = {name: _sha256(b) for name, b in data.items()}
-    data["manifest.json"] = _json(payload).encode("utf-8")
-    files = {name: outdir / name for name in data}
-    for name, path in files.items():
-        path.write_bytes(data[name])
-    return files
+    payload["outputs"] = digests
+    manifest_path.write_bytes(_json(payload).encode("utf-8"))
+    return {**files, "manifest.json": manifest_path}
 
 
 def emit_outputs(summary: GaitSummary, manifest: RunManifest,
@@ -341,10 +355,10 @@ def emit_outputs(summary: GaitSummary, manifest: RunManifest,
     varies.
     """
     return _write_run(outdir, manifest, {
-        "trajectory.csv": _lines(_sampled_rows(
+        "trajectory.csv": _sampled_rows(
             TRAJECTORY_HEADER, summary.trajectories,
             lambda tr: (tr.t, tr.q, tr.dq, tr.u, tr.eta, tr.omega_I,
-                        tr.zdelta))),
+                        tr.zdelta)),
         "steps.json": _json({
             "run_id": manifest.run_id,
             "aborted": summary.aborted,
@@ -360,9 +374,9 @@ def emit_outputs(summary: GaitSummary, manifest: RunManifest,
                 r.step_index, r.t_start, r.t_end, r.step_time,
                 r.z_delta_at_impact)
                for r in summary.records if not r.aborted]),
-        "phase.csv": _lines(_sampled_rows(
+        "phase.csv": _sampled_rows(
             "t,q1,dq1,dq3,step", summary.trajectories,
-            lambda tr: (tr.t, tr.q[:, 0], tr.dq[:, 0], tr.dq[:, 2]))),
+            lambda tr: (tr.t, tr.q[:, 0], tr.dq[:, 0], tr.dq[:, 2])),
     })
 
 

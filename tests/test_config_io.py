@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import operator
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -567,9 +568,54 @@ def test_phase_and_step_time_files_are_projections(two_step_outputs):
     phase_rows = files["phase.csv"].read_text().splitlines()
     assert phase_rows[0] == "t,q1,dq1,dq3,step"
     assert len(phase_rows) - 1 == sum(len(t.t) for t in summary.trajectories)
+    # Each phase row is its trajectory row's t, q1, dq1, dq3 and step,
+    # string for string.
+    trajectory_rows = files["trajectory.csv"].read_text().splitlines()
+    for phase, full in zip(phase_rows[1:], trajectory_rows[1:], strict=True):
+        cells = full.split(",")
+        assert phase.split(",") == [cells[i] for i in (0, 1, 4, 6, 14)]
     time_rows = files["step_times.csv"].read_text().splitlines()
     assert time_rows[0] == "step,t_start,t_end,step_time,zdelta"
     assert len(time_rows) - 1 == 2
+    for name in ("trajectory.csv", "phase.csv", "step_times.csv"):
+        data = files[name].read_bytes()
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n"), name
+        assert b"\r" not in data, name
+
+
+def test_a_failed_emit_leaves_no_manifest(two_step_outputs, tmp_path):
+    # The second swing's q is a row short, so formatting its rows fails
+    # after the first swing is on disk: the stale manifest must be gone.
+    _, summary, manifest, _ = two_step_outputs
+    T.emit_outputs(summary, manifest, tmp_path)
+    first, second = summary.trajectories
+    broken = replace(summary, trajectories=[first,
+                                            replace(second, q=second.q[:-1])])
+    with pytest.raises(ValueError):
+        T.emit_outputs(broken, manifest, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def emit_peak_bytes(summary, outdir) -> int:
+    """tracemalloc peak of emit_outputs above what was held before it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        T.emit_outputs(summary, T.make_manifest(summary.config), outdir)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_emit_memory_does_not_grow_with_the_gait(two_step_outputs,
+                                                  tmp_path):
+    # The sampled files are written one swing at a time, so four times the
+    # steps costs about the same memory (a whole-file writer costs ~4x).
+    _, summary, _, _ = two_step_outputs
+    short = emit_peak_bytes(summary, tmp_path / "short")
+    long = emit_peak_bytes(T.run_gait(replace(summary.config, n_steps=8)),
+                           tmp_path / "long")
+    assert long < 1.5 * short, (short, long)
 
 
 def aborted_sweep():

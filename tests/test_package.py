@@ -108,9 +108,13 @@ def test_the_tools_run_and_print_one_json_line(tmp_path):
     derive = run_fresh(str(TOOLS / "derive_oracle.py"), "--out", str(out))
     timed = run_fresh(str(TOOLS / "time_kernel_check.py"), "--states", "10",
                       "--rounds", "1")
-    for printed in (replay, derive, timed):
+    emitted = run_fresh(str(TOOLS / "emit_memory.py"), "--steps", "2")
+    for printed in (replay, derive, timed, emitted):
         assert len(printed.splitlines()) == 1, printed
     assert json.loads(replay)["nfev"] == 42538
     assert json.loads(derive)["bytes"] == out.stat().st_size
     timed = json.loads(timed)
     assert timed["passed"] and timed["note"] == "10 states"
+    emitted = json.loads(emitted)
+    assert (emitted["steps"], emitted["samples"]) == (2, 220)
+    assert emitted["bytes_written"] > 0 and emitted["emit_peak_mb"] > 0
