@@ -9,7 +9,7 @@ Verbs::
     triped version
 
 Exit codes: 0 success, 1 gait aborted / no convergence, 2 configuration
-error, 3 verification failure.
+error or an output directory that cannot be written, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -33,6 +33,19 @@ EXIT_OK = 0
 EXIT_GAIT = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
+
+
+class _Unwritable(Exception):
+    """A command's output directory could not be written."""
+
+
+def _emit(emitter, result, manifest, outdir: Path) -> dict[str, Path]:
+    """``emitter(result, manifest, outdir)``, its ``OSError`` as
+    :class:`_Unwritable`."""
+    try:
+        return emitter(result, manifest, outdir)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {outdir}: {exc.strerror or exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +120,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = replace(cfg, strict_scuff=True)
     summary = run_gait(cfg)
     manifest = make_manifest(cfg, input_text=args.input_text, seed=args.seed)
-    files = emit_outputs(summary, manifest, args.out)
+    files = _emit(emit_outputs, summary, manifest, args.out)
     done = summary.completed_steps
     print(f"run {manifest.run_id}: {done}/{cfg.n_steps} steps", end="")
     if done:
@@ -125,7 +138,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     cfg = _sim_config(_load(args))
     orbit = find_periodic_orbit(cfg, tol=args.tol)
     manifest = make_manifest(cfg, input_text=args.input_text, seed=args.seed)
-    files = emit_orbit_outputs(orbit, manifest, args.out)
+    files = _emit(emit_orbit_outputs, orbit, manifest, args.out)
     q_deg = ", ".join(f"{math.degrees(v):.3f}" for v in orbit.x_star[:3])
     print(f"run {manifest.run_id}: periodic gait after {orbit.iterations} "
           f"strides\n  posture ({q_deg}) deg, step time "
@@ -142,7 +155,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = SweepSpec(base=config)
     samples = run_sweep(spec)
     manifest = make_manifest(spec, input_text=args.input_text, seed=args.seed)
-    files = emit_sweep_outputs(samples, manifest, args.out)
+    files = _emit(emit_sweep_outputs, samples, manifest, args.out)
     ok = sum(1 for s in samples if s.converged)
     print(f"run {manifest.run_id}: swept {spec.axis}, "
           f"{ok}/{len(samples)} samples converged")
@@ -181,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
         return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except _Unwritable as exc:
+        print(f"triped: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except WalkerError as exc:
         print(f"gait failed: {exc}", file=sys.stderr)

@@ -70,55 +70,35 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 #: Minus one over (error estimator order + 1).
 EXPONENT = -1.0 / 5.0
 
-# Dormand–Prince 5(4): nodes, stage weights, solution weights (b2 = 0) and
-# the error weights of the seven stages, the last being f(t + h, y_new).
-C2, C3, C4, C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-A21 = 1 / 5
-A31, A32 = 3 / 40, 9 / 40
-A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
-A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                           -5103 / 18656)
-B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-E1, E3, E4, E5, E6, E7 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                          17253 / 339200, -22 / 525, 1 / 40)
-# Dense output: column j of P weighs the stages into the x^(j+1)
-# coefficient; column 0 is stage 1 alone and stage 2 never enters.
-P1 = (-8048581381 / 2820520608, 8663915743 / 2820520608,
-      -12715105075 / 11282082432)
-P3 = (131558114200 / 32700410799, -68118460800 / 10900136933,
-      87487479700 / 32700410799)
-P4 = (-1754552775 / 470086768, 14199869525 / 1410260304,
-      -10690763975 / 1880347072)
-P5 = (127303824393 / 49829197408, -318862633887 / 49829197408,
-      701980252875 / 199316789632)
-P6 = (-282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844)
-P7 = (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423)
+# Dormand–Prince 5(4) in scipy's RK45 layout.  C: the nodes of stages 2..6;
+# A: each of those stages' weights over the stages before it; B and E: the
+# solution and error weights over the stages, the seventh being
+# f(t + h, y_new); P: per stage, the weights of the dense output's x², x³ and
+# x⁴ coefficients (stage 1 alone gives the x coefficient).
+C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+A = ((1 / 5,),
+     (3 / 40, 9 / 40),
+     (44 / 45, -56 / 15, 32 / 9),
+     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+     1 / 40)
+P = ((-8048581381 / 2820520608, 8663915743 / 2820520608,
+      -12715105075 / 11282082432),
+     (0.0, 0.0, 0.0),
+     (131558114200 / 32700410799, -68118460800 / 10900136933,
+      87487479700 / 32700410799),
+     (-1754552775 / 470086768, 14199869525 / 1410260304,
+      -10690763975 / 1880347072),
+     (127303824393 / 49829197408, -318862633887 / 49829197408,
+      701980252875 / 199316789632),
+     (-282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+     (40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
 
 
 #: Letters naming the components of the stages k1..k7 in generated code.
 _K = "abcdefg"
-
-
-def _weights(*pairs) -> tuple:
-    """``(name, stage index)`` pairs as ``(name, value, stage index)``."""
-    return tuple((name, globals()[name], j) for name, j in pairs)
-
-
-#: Stages 2..6: the node (None for 1) and the weights over k1, k2, ...
-_STAGES = (("C2", _weights(("A21", 0))),
-           ("C3", _weights(("A31", 0), ("A32", 1))),
-           ("C4", _weights(("A41", 0), ("A42", 1), ("A43", 2))),
-           ("C5", _weights(("A51", 0), ("A52", 1), ("A53", 2), ("A54", 3))),
-           (None, _weights(("A61", 0), ("A62", 1), ("A63", 2), ("A64", 3),
-                           ("A65", 4))))
-_SOLUTION = _weights(("B1", 0), ("B3", 2), ("B4", 3), ("B5", 4), ("B6", 5))
-_ERROR = _weights(("E1", 0), ("E3", 2), ("E4", 3), ("E5", 4), ("E6", 5),
-                  ("E7", 6))
-#: The x², x³ and x⁴ columns of the dense output.
-_DENSE = tuple(tuple((f"P{j + 1}[{col}]", p[col], j) for j, p in
-                     ((0, P1), (2, P3), (3, P4), (4, P5), (5, P6), (6, P7)))
-               for col in range(3))
 
 
 def _dp5_source(n: int) -> str:
@@ -127,36 +107,30 @@ def _dp5_source(n: int) -> str:
     component, each expression with its operands, order and parentheses.
 
     The tableau enters as exact float literals (``repr`` round-trips), which
-    Python loads faster than module globals; comments name them.
+    Python loads faster than module globals; zero weights are left out.
     """
     def names(prefix: str) -> str:
         return ", ".join(f"{prefix}{i}" for i in range(n)) + ("," if n == 1 else "")
 
     def combination(weights, i: int) -> str:
-        return " + ".join(f"{value!r} * {_K[j]}{i}" for _, value, j in weights)
+        return " + ".join(f"{w!r} * {_K[j]}{i}" for j, w in enumerate(weights) if w)
 
     def listing(items) -> list[str]:
         return [f"        {item}," for item in items]
 
-    def legend(weights) -> str:
-        return ", ".join(name for name, _, _ in weights)
-
     lines = ["def step(fun, t, h, y, k1, atol, rtol):",
              f"    {names('v')} = y",
              f"    {names('a')} = k1"]
-    for s, (node, weights) in enumerate(_STAGES, start=2):
-        at = f"{globals()[node]!r} * h" if node else "h"
-        lines += [f"    # k{s} at t + {node or 1} h, weights {legend(weights)}",
-                  f"    k{s} = fun(t + {at}, ["]
+    for s, (node, weights) in enumerate(zip(C, A), start=2):
+        at = "h" if node == 1 else f"{node!r} * h"
+        lines += [f"    k{s} = fun(t + {at}, ["]
         lines += listing(f"v{i} + ({combination(weights, i)}) * h" for i in range(n))
         lines += ["    ])", f"    {names(_K[s - 1])} = k{s}"]
-    lines += [f"    # y_new, weights {legend(_SOLUTION)}"]
-    lines += [f"    w{i} = v{i} + h * ({combination(_SOLUTION, i)})" for i in range(n)]
+    lines += [f"    w{i} = v{i} + h * ({combination(B, i)})" for i in range(n)]
     lines += [f"    y_new = [{names('w')}]",
               "    k7 = fun(t + h, y_new)",
-              f"    {names('g')} = k7",
-              f"    # scaled error, weights {legend(_ERROR)}"]
-    lines += [f"    r{i} = (({combination(_ERROR, i)}) * h"
+              f"    {names('g')} = k7"]
+    lines += [f"    r{i} = (({combination(E, i)}) * h"
               f" / (atol + max(abs(v{i}), abs(w{i})) * rtol))" for i in range(n)]
     # The textbook loop sums from 0.0; adding to 0.0 first changes no bit.
     lines += ["    return ((k1, k2, k3, k4, k5, k6, k7), y_new,",
@@ -166,10 +140,8 @@ def _dp5_source(n: int) -> str:
               "def coefficients(stages):",
               "    k1, _, k3, k4, k5, k6, k7 = stages"]
     lines += [f"    {names(_K[j])} = k{j + 1}" for j in (0, 2, 3, 4, 5, 6)]
-    lines += ["    # per component, the x^2, x^3 and x^4 columns "
-              + " ; ".join(legend(column) for column in _DENSE),
-              "    return ("]
-    lines += listing(combination(column, i) for i in range(n) for column in _DENSE)
+    lines += ["    return ("]
+    lines += listing(combination(column, i) for i in range(n) for column in zip(*P))
     lines += ["    )",
               "",
               "",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigValidationError
 
@@ -201,8 +201,9 @@ def nominal_initial_state() -> tuple[float, ...]:
     Returns a plain 6-tuple ``(q1, q2, q3, dq1, dq2, dq3)``, the form
     :attr:`SimConfig.initial_state` takes.
     """
-    q1 = math.radians(15.0)
-    return (q1, -q1, math.radians(105.0), 1.168, -1.168, 0.0)
+    targets = GaitTargets()
+    q1 = targets.q1_switch
+    return (q1, -q1, targets.q3_ref, 1.168, -1.168, 0.0)
 
 
 #: Bound on ``max_step_time / sample_dt`` (the default's is 1,000): running
@@ -255,9 +256,10 @@ class SimConfig:
 class SweepSpec:
     """A one-dimensional robustness sweep around a base configuration.
 
-    ``axis`` is the dotted path of a float field of ``base`` (an integer part
-    indexes a tuple): ``incline_true``, ``plant.torso_mass``,
-    ``controller.gains.ki``, ``initial_state.2``.  Or it is ``all_masses``,
+    ``axis`` is the dotted path of a float field of ``base`` (an integer
+    part, written as ``str(i)``, indexes a tuple): ``incline_true``,
+    ``plant.torso_mass``, ``controller.gains.ki``, ``initial_state.2``; a
+    property or a float's own attribute is no field.  Or it is ``all_masses``,
     which scales the plant's three masses and reports the factor.  The value
     for sample ``i`` of ``n_samples`` is
     ``base * (1 + lo + i*(hi - lo)/(n_samples - 1))`` — multiplicative
@@ -274,14 +276,25 @@ class SweepSpec:
     base: SimConfig = field(default_factory=SimConfig)
 
     def _path(self) -> tuple:
-        return tuple(int(p) if p.isdecimal() else p for p in self.axis.split("."))
+        """``axis`` as a :func:`get_path` path; a ``ValueError`` unless each
+        part is a field name of a dataclass or, written as ``str(i)``, an
+        index into a tuple."""
+        obj, path = self.base, []
+        for part in self.axis.split("."):
+            if isinstance(obj, tuple) and part in map(str, range(len(obj))):
+                part = int(part)
+            elif not (is_dataclass(obj) and part in {f.name for f in fields(obj)}):
+                raise ValueError(f"{self.axis!r} names no field of the base")
+            obj = get_path(obj, (part,))
+            path.append(part)
+        return tuple(path)
 
     def _names_a_float(self, axis) -> bool:
         try:
             return isinstance(axis, str) and (
                 axis == "all_masses"
                 or isinstance(get_path(self.base, self._path()), float))
-        except (AttributeError, IndexError, TypeError, ValueError):
+        except ValueError:
             return False
 
     def validate(self) -> None:

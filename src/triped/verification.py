@@ -370,13 +370,16 @@ BALANCE_CONFIG = SimConfig(
                           leg_length=1.05, torso_length=0.7),
         incline_assumed=math.radians(20.0), error_weighting="inertia"),
     initial_state=(0.15, -0.3, 1.6, 0.6, -0.4, 0.3))
+#: How long (s) checks (b) and (f) integrate :data:`BALANCE_CONFIG`.
+_BALANCE_HORIZON = 1.0
 
 
-def _balance_run(rate, omega_i, duration: float, rtol: float, atol: float):
-    """Integrate the kernel of :data:`BALANCE_CONFIG` from its start with
-    integrator state ``omega_i``, plus a ninth state from 0 whose rate is
-    ``rate(loop, t, x)`` at the closed-loop state ``x``; sampled at 101
-    times.  Returns the solution and the start."""
+def _balance_run(rate, omega_i, rtol: float, atol: float):
+    """Integrate the kernel of :data:`BALANCE_CONFIG` for
+    :data:`_BALANCE_HORIZON` from its start with integrator state
+    ``omega_i``, plus a ninth state from 0 whose rate is ``rate(loop, t, x)``
+    at the closed-loop state ``x``; sampled at 101 times.  Returns the
+    solution and the start."""
     loop = closed_loop(BALANCE_CONFIG)
 
     def rhs(t, y):
@@ -384,33 +387,34 @@ def _balance_run(rate, omega_i, duration: float, rtol: float, atol: float):
         return (*loop(t, x), rate(loop, t, x))
 
     y0 = [*BALANCE_CONFIG.initial_state, *omega_i, 0.0]
-    sol = solve_ivp(rhs, (0.0, duration), y0, rtol=rtol, atol=atol,
-                    t_eval=np.linspace(0.0, duration, 101))
+    sol = solve_ivp(rhs, (0.0, _BALANCE_HORIZON), y0, rtol=rtol, atol=atol,
+                    t_eval=np.linspace(0.0, _BALANCE_HORIZON, 101))
     return sol, np.array(y0)
 
 
-def _balance_residual(sol, residual) -> float:
-    """The worst of ``residual``, or NaN unless the integration reached the
-    end of its interval: a truncated run certifies nothing."""
-    return _worst(residual) if sol.status == 0 else np.nan
+def _balance_check(name: str, sol, residual, tolerance: float) -> CheckResult:
+    """The check whose residual is the worst of ``residual``, or NaN unless
+    the integration reached the end of its interval: a truncated run
+    certifies nothing."""
+    return CheckResult(name, _worst(residual) if sol.status == 0 else np.nan,
+                       tolerance, note=f"{_BALANCE_HORIZON:.1f} s horizon, "
+                                       f"{sol.nfev} evaluations")
 
 
-def certify_energy_conservation(duration: float = 1.0) -> CheckResult:
+def certify_energy_conservation() -> CheckResult:
     """(b) The closed loop's energy changes by exactly the hips' work."""
     def hip_power(loop, t, x):
         u1, u2 = loop(t, x, True)[:2]
         return u1 * (x[5] - x[3]) + u2 * (x[5] - x[4])
 
-    sol, y0 = _balance_run(hip_power, (0.0, 0.0), duration, 1e-11, 1e-13)
+    sol, y0 = _balance_run(hip_power, (0.0, 0.0), 1e-11, 1e-13)
     p, incline = BALANCE_CONFIG.plant, BALANCE_CONFIG.incline_true
     ys = sol.y_eval.T
     e0 = total_energy(y0[:3], y0[3:6], p, incline)
     drift = np.abs(total_energy(ys[:, :3], ys[:, 3:6], p, incline) - e0
                    - ys[:, 8])
-    return CheckResult("powered-swing energy drift",
-                       _balance_residual(sol, drift / max(1.0, abs(e0))),
-                       1e-8, note=f"{duration:.1f} s horizon, "
-                                  f"{sol.nfev} evaluations")
+    return _balance_check("powered-swing energy drift", sol,
+                          drift / max(1.0, abs(e0)), 1e-8)
 
 
 def certify_reduced_consistency(n_states: int = 1000, seed: int = 1) -> CheckResult:
@@ -500,12 +504,11 @@ def certify_integrator_transport(seed: int = 4) -> CheckResult:
                                              ctrl.targets), ctrl.model)
         return 0.5 * quadratic(y[..., 6:8], i_e, y[..., 6:8])
 
-    sol, y0 = _balance_run(sine_power, omega_i0.tolist(), 1.0, 1e-12, 1e-14)
+    sol, y0 = _balance_run(sine_power, omega_i0.tolist(), 1e-12, 1e-14)
     ys = sol.y_eval.T
     drift = np.abs(norm(ys) - norm(y0) - ys[:, 8])
-    return CheckResult("covariant-integrator norm transport",
-                       _balance_residual(sol, drift), 1e-6,
-                       note=f"1.0 s horizon, {sol.nfev} evaluations")
+    return _balance_check("covariant-integrator norm transport", sol, drift,
+                          1e-6)
 
 
 def _error_inertia_rate(rs: ReducedState, p: RobotParams) -> np.ndarray:

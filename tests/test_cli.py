@@ -76,6 +76,29 @@ def test_unreadable_config_exits_with_code_two(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["simulate", "sweep"])
+def test_an_unwritable_out_exits_with_code_two(verb, tmp_path, capsys):
+    cfg_file = tmp_path / "short.cfg"
+    cfg_file.write_text("[sim]\nn_steps = 1\n[sweep]\naxis = incline_true\n"
+                        "n_samples = 1\nrel_min = 0\nrel_max = 0\n")
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main([verb, "--config", str(cfg_file), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"triped: cannot write {taken}: File exists\n"
+    assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_a_sweep_axis_that_names_no_field_exits_with_code_two(tmp_path, capsys):
+    cfg_file = tmp_path / "imag.cfg"
+    cfg_file.write_text("[sweep]\naxis = incline_true.imag\n")
+    assert main(["sweep", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "sw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: axis must be ")
+    assert not (tmp_path / "sw").exists()
+
+
 def test_config_warning_names_the_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "steep.toml"
     cfg_file.write_text("[sim]\nlambda_true_deg = 28\nn_steps = 1\n")

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -249,13 +249,16 @@ _OUT_OF_RANGE = [
     (replace(T.SimConfig(), n_steps=0), "n_steps"),
     (replace(T.SimConfig(), delta=math.inf), "delta"),
     (T.SweepSpec(axis="n_steps"), "axis"),
+    # A property reads as a float but is no field that a sample can set.
+    pytest.param(T.SweepSpec(axis="plant.total_mass"), "axis", id="axis-property"),
     (T.SweepSpec(rel_range=(0.1, -0.1)), "rel_range"),
     (T.SweepSpec(n_samples=0), "n_samples"),
 ]
 
 
 @pytest.mark.parametrize("config, key", _OUT_OF_RANGE,
-                         ids=[key for _, key in _OUT_OF_RANGE])
+                         ids=[getattr(case, "id", None) or case[1]
+                              for case in _OUT_OF_RANGE])
 def test_validate_refuses_out_of_range_values_by_key(config, key):
     with pytest.raises(T.ConfigValidationError) as err:
         config.validate()
@@ -397,8 +400,16 @@ def test_controller_validate_passes_or_refuses_by_key(controller):
                       st.lists(st.sampled_from(_AXES), max_size=2),
                       arrays(np.str_, 2, elements=st.sampled_from(_AXES)),
                       st.sampled_from(["plant", "n_steps", "strict_scuff",
-                                       "initial_state.6", "plant.torso_mass.0"])),
+                                       "initial_state.6", "plant.torso_mass.0",
+                                       "incline_true.imag", "plant.total_mass",
+                                       "controller.gains.kp.real",
+                                       "initial_state.01", "initial_state.٣"])),
        rel_range=_odd_vectors(2), base=_or_odd(T.SimConfig()))
+# Paths that read as a float but name no field, beside a valid range and base
+# so that only the axis rule stands between them and a sample.
+@example(axis="incline_true.imag", rel_range=(-0.1, 0.1), base=T.SimConfig())
+@example(axis="plant.total_mass", rel_range=(-0.1, 0.1), base=T.SimConfig())
+@example(axis="controller.gains.kp.real", rel_range=(-0.1, 0.1), base=T.SimConfig())
 def test_sweep_validate_passes_or_refuses_by_key(axis, rel_range, base):
     spec = T.SweepSpec(axis=axis, rel_range=rel_range, base=base)
     try:

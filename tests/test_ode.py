@@ -245,9 +245,11 @@ def oscillator(t, y):
 
 
 @pytest.mark.parametrize("direction, expected", [(1.0, 2 * math.pi),
-                                                 (-1.0, math.pi)])
+                                                 (-1.0, math.pi),
+                                                 (0.0, math.pi)])
 def test_direction_filtered_event_fires_on_one_side_only(direction, expected):
-    # y0 = sin t from t = 0.5: it falls through zero at pi and rises at 2 pi.
+    # y0 = sin t from t = 0.5: it falls through zero at pi and rises at 2 pi;
+    # an undirected event (scipy's default) fires at the first, pi.
     def crossing(t, y):
         return y[0]
 
@@ -306,9 +308,11 @@ def test_nan_rhs_surfaces_as_non_finite_state_error(monkeypatch):
 # The Dormand–Prince step and dense output as loops over components: the
 # formulas the generated straight-line code must reproduce bit for bit.
 def textbook_step(fun, t, h, y, k1, atol, rtol):
-    from triped.ode import (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54,
-                            A61, A62, A63, A64, A65, B1, B3, B4, B5, B6, C2,
-                            C3, C4, C5, E1, E3, E4, E5, E6, E7)
+    C2, C3, C4, C5, _ = ode.C
+    ((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
+     (A61, A62, A63, A64, A65)) = ode.A
+    B1, _, B3, B4, B5, B6 = ode.B
+    E1, _, E3, E4, E5, E6, E7 = ode.E
     k2 = fun(t + C2 * h, [v + (A21 * a) * h for v, a in zip(y, k1)])
     k3 = fun(t + C3 * h, [v + (A31 * a + A32 * b) * h
                           for v, a, b in zip(y, k1, k2)])
@@ -330,7 +334,7 @@ def textbook_step(fun, t, h, y, k1, atol, rtol):
 
 
 def textbook_coefficients(stages):
-    from triped.ode import P1, P3, P4, P5, P6, P7
+    P1, _, P3, P4, P5, P6, P7 = ode.P
     return [(P1[0] * a + P3[0] * c + P4[0] * d + P5[0] * e + P6[0] * f + P7[0] * g,
              P1[1] * a + P3[1] * c + P4[1] * d + P5[1] * e + P6[1] * f + P7[1] * g,
              P1[2] * a + P3[2] * c + P4[2] * d + P5[2] * e + P6[2] * f + P7[2] * g)
