@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,11 +40,11 @@ class _Unwritable(Exception):
     """A command's output directory could not be written."""
 
 
-def _emit(emitter, result, manifest, outdir: Path) -> dict[str, Path]:
-    """``emitter(result, manifest, outdir)``, its ``OSError`` as
-    :class:`_Unwritable`."""
+@contextmanager
+def _writing(outdir: Path):
+    """An ``OSError`` raised inside, as :class:`_Unwritable`."""
     try:
-        return emitter(result, manifest, outdir)
+        yield
     except OSError as exc:
         raise _Unwritable(f"cannot write {outdir}: {exc.strerror or exc}") from exc
 
@@ -93,7 +94,7 @@ def _load(args: argparse.Namespace) -> SimConfig | SweepSpec:
         input_text = None
     else:
         try:
-            input_text = Path(args.config).read_text(encoding="utf-8")
+            input_text = Path(args.config).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeError) as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         # A config warning names the file that set the value, not the
@@ -105,6 +106,10 @@ def _load(args: argparse.Namespace) -> SimConfig | SweepSpec:
             print(f"triped: warning: {args.config}: {warning.message}",
                   file=sys.stderr)
     args.input_text = input_text
+    # Made before the run, so that an --out that cannot be written costs no
+    # run; a run that fails later leaves it without manifest.json (incomplete).
+    with _writing(args.out):
+        args.out.mkdir(parents=True, exist_ok=True)
     return config
 
 
@@ -120,7 +125,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = replace(cfg, strict_scuff=True)
     summary = run_gait(cfg)
     manifest = make_manifest(cfg, input_text=args.input_text, seed=args.seed)
-    files = _emit(emit_outputs, summary, manifest, args.out)
+    with _writing(args.out):
+        files = emit_outputs(summary, manifest, args.out)
     done = summary.completed_steps
     print(f"run {manifest.run_id}: {done}/{cfg.n_steps} steps", end="")
     if done:
@@ -138,7 +144,8 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     cfg = _sim_config(_load(args))
     orbit = find_periodic_orbit(cfg, tol=args.tol)
     manifest = make_manifest(cfg, input_text=args.input_text, seed=args.seed)
-    files = _emit(emit_orbit_outputs, orbit, manifest, args.out)
+    with _writing(args.out):
+        files = emit_orbit_outputs(orbit, manifest, args.out)
     q_deg = ", ".join(f"{math.degrees(v):.3f}" for v in orbit.x_star[:3])
     print(f"run {manifest.run_id}: periodic gait after {orbit.iterations} "
           f"strides\n  posture ({q_deg}) deg, step time "
@@ -149,13 +156,11 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load(args)
-    if isinstance(config, SweepSpec):
-        spec = config
-    else:
-        spec = SweepSpec(base=config)
+    spec = config if isinstance(config, SweepSpec) else SweepSpec(base=config)
     samples = run_sweep(spec)
     manifest = make_manifest(spec, input_text=args.input_text, seed=args.seed)
-    files = _emit(emit_sweep_outputs, samples, manifest, args.out)
+    with _writing(args.out):
+        files = emit_sweep_outputs(samples, manifest, args.out)
     ok = sum(1 for s in samples if s.converged)
     print(f"run {manifest.run_id}: swept {spec.axis}, "
           f"{ok}/{len(samples)} samples converged")
@@ -181,6 +186,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.verb == "verify" and args.checks < 1:
         parser.error(f"argument --checks: must be >= 1, got {args.checks}")
+    if args.verb == "simulate" and args.steps is not None and args.steps < 1:
+        parser.error(f"argument --steps: must be >= 1, got {args.steps}")
     if args.verb == "orbit" and not 0.0 < args.tol < math.inf:
         parser.error(f"argument --tol: must be positive and finite, "
                      f"got {args.tol}")

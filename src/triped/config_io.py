@@ -97,38 +97,37 @@ _STR = (str.strip, str)
 _PLANT_KEYS = [f.name for f in fields(RobotParams)]
 
 #: section -> key -> (kind, path of the field it sets).  The single source
-#: of the format, in the order of the canonical text.  A path starts at the
-#: SimConfig (at the SweepSpec for [sweep]); an int in it indexes a tuple.
+#: of the format, in the order of the canonical text.  A path is a
+#: :func:`~triped.params.get_path` path from the SimConfig (from the
+#: SweepSpec for [sweep]), spelled as a sweep axis spells it.
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    "plant": {k: (_FLOAT, ("plant", k)) for k in _PLANT_KEYS},
+    "plant": {k: (_FLOAT, f"plant.{k}") for k in _PLANT_KEYS},
     "controller": {
-        **{f.name: (_FLOAT, ("controller", "gains", f.name))
+        **{f.name: (_FLOAT, f"controller.gains.{f.name}")
            for f in fields(ControllerGains)},
-        "lambda_assumed_deg": (_ANGLE, ("controller", "incline_assumed")),
-        "error_weighting": (_STR, ("controller", "error_weighting")),
-        "integrator_reset": (_STR, ("controller", "integrator_reset")),
-        "det_floor": (_FLOAT, ("controller", "det_floor")),
+        "lambda_assumed_deg": (_ANGLE, "controller.incline_assumed"),
+        "error_weighting": (_STR, "controller.error_weighting"),
+        "integrator_reset": (_STR, "controller.integrator_reset"),
+        "det_floor": (_FLOAT, "controller.det_floor"),
         # The controller's model defaults to the nominal robot, not to the
         # configured plant: mismatch studies perturb the plant only.
-        **{f"model_{k}": (_FLOAT, ("controller", "model", k))
-           for k in _PLANT_KEYS},
+        **{f"model_{k}": (_FLOAT, f"controller.model.{k}") for k in _PLANT_KEYS},
     },
-    "targets": {"q1_switch_deg": (_ANGLE, ("controller", "targets", "q1_switch")),
-                "q3_ref_deg": (_ANGLE, ("controller", "targets", "q3_ref"))},
+    "targets": {"q1_switch_deg": (_ANGLE, "controller.targets.q1_switch"),
+                "q3_ref_deg": (_ANGLE, "controller.targets.q3_ref")},
     "sim": {
-        "lambda_true_deg": (_ANGLE, ("incline_true",)),
-        "n_steps": (_INT, ("n_steps",)),
-        **{k: (_FLOAT, (k,)) for k in ("rel_tol", "abs_tol", "max_step_time",
-                                       "delta", "scuff_tol", "sample_dt")},
-        "strict_scuff": (_BOOL, ("strict_scuff",)),
+        "lambda_true_deg": (_ANGLE, "incline_true"),
+        "n_steps": (_INT, "n_steps"),
+        **{k: (_FLOAT, k) for k in ("rel_tol", "abs_tol", "max_step_time",
+                                    "delta", "scuff_tol", "sample_dt")},
+        "strict_scuff": (_BOOL, "strict_scuff"),
     },
     "initial": {
-        **{f"q{i + 1}_deg": (_ANGLE, ("initial_state", i)) for i in range(3)},
-        **{f"dq{i + 1}": (_FLOAT, ("initial_state", i + 3)) for i in range(3)},
+        **{f"q{i + 1}_deg": (_ANGLE, f"initial_state.{i}") for i in range(3)},
+        **{f"dq{i + 1}": (_FLOAT, f"initial_state.{i + 3}") for i in range(3)},
     },
-    "sweep": {"axis": (_STR, ("axis",)), "rel_min": (_FLOAT, ("rel_range", 0)),
-              "rel_max": (_FLOAT, ("rel_range", 1)),
-              "n_samples": (_INT, ("n_samples",))},
+    "sweep": {"axis": (_STR, "axis"), "rel_min": (_FLOAT, "rel_range.0"),
+              "rel_max": (_FLOAT, "rel_range.1"), "n_samples": (_INT, "n_samples")},
 }
 
 
@@ -146,7 +145,7 @@ def parse_config_text(text: str, source: str = "<string>"):
 def parse_config(path) -> SimConfig | SweepSpec:
     """Parse a config file; empty file = the documented default setup."""
     path = Path(path)
-    return _checked(_parse(path.read_text(encoding="utf-8"), str(path)))
+    return _checked(_parse(path.read_text(encoding="utf-8-sig"), str(path)))
 
 
 def _parse(text: str, source: str) -> SimConfig | SweepSpec:
@@ -301,15 +300,22 @@ def _lines(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Rows of a sampled CSV formatted at a time (~1 kB each meanwhile): a default
+#: swing is one chunk, and a finer grid costs more chunks, not more memory.
+_ROWS_PER_CHUNK = 1024
+
+
 def _sampled_rows(header: str, trajectories, columns):
-    """Chunks of a CSV of sampled swings: the header line, then one chunk
-    per swing holding its rows, the ``columns(traj)`` arrays side by side
-    with 17 significant digits, one format call per row, then the step."""
+    """Chunks of a CSV of sampled swings: the header line, then each swing's
+    rows, ``_ROWS_PER_CHUNK`` at a time: the ``columns(traj)`` arrays side
+    by side, 17 significant digits, one format call per row, then the step."""
     yield header + "\n"
     for traj in trajectories:
-        table = np.column_stack(columns(traj))
-        row = ",".join(["%.17g"] * table.shape[1]) + f",{traj.step_index}\n"
-        yield "".join([row % tuple(values) for values in table.tolist()])
+        for start in range(0, len(traj.t), _ROWS_PER_CHUNK):
+            rows = slice(start, start + _ROWS_PER_CHUNK)
+            table = np.column_stack([a[rows] for a in columns(traj)])
+            row = ",".join(["%.17g"] * table.shape[1]) + f",{traj.step_index}\n"
+            yield "".join([row % tuple(values) for values in table.tolist()])
 
 
 def _write_run(outdir, manifest: RunManifest,

@@ -77,20 +77,29 @@ def _choice(choices: tuple[str, ...]) -> tuple:
             "one of " + ", ".join(choices))
 
 
-def get_path(obj, path):
-    """The field of ``obj`` at ``path``; an int in it indexes a tuple."""
-    for part in path:
-        obj = obj[part] if isinstance(part, int) else getattr(obj, part)
+def get_path(obj, path: str):
+    """The field of ``obj`` at the dotted ``path``, as ``initial_state.3``: each
+    part names a dataclass field or, as ``str(i)``, indexes a tuple; any other
+    part (a property, a float's ``imag``, ``01``, ``-1``) is a ``ValueError``."""
+    for part in path.split("."):
+        if isinstance(obj, tuple) and part in map(str, range(len(obj))):
+            obj = obj[int(part)]
+        elif is_dataclass(obj) and part in {f.name for f in fields(obj)}:
+            obj = getattr(obj, part)
+        else:
+            raise ValueError(f"{path!r} names no field")
     return obj
 
 
-def set_path(obj, path, value):
-    """A copy of ``obj`` whose field at ``path`` holds ``value``."""
-    head, *rest = path
+def set_path(obj, path: str, value):
+    """A copy of ``obj`` whose field at ``path`` holds ``value``; the whole
+    path is checked, as :func:`get_path` checks it, before any copy."""
+    get_path(obj, path)
+    head, _, rest = path.partition(".")
     if rest:
-        value = set_path(get_path(obj, (head,)), rest, value)
-    if isinstance(head, int):
-        return (*obj[:head], value, *obj[head + 1:])
+        value = set_path(get_path(obj, head), rest, value)
+    if isinstance(obj, tuple):
+        return (*obj[:int(head)], value, *obj[int(head) + 1:])
     return replace(obj, **{head: value})
 
 
@@ -207,8 +216,8 @@ def nominal_initial_state() -> tuple[float, ...]:
 
 
 #: Bound on ``max_step_time / sample_dt`` (the default's is 1,000): running
-#: a swing peaks near 0.85 kB per sample and writing its rows near 1 kB
-#: (``tracemalloc``, 54,000 samples), so a finer grid could exhaust memory.
+#: a swing peaks near 0.85 kB per sample (``tracemalloc``, 54,000 samples),
+#: so a finer grid could exhaust memory.
 MAX_SAMPLES_PER_SWING = 100_000
 
 
@@ -256,18 +265,16 @@ class SimConfig:
 class SweepSpec:
     """A one-dimensional robustness sweep around a base configuration.
 
-    ``axis`` is the dotted path of a float field of ``base`` (an integer
-    part, written as ``str(i)``, indexes a tuple): ``incline_true``,
-    ``plant.torso_mass``, ``controller.gains.ki``, ``initial_state.2``; a
-    property or a float's own attribute is no field.  Or it is ``all_masses``,
-    which scales the plant's three masses and reports the factor.  The value
-    for sample ``i`` of ``n_samples`` is
-    ``base * (1 + lo + i*(hi - lo)/(n_samples - 1))`` — multiplicative
-    perturbations, so "+50% mass" is ``rel_range=(0.5, 0.5)`` with one sample
-    and an incline sweep of 20..26 deg about 25 deg is
-    ``rel_range=(-0.2, 0.04)`` with 7 samples.  Only that field moves (a
-    plant sweep leaves the controller's model nominal), and a field whose
-    base value is zero, such as ``initial_state.5``, keeps it.
+    ``axis`` is the :func:`get_path` path of a float field of ``base``, as the
+    config key table spells it (``incline_true``, ``plant.torso_mass``,
+    ``initial_state.2``), or ``all_masses``, which scales the plant's three
+    masses and reports the factor.  The value for sample ``i`` of
+    ``n_samples`` is ``base * (1 + lo + i*(hi - lo)/(n_samples - 1))`` —
+    multiplicative perturbations, so "+50% mass" is ``rel_range=(0.5, 0.5)``
+    with one sample and an incline sweep of 20..26 deg about 25 deg is
+    ``rel_range=(-0.2, 0.04)`` with 7 samples.  Only that field moves (a plant
+    sweep leaves the controller's model nominal), and a field whose base value
+    is zero, such as ``initial_state.5``, keeps it.
     """
 
     axis: str = "all_masses"
@@ -275,25 +282,11 @@ class SweepSpec:
     n_samples: int = 5
     base: SimConfig = field(default_factory=SimConfig)
 
-    def _path(self) -> tuple:
-        """``axis`` as a :func:`get_path` path; a ``ValueError`` unless each
-        part is a field name of a dataclass or, written as ``str(i)``, an
-        index into a tuple."""
-        obj, path = self.base, []
-        for part in self.axis.split("."):
-            if isinstance(obj, tuple) and part in map(str, range(len(obj))):
-                part = int(part)
-            elif not (is_dataclass(obj) and part in {f.name for f in fields(obj)}):
-                raise ValueError(f"{self.axis!r} names no field of the base")
-            obj = get_path(obj, (part,))
-            path.append(part)
-        return tuple(path)
-
     def _names_a_float(self, axis) -> bool:
         try:
             return isinstance(axis, str) and (
                 axis == "all_masses"
-                or isinstance(get_path(self.base, self._path()), float))
+                or isinstance(get_path(self.base, axis), float))
         except ValueError:
             return False
 
@@ -316,16 +309,13 @@ class SweepSpec:
 
     def sample_values(self) -> list[float]:
         """Absolute axis values for each sample, in sample order."""
-        lo, hi = self.rel_range
-        if self.n_samples == 1:
-            rels = [0.5 * (lo + hi)]
-        else:
-            span = hi - lo
-            rels = [lo + i * span / (self.n_samples - 1) for i in range(self.n_samples)]
+        (lo, hi), n = self.rel_range, self.n_samples
+        rels = ([0.5 * (lo + hi)] if n == 1
+                else [lo + i * (hi - lo) / (n - 1) for i in range(n)])
         if self.axis == "all_masses":
             # Report the factor itself; all three masses are scaled by it.
             return [1.0 + rel for rel in rels]
-        base_value = get_path(self.base, self._path())
+        base_value = get_path(self.base, self.axis)
         return [base_value * (1.0 + rel) for rel in rels]
 
     def sample_config(self, index: int) -> SimConfig:
@@ -333,4 +323,4 @@ class SweepSpec:
         value = self.sample_values()[index]
         if self.axis == "all_masses":
             return replace(self.base, plant=self.base.plant.scaled_masses(value))
-        return set_path(self.base, self._path(), value)
+        return set_path(self.base, self.axis, value)

@@ -108,11 +108,7 @@ def reduced_inertias(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, floa
     k = shape_inertia_factor(rs.alpha, rs.beta, p)
     l, r = p.torso_length, p.leg_length
     i_e = stack_matrix([[l * l * k, 0.0], [0.0, r * r * k]])
-    i_z = r * r / 4.0 * (
-        4.0 * p.hip_mass + 2.0 * p.torso_mass + 3.0 * p.leg_mass
-        - 2.0 * p.torso_mass * np.cos(rs.alpha)
-        - 2.0 * p.leg_mass * np.cos(rs.beta))
-    return i_e, float_if_scalar(i_z)
+    return i_e, float_if_scalar(r * r / 4.0 * k)
 
 
 def quadratic_bracket(rs: ReducedState, p: RobotParams) -> np.ndarray:
@@ -146,16 +142,20 @@ def reduced_forces(rs: ReducedState, p: RobotParams,
     the rates; the gravity terms are rate-independent.
     """
     q, dq = from_reduced(rs)
+    e, z = _pushforward(rs, p, inertia_matrix(q, p), stack_vector(
+        velocity_forces(q, dq, p), gravity_torque(q, p, incline)))
+    return (e[..., 0], float_if_scalar(z[..., 0]),
+            -e[..., 1], float_if_scalar(-z[..., 1]))
+
+
+def _pushforward(rs: ReducedState, p: RobotParams, inertia,
+                 forces) -> tuple[np.ndarray, np.ndarray]:
+    """``I_e @ W_e @ M^-1 @ F`` and ``I_z * (M^-1 @ F)[0]``, for the full
+    model's inertia ``M`` and columns ``F`` (``(..., 3, n)``) of its forces:
+    ``F`` pushed into the output and zero channels."""
     i_e, i_z = reduced_inertias(rs, p)
-    cols = np.linalg.solve(
-        inertia_matrix(q, p),
-        stack_vector(velocity_forces(q, dq, p), gravity_torque(q, p, incline)))
-    out = OUTPUT_MAP @ cols
-    tau_e = matvec(i_e, out[..., 0])
-    tau_g_e = -matvec(i_e, out[..., 1])
-    tau_z = i_z * cols[..., 0, 0]
-    tau_g_z = -i_z * cols[..., 0, 1]
-    return tau_e, float_if_scalar(tau_z), tau_g_e, float_if_scalar(tau_g_z)
+    cols = np.linalg.solve(inertia, forces)
+    return i_e @ (OUTPUT_MAP @ cols), np.expand_dims(i_z, -1) * cols[..., 0, :]
 
 
 def input_matrix_e(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, np.ndarray]:
@@ -214,10 +214,6 @@ def pushforward_input_matrix(rs: ReducedState,
     Certification twin of :func:`input_matrix_e`: the two must agree to
     roundoff for all shape angles.
     """
-    q, _ = from_reduced(rs)
-    i_e, i_z = reduced_inertias(rs, p)
-    inertia = inertia_matrix(q, p)
-    cols = np.linalg.solve(
-        inertia, np.broadcast_to(INPUT_MATRIX, inertia.shape[:-1] + (2,)))
-    return (i_e @ (OUTPUT_MAP @ cols),
-            np.expand_dims(i_z, -1) * cols[..., 0, :])
+    inertia = inertia_matrix(from_reduced(rs)[0], p)
+    return _pushforward(rs, p, inertia, np.broadcast_to(
+        INPUT_MATRIX, inertia.shape[:-1] + (2,)))

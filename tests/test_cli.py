@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import triped as T
+from triped import cli
 from triped.cli import main
 
 
@@ -76,8 +77,14 @@ def test_unreadable_config_exits_with_code_two(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("verb", ["simulate", "sweep"])
-def test_an_unwritable_out_exits_with_code_two(verb, tmp_path, capsys):
+@pytest.mark.parametrize("verb", ["simulate", "orbit", "sweep"])
+def test_an_unwritable_out_exits_with_code_two(verb, tmp_path, capsys,
+                                               monkeypatch):
+    # The output directory is made before the run, so no run is spent.
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was made")
+    for name in ("run_gait", "find_periodic_orbit", "run_sweep"):
+        monkeypatch.setattr(cli, name, never)
     cfg_file = tmp_path / "short.cfg"
     cfg_file.write_text("[sim]\nn_steps = 1\n[sweep]\naxis = incline_true\n"
                         "n_samples = 1\nrel_min = 0\nrel_max = 0\n")
@@ -87,6 +94,30 @@ def test_an_unwritable_out_exits_with_code_two(verb, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"triped: cannot write {taken}: File exists\n"
     assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_a_config_with_a_byte_order_mark_runs(tmp_path):
+    digests = []
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        cfg_file = tmp_path / f"{name}.cfg"
+        cfg_file.write_text("[sim]\nn_steps = 1\n", encoding=encoding)
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(cfg_file),
+                     "--out", str(out)]) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())[
+            "input_digest"])
+    # The mark is no part of the text the manifest digests.
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_simulate_refuses_a_step_count_below_one(steps, tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--steps", steps, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--steps: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_sweep_axis_that_names_no_field_exits_with_code_two(tmp_path, capsys):

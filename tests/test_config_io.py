@@ -101,11 +101,10 @@ _SIM_CONFIGS = _every_field(
     strict_scuff=st.booleans(),
 ).filter(lambda c: c.max_step_time / c.sample_dt <= MAX_SAMPLES_PER_SWING)
 
-#: Every float field a config file sets, by its sweep axis name, and the
-#: one derived axis.
-_AXIS_PATHS = {".".join(map(str, path)): path for section, keys in _SCHEMA.items()
-               if section != "sweep"
-               for kind, path in keys.values() if kind in (_FLOAT, _ANGLE)}
+#: The path of every float field a config file sets, which is its sweep
+#: axis; ``_AXES`` adds the one derived axis.
+_AXIS_PATHS = [path for section, keys in _SCHEMA.items() if section != "sweep"
+               for kind, path in keys.values() if kind in (_FLOAT, _ANGLE)]
 _AXES = ["all_masses", *_AXIS_PATHS]
 
 
@@ -395,23 +394,45 @@ def test_controller_validate_passes_or_refuses_by_key(controller):
     assert_usable(cfg)
 
 
+_VALID_SWEEP = {
+    "axis": st.sampled_from(_AXES),
+    "rel_range": st.lists(st.floats(-0.5, 0.5), min_size=2,
+                          max_size=2).map(sorted).map(tuple),
+    "base": st.just(T.SimConfig())}
+_ODD_SWEEP = {
+    # Half of the odd axes are paths that name no float field (``|`` would
+    # flatten the other half's six branches beside them).
+    "axis": st.sampled_from([
+        st.sampled_from(["plant", "n_steps", "strict_scuff", "initial_state.6",
+                         "plant.torso_mass.0", "incline_true.imag",
+                         "plant.total_mass", "controller.gains.kp.real",
+                         "initial_state.01", "initial_state.٣"]),
+        st.one_of(st.sampled_from(_AXES), st.none(), st.integers(), st.text(),
+                  st.lists(st.sampled_from(_AXES), max_size=2),
+                  arrays(np.str_, 2, elements=st.sampled_from(_AXES)))]
+    ).flatmap(lambda axes: axes),
+    "rel_range": _odd_vectors(2),
+    "base": _or_odd(T.SimConfig())}
+#: A sweep's axis, range and base, at most one of them drawn odd, so that
+#: each rule is reached with nothing else wrong beside it.
+_SWEEP_FIELDS = st.sampled_from([None, *_VALID_SWEEP]).flatmap(
+    lambda odd: st.fixed_dictionaries({
+        name: (_ODD_SWEEP if name == odd else _VALID_SWEEP)[name]
+        for name in _VALID_SWEEP}))
+
+
 @settings(max_examples=200, deadline=None)
-@given(axis=st.one_of(st.sampled_from(_AXES), st.none(), st.integers(), st.text(),
-                      st.lists(st.sampled_from(_AXES), max_size=2),
-                      arrays(np.str_, 2, elements=st.sampled_from(_AXES)),
-                      st.sampled_from(["plant", "n_steps", "strict_scuff",
-                                       "initial_state.6", "plant.torso_mass.0",
-                                       "incline_true.imag", "plant.total_mass",
-                                       "controller.gains.kp.real",
-                                       "initial_state.01", "initial_state.٣"])),
-       rel_range=_odd_vectors(2), base=_or_odd(T.SimConfig()))
+@given(sweep=_SWEEP_FIELDS)
 # Paths that read as a float but name no field, beside a valid range and base
 # so that only the axis rule stands between them and a sample.
-@example(axis="incline_true.imag", rel_range=(-0.1, 0.1), base=T.SimConfig())
-@example(axis="plant.total_mass", rel_range=(-0.1, 0.1), base=T.SimConfig())
-@example(axis="controller.gains.kp.real", rel_range=(-0.1, 0.1), base=T.SimConfig())
-def test_sweep_validate_passes_or_refuses_by_key(axis, rel_range, base):
-    spec = T.SweepSpec(axis=axis, rel_range=rel_range, base=base)
+@example(sweep={"axis": "incline_true.imag", "rel_range": (-0.1, 0.1),
+                "base": T.SimConfig()})
+@example(sweep={"axis": "plant.total_mass", "rel_range": (-0.1, 0.1),
+                "base": T.SimConfig()})
+@example(sweep={"axis": "controller.gains.kp.real", "rel_range": (-0.1, 0.1),
+                "base": T.SimConfig()})
+def test_sweep_validate_passes_or_refuses_by_key(sweep):
+    spec = T.SweepSpec(**sweep)
     try:
         spec.validate()
     except T.ConfigValidationError as err:
@@ -453,11 +474,23 @@ def test_every_float_config_field_is_a_sweep_axis(axis, data):
     spec.validate()
     sample = spec.sample_config(data.draw(st.integers(0, spec.n_samples - 1)))
     # Putting back the base value at the swept path gives the base again.
-    paths = ([("plant", k) for k in ("leg_mass", "hip_mass", "torso_mass")]
-             if axis == "all_masses" else [_AXIS_PATHS[axis]])
+    paths = ([f"plant.{k}" for k in ("leg_mass", "hip_mass", "torso_mass")]
+             if axis == "all_masses" else [axis])
     for path in paths:
         sample = set_path(sample, path, get_path(spec.base, path))
     assert sample == spec.base
+
+
+@pytest.mark.parametrize("path", [
+    "plant.total_mass", "incline_true.imag", "initial_state.01",
+    "initial_state.6", "initial_state.-1"])
+def test_a_path_that_names_no_field_is_refused(path):
+    # A property, a float's own attribute, and a tuple index that is not
+    # written as str(i) or lies outside the tuple.
+    with pytest.raises(ValueError, match=path):
+        get_path(T.SimConfig(), path)
+    with pytest.raises(ValueError, match=path):
+        set_path(T.SimConfig(), path, 1.0)
 
 
 def test_a_sample_grid_past_its_bound_is_refused():
@@ -491,6 +524,15 @@ def test_static_stability_warning_names_the_caller(tmp_path):
         with pytest.warns(T.StaticStabilityWarning) as rec:
             parse(source)
         assert rec[0].filename == __file__
+
+
+def test_a_byte_order_mark_is_read_as_utf8(tmp_path):
+    text = "[sim]\nn_steps = 3\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert T.parse_config(marked) == T.parse_config(plain)
 
 
 def test_controller_model_defaults_to_nominal_not_plant():
@@ -627,6 +669,16 @@ def test_emit_memory_does_not_grow_with_the_gait(two_step_outputs,
     long = emit_peak_bytes(T.run_gait(replace(summary.config, n_steps=8)),
                            tmp_path / "long")
     assert long < 1.5 * short, (short, long)
+
+
+def test_emit_memory_does_not_grow_with_the_samples_in_a_swing(tmp_path):
+    # The rows of a swing are formatted a fixed number at a time, so four
+    # times the samples in one step costs about the same memory.
+    base = replace(T.SimConfig(), n_steps=1, max_step_time=1.0)
+    coarse, fine = (
+        emit_peak_bytes(T.run_gait(replace(base, sample_dt=dt)), tmp_path / name)
+        for dt, name in ((1e-4, "coarse"), (2.5e-5, "fine")))
+    assert fine < 2 * coarse, (coarse, fine)
 
 
 def aborted_sweep():
