@@ -24,11 +24,11 @@ from .config_io import (RunManifest, StaticStabilityWarning, TRAJECTORY_HEADER,
                         make_manifest, parse_config, parse_config_text,
                         write_config)
 from .control import (ControlAction, control_action, max_static_incline,
-                      static_stability, zeta_distance)
+                      zeta_distance)
 from .dynamics import (INPUT_MATRIX, coriolis_matrix, gravity_torque,
                        hip_position, inertia_matrix, kinetic_energy,
                        potential_energy, swing_accel, swing_foot_height,
-                       swing_foot_position, total_energy, torso_tip_position)
+                       swing_foot_position, total_energy)
 from .errors import (ActuationSingularityError, ConfigError, ConfigParseError,
                      ConfigValidationError, DegenerateContactError,
                      FellOverError, GaitAbortError, NoConvergenceError,
@@ -65,8 +65,7 @@ __all__ = [
     "make_manifest", "max_static_incline", "nominal_initial_state",
     "parse_config", "parse_config_text", "potential_energy",
     "reduced_forces", "reduced_inertias", "reset_map", "run_certification",
-    "run_gait", "run_sweep", "static_stability", "step", "swing_accel",
-    "swing_foot_height", "swing_foot_position", "to_reduced",
-    "torso_tip_position", "total_energy",
+    "run_gait", "run_sweep", "step", "swing_accel",
+    "swing_foot_height", "swing_foot_position", "to_reduced", "total_energy",
     "transcription_report", "write_config", "zeta_distance",
 ]

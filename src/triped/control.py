@@ -56,31 +56,19 @@ from .reduced import (ReducedState, input_matrix_e, quadratic_bracket,
                       reduced_forces, reduced_inertias, to_reduced)
 
 __all__ = [
-    "ControlAction", "error_sines", "error_potential_gradient",
-    "control_action", "zeta_distance", "static_stability",
-    "max_static_incline",
+    "ControlAction", "error_potential_gradient", "control_action",
+    "zeta_distance", "max_static_incline",
 ]
 
 
-def error_sines(rs: ReducedState) -> np.ndarray:
-    """Unweighted error vector ``(sin(q3 - q3_ref), sin(q1 + q2))``.
-
-    Vanishes exactly on the zero-dynamics manifold and is the unique zero in
-    the working range ``|q_e| < pi/2``.
-    """
-    return np.sin(rs.q_e)
-
-
 def error_potential_gradient(rs: ReducedState, model: RobotParams) -> np.ndarray:
-    """Metric gradient of the error potential: ``I_e^{-1} @ error_sines``."""
+    """Metric gradient of the error potential: ``I_e^{-1} @ sin(q_e)``.
+
+    The sine vector ``(sin(q3 - q3_ref), sin(q1 + q2))`` vanishes exactly on
+    the zero-dynamics manifold and nowhere else in ``|q_e| < pi/2``.
+    """
     i_e, _ = reduced_inertias(rs, model)
-    return error_sines(rs) / np.diagonal(i_e, axis1=-2, axis2=-1)
-
-
-def _error_vector(rs: ReducedState, cfg: ControllerConfig) -> np.ndarray:
-    if cfg.error_weighting == "inertia":
-        return error_potential_gradient(rs, cfg.model)
-    return error_sines(rs)
+    return np.sin(rs.q_e) / np.diagonal(i_e, axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -126,7 +114,9 @@ def control_action(q, dq, omega_I, cfg: ControllerConfig) -> ControlAction:
     i_e_diag = np.diagonal(i_e, axis1=-2, axis2=-1)
     bracket = quadratic_bracket(rs, model)
 
-    eta = _error_vector(rs, cfg)
+    eta = np.sin(rs.q_e)
+    if cfg.error_weighting == "inertia":
+        eta = eta / i_e_diag
     g = cfg.gains
     tau_tilde = -i_e_diag * (g.kp * eta + g.kd * rs.omega_e + g.ki * omega_I)
     tau_e, _, tau_g_e, _ = reduced_forces(rs, model, cfg.incline_assumed)
@@ -155,22 +145,8 @@ def zeta_distance(q, dq, model: RobotParams, targets: GaitTargets) -> float:
     """
     rs = to_reduced(q, dq, targets)
     eta = error_potential_gradient(rs, model)
-    return float(np.hypot(np.linalg.norm(eta), np.linalg.norm(rs.omega_e)))
-
-
-def static_stability(p: RobotParams, incline: float, q3_ref: float) -> float:
-    """Margin of the standing-posture condition; nonnegative means satisfied.
-
-    A motionless robot can hold its posture on the slope only if
-    ``sin(q3_ref - incline)/sin(incline)`` is at least
-    ``(M_T + M_H + m) r / (M_T l)``; the margin is the difference.  A level
-    floor (``incline == 0``) imposes no condition: the margin is ``+inf``.
-    """
-    if incline == 0.0:
-        return float("inf")
-    demand = (p.torso_mass + p.hip_mass + p.leg_mass) * p.leg_length / (
-        p.torso_mass * p.torso_length)
-    return float(np.sin(q3_ref - incline) / np.sin(incline) - demand)
+    return float_if_scalar(np.hypot(np.linalg.norm(eta, axis=-1),
+                                    np.linalg.norm(rs.omega_e, axis=-1)))
 
 
 def max_static_incline(p: RobotParams) -> float:

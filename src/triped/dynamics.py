@@ -66,14 +66,9 @@ def unstack(x) -> np.ndarray:
 def _stacked(entries: list, shape: tuple) -> np.ndarray:
     """The entries (scalars or arrays) broadcast together, as one C-ordered
     array whose last axes are ``shape``, the entries in row-major order."""
-    try:
-        stacked = np.array(entries, dtype=float)
-    except ValueError:  # entries of different shapes
-        stacked = np.array(np.broadcast_arrays(*entries))
-    n = len(shape)
-    stacked = stacked.reshape(shape + stacked.shape[1:])
-    return np.ascontiguousarray(
-        stacked.transpose(tuple(range(n, stacked.ndim)) + tuple(range(n))))
+    entries = np.broadcast_arrays(
+        *(np.asarray(entry, dtype=float) for entry in entries))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + shape)
 
 
 def stack_vector(*entries) -> np.ndarray:
@@ -219,11 +214,6 @@ def hip_position(q, p: RobotParams) -> np.ndarray:
 def swing_foot_position(q, p: RobotParams) -> np.ndarray:
     """Swing-foot location: from the hip, back down the swing leg."""
     return hip_position(q, p) - _link(unstack(q)[1], p.leg_length)
-
-
-def torso_tip_position(q, p: RobotParams) -> np.ndarray:
-    """Torso tip location: from the hip, out along the torso link."""
-    return hip_position(q, p) + _link(unstack(q)[2], p.torso_length)
 
 
 def swing_foot_height(q, p: RobotParams):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigValidationError
 
@@ -84,7 +84,7 @@ def get_path(obj, path: str):
     for part in path.split("."):
         if isinstance(obj, tuple) and part in map(str, range(len(obj))):
             obj = obj[int(part)]
-        elif is_dataclass(obj) and part in {f.name for f in fields(obj)}:
+        elif part in getattr(obj, "__dataclass_fields__", ()):
             obj = getattr(obj, part)
         else:
             raise ValueError(f"{path!r} names no field")

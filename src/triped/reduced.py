@@ -11,7 +11,8 @@ The swing dynamics split into two channels once the state is rewritten in
   outputs are pinned to zero.
 
 The change of coordinates is linear with determinant of magnitude one, so it
-is a global diffeomorphism and round-trips exactly.
+is a global diffeomorphism; a round trip in floating point is exact only to
+the last bit of the angles and rates (``q1 - (q1 - q2)`` rounds).
 
 In these coordinates the model reads::
 
@@ -84,7 +85,8 @@ def to_reduced(q, dq, targets: GaitTargets) -> ReducedState:
 
 
 def from_reduced(rs: ReducedState) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`to_reduced`; exact because the map is linear.
+    """Invert :func:`to_reduced`: exact in real arithmetic, as the map is
+    linear, and to the last bit in floating point (``q1 - (q1 - q2)`` rounds).
 
     The shape/zero coordinates alone already determine the full state
     (``q3 = q1 - alpha/2``, ``q2 = q1 - beta/2``), so no targets are needed.

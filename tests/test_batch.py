@@ -101,6 +101,7 @@ CALLS = {
     "kinetic_energy": lambda q, dq, p, **_: T.kinetic_energy(q, dq, p),
     "potential_energy": lambda q, p, incline, **_: T.potential_energy(
         q, p, incline),
+    "zeta_distance": lambda q, dq, p, **_: T.zeta_distance(q, dq, p, TARGETS),
 }
 
 

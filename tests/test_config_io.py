@@ -394,6 +394,13 @@ def test_controller_validate_passes_or_refuses_by_key(controller):
     assert_usable(cfg)
 
 
+#: Paths that name no float field: a dataclass, an int, a bool, a tuple
+#: index past the end, a float's index or attribute, a property, an index
+#: written with a leading zero or in other digits.
+_NO_FLOAT_FIELD = ["plant", "n_steps", "strict_scuff", "initial_state.6",
+                   "plant.torso_mass.0", "incline_true.imag",
+                   "plant.total_mass", "controller.gains.kp.real",
+                   "initial_state.01", "initial_state.٣"]
 _VALID_SWEEP = {
     "axis": st.sampled_from(_AXES),
     "rel_range": st.lists(st.floats(-0.5, 0.5), min_size=2,
@@ -403,10 +410,7 @@ _ODD_SWEEP = {
     # Half of the odd axes are paths that name no float field (``|`` would
     # flatten the other half's six branches beside them).
     "axis": st.sampled_from([
-        st.sampled_from(["plant", "n_steps", "strict_scuff", "initial_state.6",
-                         "plant.torso_mass.0", "incline_true.imag",
-                         "plant.total_mass", "controller.gains.kp.real",
-                         "initial_state.01", "initial_state.٣"]),
+        st.sampled_from(_NO_FLOAT_FIELD),
         st.one_of(st.sampled_from(_AXES), st.none(), st.integers(), st.text(),
                   st.lists(st.sampled_from(_AXES), max_size=2),
                   arrays(np.str_, 2, elements=st.sampled_from(_AXES)))]
@@ -443,6 +447,15 @@ def test_sweep_validate_passes_or_refuses_by_key(sweep):
     for index in range(spec.n_samples):
         spec.sample_config(index).validate()
     assert_usable(spec)
+
+
+@pytest.mark.parametrize("axis", _NO_FLOAT_FIELD)
+def test_an_axis_that_names_no_float_field_is_refused(axis):
+    # Beside a valid range and base, only the axis rule can refuse it.
+    spec = T.SweepSpec(axis=axis, rel_range=(-0.1, 0.1), base=T.SimConfig())
+    with pytest.raises(T.ConfigValidationError) as err:
+        spec.validate()
+    assert err.value.keys == ["axis"]
 
 
 @pytest.mark.parametrize("axis, rel_range, key", [

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import triped as T
-from triped.control import (control_action, max_static_incline,
-                            static_stability, zeta_distance)
+from triped.control import control_action, max_static_incline, zeta_distance
 from triped.dynamics import swing_accel
 from triped.reduced import (OUTPUT_MAP, input_matrix_e, reduced_inertias,
                             to_reduced)
@@ -117,25 +116,16 @@ def test_zeta_distance_is_weighted_regardless_of_error_weighting():
     assert z == pytest.approx(expected, rel=1e-13)
 
 
-def test_static_stability_demand_and_margin():
-    # Mass-geometry demand (M_T+M_H+m) r / (M_T l) = 5 / 2.25.
-    margin_level = static_stability(P, 0.0, TARGETS.q3_ref)
-    assert margin_level == math.inf
-    margin = static_stability(P, math.radians(25.0), TARGETS.q3_ref)
-    expected = (math.sin(math.radians(80.0)) / math.sin(math.radians(25.0))
-                - 20.0 / 9.0)
-    assert margin == pytest.approx(expected, rel=1e-12)
-    assert margin > 0
-
-
 def test_max_static_incline_value():
     lam_max = max_static_incline(P)
     assert lam_max == pytest.approx(math.asin(0.45), rel=1e-12)
     assert math.degrees(lam_max) == pytest.approx(26.74, abs=0.01)
-    # At the bound the margin with the optimal torso posture is zero:
-    # q3_ref = lam_max + 90 deg maximizes sin(q3_ref - incline).
-    at_bound = static_stability(P, lam_max, lam_max + math.pi / 2.0)
-    assert at_bound == pytest.approx(0.0, abs=1e-12)
+    # At the bound an upright torso (q3_ref = lam_max + 90 deg, which
+    # maximizes sin(q3_ref - incline)) just holds the standing posture:
+    # 1 / sin(lam_max) equals the demand (M_T + M_H + m) r / (M_T l).
+    demand = (P.torso_mass + P.hip_mass + P.leg_mass) * P.leg_length / (
+        P.torso_mass * P.torso_length)
+    assert 1.0 / math.sin(lam_max) == pytest.approx(demand, rel=1e-12)
     # Positive parameters whose demand rounds to zero bound nothing.
     tiny = T.RobotParams(leg_mass=0.25, hip_mass=0.125, torso_mass=0.125,
                          leg_length=5e-324)

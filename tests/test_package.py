@@ -7,20 +7,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import triped as T
 
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def run_fresh(*args: str) -> str:
-    """Run ``python *args`` in a fresh interpreter that imports this
-    package; returns what it printed."""
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
     src = str(Path(T.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], check=True, env=env,
+    return env
+
+
+def run_fresh(*args: str) -> str:
+    """Run ``python *args`` in a fresh interpreter that imports this
+    package; returns what it printed."""
+    return subprocess.run([sys.executable, *args], check=True, env=fresh_env(),
                           stdout=subprocess.PIPE, text=True).stdout
 
 
@@ -97,6 +104,22 @@ def test_benchmark_hooks_exist(tmp_path):
         assert "manifest.json" in files
         for path in files.values():
             assert isinstance(path, Path) and path.is_file(), path
+
+
+@pytest.mark.parametrize("tool, args", [
+    ("replay_split.py", ["--rounds", "0"]),
+    ("time_kernel_check.py", ["--states", "0"]),
+    ("time_kernel_check.py", ["--rounds", "0"]),
+    ("emit_memory.py", ["--steps", "0"]),
+])
+def test_the_tools_refuse_a_count_below_one(tool, args):
+    # Refused by the argument parser before any work: exit 2, a usage line.
+    done = subprocess.run([sys.executable, str(TOOLS / tool), *args],
+                          env=fresh_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert f"{args[0]} must be >= 1" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_the_tools_run_and_print_one_json_line(tmp_path):

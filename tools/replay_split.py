@@ -83,6 +83,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
+    if args.rounds < 1:
+        parser.error("--rounds must be >= 1")
     swings = record_swings(T.SimConfig())
     # The recording is about 170,000 objects that a gait does not hold:
     # keep the collector from walking them during the timed rounds.

@@ -25,6 +25,8 @@ def main() -> None:
     parser.add_argument("--states", type=int, default=1000)
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
+    if args.states < 1:
+        parser.error("--states must be >= 1")
     if args.rounds < 1:
         parser.error("--rounds must be >= 1")
     certify_kernel(n_states=1)
