@@ -37,8 +37,8 @@ from .errors import (ActuationSingularityError, ConfigError, ConfigParseError,
 from .impact import ImpactResult, RELABEL, reset_map
 from .params import (ControllerConfig, ControllerGains, GaitTargets,
                      RobotParams, SimConfig, SweepSpec, nominal_initial_state)
-from .reduced import (ReducedState, from_reduced, input_matrix_e,
-                      reduced_forces, reduced_inertias, to_reduced)
+from .reduced import (ReducedState, input_matrix_e, reduced_forces,
+                      reduced_inertias, to_reduced)
 from .simulate import GaitSummary, StepRecord, Trajectory, run_gait, step
 from .verification import (CertificationReport, CheckResult,
                            TranscriptionReport, run_certification,
@@ -60,7 +60,7 @@ __all__ = [
     "GaitTargets", "Trajectory", "TranscriptionReport", "WalkerError",
     "__version__", "contraction_ratio", "control_action", "coriolis_matrix",
     "emit_orbit_outputs", "emit_outputs", "emit_sweep_outputs",
-    "find_periodic_orbit", "from_reduced", "gravity_torque", "hip_position",
+    "find_periodic_orbit", "gravity_torque", "hip_position",
     "inertia_matrix", "input_matrix_e", "kinetic_energy",
     "make_manifest", "max_static_incline", "nominal_initial_state",
     "parse_config", "parse_config_text", "potential_energy",

@@ -50,6 +50,7 @@ import functools
 import linecache
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -324,7 +325,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
         raise ValueError(f"fun returned {len(f)} values for a state of {n}")
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev, n_rejected = 2, 0
-    ts, ys, y_eval = [t], [y], []
+    ts, ys, y_eval = [t], [y], array("d")  # n doubles per t_eval time
     t_next = times[0]
     status, message = None, None
     while status is None:
@@ -371,13 +372,13 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
             y = dense(t)
             event, status = active[first], 1
         while t_next <= t:
-            y_eval.append(dense(t_next))
-            t_next = times[len(y_eval)]
+            y_eval.extend(dense(t_next))
+            t_next = times[len(y_eval) // n]
         ts.append(t)
         ys.append(y)
 
     return OdeResult(
         t=np.array(ts), y=np.array(ys).T,
-        y_eval=np.reshape(y_eval, (len(y_eval), n)).T, event=event, nfev=nfev,
+        y_eval=np.frombuffer(y_eval).reshape(-1, n).T, event=event, nfev=nfev,
         n_accepted=len(ts) - 1, n_rejected=n_rejected,
         status=status, message=MESSAGES.get(status, message))

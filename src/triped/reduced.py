@@ -11,8 +11,10 @@ The swing dynamics split into two channels once the state is rewritten in
   outputs are pinned to zero.
 
 The change of coordinates is linear with determinant of magnitude one, so it
-is a global diffeomorphism; a round trip in floating point is exact only to
-the last bit of the angles and rates (``q1 - (q1 - q2)`` rounds).
+is a global diffeomorphism.  A round trip in floating point is exact only to
+the last bit of the angles and rates (``q1 - (q1 - q2)`` rounds), so a
+:class:`ReducedState` keeps the ``(q, dq)`` it was made from, and the terms
+pushed forward from the full model are evaluated there.
 
 In these coordinates the model reads::
 
@@ -55,6 +57,7 @@ class ReducedState:
         alpha: shape angle ``2 (q1 - q3)``.
         beta: shape angle ``2 (q1 - q2)``.
         omega_s: shape rates ``(d(alpha)/dt, d(beta)/dt)``.
+        q, dq: the full-model state it was mapped from.
 
     For a batch of states (see :mod:`triped.dynamics`), the scalar fields
     are arrays over the batch and the pairs are ``(..., 2)``.
@@ -67,35 +70,25 @@ class ReducedState:
     alpha: float
     beta: float
     omega_s: np.ndarray
+    q: np.ndarray
+    dq: np.ndarray
 
 
 def to_reduced(q, dq, targets: GaitTargets) -> ReducedState:
     """Map a swing state ``(q, dq)`` to output/shape/zero coordinates."""
+    q, dq = np.asarray(q, dtype=float), np.asarray(dq, dtype=float)
     q1, q2, q3 = unstack(q)
     d1, d2, d3 = unstack(dq)
     return ReducedState(
         q_e=stack_vector(q3 - targets.q3_ref, q1 + q2),
-        omega_e=matvec(OUTPUT_MAP, np.asarray(dq, dtype=float)),
+        omega_e=matvec(OUTPUT_MAP, dq),
         q1=float_if_scalar(q1),
         omega1=float_if_scalar(d1),
         alpha=float_if_scalar(2.0 * (q1 - q3)),
         beta=float_if_scalar(2.0 * (q1 - q2)),
         omega_s=stack_vector(2.0 * (d1 - d3), 2.0 * (d1 - d2)),
+        q=q, dq=dq,
     )
-
-
-def from_reduced(rs: ReducedState) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`to_reduced`: exact in real arithmetic, as the map is
-    linear, and to the last bit in floating point (``q1 - (q1 - q2)`` rounds).
-
-    The shape/zero coordinates alone already determine the full state
-    (``q3 = q1 - alpha/2``, ``q2 = q1 - beta/2``), so no targets are needed.
-    """
-    rate_alpha, rate_beta = unstack(rs.omega_s)
-    q = stack_vector(rs.q1, rs.q1 - rs.beta / 2.0, rs.q1 - rs.alpha / 2.0)
-    dq = stack_vector(rs.omega1, rs.omega1 - rate_beta / 2.0,
-                      rs.omega1 - rate_alpha / 2.0)
-    return q, dq
 
 
 def shape_inertia_factor(alpha, beta, p: RobotParams):
@@ -143,7 +136,7 @@ def reduced_forces(rs: ReducedState, p: RobotParams,
     zero channel through its first row).  The velocity terms are quadratic in
     the rates; the gravity terms are rate-independent.
     """
-    q, dq = from_reduced(rs)
+    q, dq = rs.q, rs.dq
     e, z = _pushforward(rs, p, inertia_matrix(q, p), stack_vector(
         velocity_forces(q, dq, p), gravity_torque(q, p, incline)))
     return (e[..., 0], float_if_scalar(z[..., 0]),
@@ -216,6 +209,6 @@ def pushforward_input_matrix(rs: ReducedState,
     Certification twin of :func:`input_matrix_e`: the two must agree to
     roundoff for all shape angles.
     """
-    inertia = inertia_matrix(from_reduced(rs)[0], p)
+    inertia = inertia_matrix(rs.q, p)
     return _pushforward(rs, p, inertia, np.broadcast_to(
         INPUT_MATRIX, inertia.shape[:-1] + (2,)))

@@ -20,7 +20,8 @@ Dormand–Prince 5(4) integrator over plain floats (the steps of scipy's
 RK45), on the fused scalar kernel of :mod:`triped.kernel`, one function
 built once per swing.  A swing's sample times are one array, built once:
 the integrator evaluates the states at them (``t_eval``) on each step as it
-is taken, and their controller outputs come from the same kernel function.
+is taken, their controller outputs come from the same kernel function and
+their manifold distance from :func:`~triped.control.zeta_distance`.
 :func:`~triped.control.control_action` followed by
 :func:`~triped.dynamics.swing_accel` is the same right-hand side composed
 from the readable reference functions; the kernel is tested against that
@@ -36,12 +37,14 @@ Nothing is raised out of :func:`run_gait`; callers inspect
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator
 
 import numpy as np
 
+from .control import zeta_distance
 # control_action and swing_accel are not called here: they are the composed
 # reference path of the kernel.  The benchmark's tracer (perfbench/tracing.py)
 # wraps them, like solve_ivp, step, integrate_swing, reset_map and
@@ -74,8 +77,8 @@ class Trajectory:
 
     The last sample is the exact switching event; the first is the
     post-impact state.  ``u``/``eta`` are recomputed from the sampled states
-    by the fused kernel, and so is ``zdelta``, the distance to the
-    zero-dynamics manifold that :func:`triped.control.zeta_distance` defines.
+    by the fused kernel; ``zdelta`` is :func:`triped.control.zeta_distance`
+    of the sampled states, the distance to the zero-dynamics manifold.
     """
 
     step_index: int
@@ -177,27 +180,28 @@ class GaitSummary:
 
 
 def _sample_swing(grid: np.ndarray, y_eval: np.ndarray, step_index: int,
-                  t_end: float, y_end: np.ndarray, rhs) -> Trajectory:
+                  t_end: float, y_end: np.ndarray, rhs, ctrl) -> Trajectory:
     """The swing's uniform samples: the states ``y_eval`` at the first times
     of ``grid``, those short of ``t_end``, then the exact event state.
 
     The controller outputs at each sample come from ``rhs(0.0, state,
     True)``, the closed-loop body the integrator ran returning after its
     control law (:func:`triped.kernel.closed_loop`), so a sample's torques
-    and integrator rates are the ones that were integrated.
+    and integrator rates are the ones that were integrated.  ``zdelta`` is
+    :func:`triped.control.zeta_distance` under ``ctrl``, one batch.
     """
     ts = grid[:y_eval.shape[1]]
     ts = ts[ts < t_end - 1e-12]
-    rows = y_eval[:, :len(ts)].T.tolist()
-    rows.append(y_end.tolist())
-    ts = np.append(ts, t_end)
-    out = np.array([rhs(0.0, state, True) for state in rows])
-    ys = np.array(rows).T
-    # Distance to the zero-dynamics manifold, as zeta_distance measures it.
-    zd = np.hypot(np.hypot(out[:, 7], out[:, 8]), np.hypot(ys[5], ys[3] + ys[4]))
-    return Trajectory(step_index=step_index, t=ts, q=ys[:3].T, dq=ys[3:6].T,
-                      u=out[:, 0:2], eta=out[:, 4:6], omega_I=ys[6:8].T,
-                      zdelta=zd, det_input=out[:, 6])
+    ys = np.vstack((y_eval[:, :len(ts)].T, y_end))
+    q, dq = ys[:, :3], ys[:, 3:6]
+    zd = zeta_distance(q, dq, ctrl.model, ctrl.targets)
+    out = array("d")
+    for state in ys:
+        out.extend(rhs(0.0, state.tolist(), True))
+    out = np.frombuffer(out).reshape(-1, 7)
+    return Trajectory(step_index=step_index, t=np.append(ts, t_end), q=q,
+                      dq=dq, u=out[:, 0:2], eta=out[:, 4:6],
+                      omega_I=ys[:, 6:8], zdelta=zd, det_input=out[:, 6])
 
 
 def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
@@ -230,7 +234,7 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     # Already past the surface and moving forward: the crossing is immediate.
     if x0[0] >= q1_switch and x0[3] > 0.0:
         return (_sample_swing(grid, np.empty((len(x0), 0)), step_index, t0,
-                              x0, rhs), (0, 0, 0))
+                              x0, rhs, cfg.controller), (0, 0, 0))
 
     def switch(t, y):
         return y[0] - q1_switch
@@ -259,7 +263,8 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
         raise WalkerError(
             "event localization failed: surface residual "
             f"{abs(y_end[0] - q1_switch):.3e} rad")
-    return (_sample_swing(grid, sol.y_eval, step_index, t_end, y_end, rhs),
+    return (_sample_swing(grid, sol.y_eval, step_index, t_end, y_end, rhs,
+                          cfg.controller),
             (sol.nfev, sol.n_accepted, sol.n_rejected))
 
 

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._oracle_source import SOURCE
-from .control import control_action, error_potential_gradient
+from .control import control_action
 from .dynamics import (coriolis_matrix, float_if_scalar, gravity_torque,
                        inertia_matrix, matvec, quadratic, stack_matrix,
                        stack_vector, swing_accel, swing_foot_position,
@@ -549,9 +549,9 @@ def _rows(batch: RobotParams):
 #: to the next shows, and the check builds a quarter of the kernels.
 KERNEL_STATES = 4
 
-#: What check (h) records for a state the kernel finds singular: its nine
+#: What check (h) records for a state the kernel finds singular: its seven
 #: outputs and eight rates, all NaN.
-_SINGULAR = (math.nan,) * 17
+_SINGULAR = (math.nan,) * 15
 
 
 def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
@@ -597,7 +597,7 @@ def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
                 singular.append(answer is _SINGULAR)
         # Each state with its controller's draws.
         return (np.array(singular), weighting[owner], q, dq, omega_i,
-                np.frombuffer(answers).reshape(n, 17), _take(plant, owner),
+                np.frombuffer(answers).reshape(n, 15), _take(plant, owner),
                 incline_true[owner], _take(model, owner),
                 incline_assumed[owner], gains.T[owner])
 
@@ -623,10 +623,9 @@ def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
             gains=ControllerGains(*gains.T[..., None]), model=model,
             incline_assumed=incline_assumed, error_weighting=weighting)
         act = control_action(q, dq, omega_i, ctrl)
-        grad = error_potential_gradient(to_reduced(q, dq, ctrl.targets), model)
         qdd = swing_accel(q, dq, act.u, plant, incline_true)
         want = np.column_stack([act.u, act.omega_I_rate, act.eta,
-                                act.det_input, grad, dq, qdd, act.omega_I_rate])
+                                act.det_input, dq, qdd, act.omega_I_rate])
         return np.abs(answers - want) / np.maximum(1.0, np.abs(want))
 
     return _sampled("fused kernel vs reference law", 1e-10, n_states, seed,

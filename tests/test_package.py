@@ -111,14 +111,19 @@ def test_benchmark_hooks_exist(tmp_path):
     ("time_kernel_check.py", ["--states", "0"]),
     ("time_kernel_check.py", ["--rounds", "0"]),
     ("emit_memory.py", ["--steps", "0"]),
+    ("emit_memory.py", ["--sample-dt", "0"]),
+    ("emit_memory.py", ["--sample-dt", "-0.001"]),
+    ("emit_memory.py", ["--sample-dt", "nan"]),
 ])
 def test_the_tools_refuse_a_count_below_one(tool, args):
     # Refused by the argument parser before any work: exit 2, a usage line.
+    # A count is refused below one, a time step unless it is positive.
     done = subprocess.run([sys.executable, str(TOOLS / tool), *args],
                           env=fresh_env(), capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 2
-    assert f"{args[0]} must be >= 1" in done.stderr
+    bound = "> 0" if args[0] == "--sample-dt" else ">= 1"
+    assert f"{args[0]} must be {bound}" in done.stderr
     assert "Traceback" not in done.stderr
 
 
@@ -131,7 +136,8 @@ def test_the_tools_run_and_print_one_json_line(tmp_path):
     derive = run_fresh(str(TOOLS / "derive_oracle.py"), "--out", str(out))
     timed = run_fresh(str(TOOLS / "time_kernel_check.py"), "--states", "10",
                       "--rounds", "1")
-    emitted = run_fresh(str(TOOLS / "emit_memory.py"), "--steps", "2")
+    emitted = run_fresh(str(TOOLS / "emit_memory.py"), "--steps", "2",
+                        "--sample-dt", "0.0025")
     for printed in (replay, derive, timed, emitted):
         assert len(printed.splitlines()) == 1, printed
     assert json.loads(replay)["nfev"] == 42538
@@ -139,5 +145,7 @@ def test_the_tools_run_and_print_one_json_line(tmp_path):
     timed = json.loads(timed)
     assert timed["passed"] and timed["note"] == "10 states"
     emitted = json.loads(emitted)
-    assert (emitted["steps"], emitted["samples"]) == (2, 220)
+    assert (emitted["steps"], emitted["samples"]) == (2, 437)
+    assert (emitted["gait_peak_b_per_sample"]
+            > emitted["gait_kept_b_per_sample"] > 0)
     assert emitted["bytes_written"] > 0 and emitted["emit_peak_mb"] > 0

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import triped as T
-from triped.reduced import (OUTPUT_MAP, consistency_check, from_reduced,
+from triped.dynamics import (INPUT_MATRIX, gravity_torque, inertia_matrix,
+                             velocity_forces)
+from triped.reduced import (OUTPUT_MAP, _pushforward, consistency_check,
                             input_matrix_e, pushforward_input_matrix,
-                            quadratic_bracket, reduced_inertias, to_reduced)
+                            quadratic_bracket, reduced_forces,
+                            reduced_inertias, to_reduced)
 
 P = T.RobotParams()
 TARGETS = T.GaitTargets()
@@ -72,12 +75,21 @@ def test_closed_form_torque_map_matches_pushforward():
         np.testing.assert_allclose(closed_z, pushed_z, atol=1e-12)
 
 
-def test_coordinate_round_trip():
+def test_reduced_forces_are_pushed_forward_from_the_given_state():
+    # Exactly the state given, not one rebuilt from the reduced coordinates
+    # (q1 - (q1 - q2) rounds): the pushforward at (q, dq) itself.
+    incline = 0.3
     for q, dq in random_full_states(40, seed=22):
         rs = to_reduced(q, dq, TARGETS)
-        q2, dq2 = from_reduced(rs)
-        np.testing.assert_allclose(q2, q, atol=1e-12)
-        np.testing.assert_allclose(dq2, dq, atol=1e-12)
+        e, z = _pushforward(rs, P, inertia_matrix(q, P), np.stack(
+            [velocity_forces(q, dq, P), gravity_torque(q, P, incline)],
+            axis=-1))
+        tau_e, tau_z, tau_g_e, tau_g_z = reduced_forces(rs, P, incline)
+        assert np.array_equal(tau_e, e[:, 0]) and tau_z == z[0]
+        assert np.array_equal(tau_g_e, -e[:, 1]) and tau_g_z == -z[1]
+        b_e, b_z = _pushforward(rs, P, inertia_matrix(q, P), INPUT_MATRIX)
+        pushed_e, pushed_z = pushforward_input_matrix(rs, P)
+        assert np.array_equal(pushed_e, b_e) and np.array_equal(pushed_z, b_z)
         np.testing.assert_allclose(rs.omega_e, OUTPUT_MAP @ dq, atol=1e-14)
 
 

@@ -1,6 +1,7 @@
 """Hybrid gait simulation: events, determinism, records, failure modes."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -86,10 +87,9 @@ def test_records_carry_consistent_diagnostics(nominal_three_steps):
     cfg = nominal_three_steps.config
     for record in nominal_three_steps.records:
         assert record.step_time > 0.3
-        assert record.z_delta_at_impact == pytest.approx(
-            T.zeta_distance(record.x_pre_impact[:3], record.x_pre_impact[3:],
-                            cfg.controller.model, cfg.controller.targets),
-            rel=1e-12)
+        assert record.z_delta_at_impact == T.zeta_distance(
+            record.x_pre_impact[:3], record.x_pre_impact[3:],
+            cfg.controller.model, cfg.controller.targets)
         assert record.within_delta == (record.z_delta_at_impact <= cfg.delta)
         assert record.min_abs_det_input > cfg.controller.det_floor
         assert record.liftoff_normal_velocity > 0.0
@@ -102,6 +102,30 @@ def test_records_carry_consistent_diagnostics(nominal_three_steps):
         # The reference gait only grazes the surface at the very end of the
         # swing; any real dip would be a scuff.
         assert -2e-3 < record.min_foot_clearance <= 0.0
+
+
+def test_each_sample_distance_is_zeta_distance(nominal_eight_steps):
+    ctrl = nominal_eight_steps.config.controller
+    for traj in nominal_eight_steps.trajectories:
+        assert np.array_equal(traj.zdelta, T.zeta_distance(
+            traj.q, traj.dq, ctrl.model, ctrl.targets))
+
+
+def test_sampling_a_swing_holds_little_more_than_it_keeps():
+    # A one-step gait on a fine grid (about 5,400 samples): its traced peak
+    # against the bytes its summary keeps.  Sampling holds each state once
+    # as doubles, not a swing of Python lists (about 4x what it keeps).
+    cfg = replace(T.SimConfig(), n_steps=1, sample_dt=1e-4, max_step_time=1.0)
+    T.run_gait(cfg)  # untraced: what a first run builds once per process
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = T.run_gait(cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.completed_steps == 1
+    assert peak - before < 3 * (kept - before)
 
 
 def test_trajectories_are_regular_samplings(nominal_three_steps):
