@@ -12,7 +12,7 @@ so that it takes the same steps:
   no growth right after a rejection;
 * the same quartic interpolant (Shampine's optimum ``c6``), evaluated at
   the ``t_eval`` times each accepted step covers, cut at the event if one
-  fired, as soon as the step is taken: no step is kept;
+  fired, as soon as the step is taken: no step's state is kept;
 * the same refusal of a ``t_eval`` outside ``t_span`` or not rising, with
   scipy's messages, before the first step;
 * the same event semantics for direction-filtered events, except that every
@@ -32,14 +32,14 @@ source is registered with :mod:`linecache` under ``<triped.ode dp5 n=N>``,
 so a traceback through it shows its lines.
 
 ``fun`` and the events receive ``y`` as a list of floats, ``fun`` returns
-any sequence of ``len(y)`` numbers (a ``ValueError`` otherwise).  The
-result's ``t`` and ``y`` are numpy arrays; an event that fires is their
-last node.  ``max_nfev`` bounds the work: the integration stops, with
-status -1, before an attempt would pass it.
+any sequence of ``len(y)`` numbers (a ``ValueError`` otherwise); of each
+step the result keeps only its end time.  ``max_nfev`` bounds the work: the
+integration stops, with status -1, before an attempt would pass it.
 
-Two deliberate differences from scipy: a NaN step size fails as a step
-below ``10 ulp(t)`` does (scipy loops forever on it), and ``atol`` must be
-positive (numpy divides by a zero error scale, Python raises).
+Three deliberate differences from scipy: a NaN step size fails as a step
+below ``10 ulp(t)`` does (scipy loops forever on it), ``atol`` must be
+positive (numpy divides by a zero error scale, Python raises) and
+``t_span`` finite (no step reaches an infinite end).
 ``tests/test_ode.py`` holds the steps, the event times and the ``t_eval``
 states to scipy's.
 """
@@ -198,15 +198,15 @@ class OdeResult:
 
     ``status`` is 0 at the end of the interval, 1 on an event and -1 when
     the step size collapsed.  ``t`` holds the start and the end of every
-    accepted step (the last one cut at the event), ``y`` the states there
-    as an ``(n, len(t))`` array, and ``y_eval`` those at the ``k`` times of
-    ``t_eval`` it reached as ``(n, k)``.  ``event`` is the index of the event
-    that ended the integration, None if none did; its time and state are
-    ``t[-1]`` and ``y[:, -1]``.
+    accepted step (the last one cut at the event), ``y_end`` the state at
+    ``t[-1]`` as an ``(n,)`` array, and ``y_eval`` the states at the ``k``
+    times of ``t_eval`` it reached as ``(k, n)``, one per row.  ``event`` is
+    the index of the event that ended the integration, None if none did; its
+    time and state are ``t[-1]`` and ``y_end``.
     """
 
     t: np.ndarray
-    y: np.ndarray
+    y_end: np.ndarray
     y_eval: np.ndarray
     event: int | None
     nfev: int
@@ -286,12 +286,14 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     made; the result then has status -1 and the message
     :data:`NFEV_BUDGET_SPENT`.  None sets no bound.
 
-    ``t_eval`` is an array-like of times, rising strictly inside ``t_span``
-    (scipy's ``ValueError`` otherwise, before the first step), at which
-    ``y_eval`` reports the solution: as in scipy, on the step that contains
-    each, the earlier one on a node.
+    ``t_span`` must be finite and rising, and ``t_eval`` an array-like of
+    times rising strictly inside it (scipy's ``ValueError`` otherwise), before
+    ``fun`` is called; ``y_eval`` reports the solution at those times: as in
+    scipy, on the step that contains each, the earlier one on a node.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t) and math.isfinite(t_bound)):
+        raise ValueError("t_span must be finite")
     if not t_bound > t:
         raise ValueError("solve_ivp integrates forward: t_span must increase")
     if not atol > 0:
@@ -325,7 +327,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
         raise ValueError(f"fun returned {len(f)} values for a state of {n}")
     h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
     nfev, n_rejected = 2, 0
-    ts, ys, y_eval = [t], [y], array("d")  # n doubles per t_eval time
+    ts, y_eval = array("d", [t]), array("d")  # n doubles per t_eval time
     t_next = times[0]
     status, message = None, None
     while status is None:
@@ -375,10 +377,9 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
             y_eval.extend(dense(t_next))
             t_next = times[len(y_eval) // n]
         ts.append(t)
-        ys.append(y)
 
     return OdeResult(
-        t=np.array(ts), y=np.array(ys).T,
-        y_eval=np.frombuffer(y_eval).reshape(-1, n).T, event=event, nfev=nfev,
+        t=np.frombuffer(ts), y_end=np.array(y),
+        y_eval=np.frombuffer(y_eval).reshape(-1, n), event=event, nfev=nfev,
         n_accepted=len(ts) - 1, n_rejected=n_rejected,
         status=status, message=MESSAGES.get(status, message))

@@ -190,9 +190,9 @@ def _sample_swing(grid: np.ndarray, y_eval: np.ndarray, step_index: int,
     and integrator rates are the ones that were integrated.  ``zdelta`` is
     :func:`triped.control.zeta_distance` under ``ctrl``, one batch.
     """
-    ts = grid[:y_eval.shape[1]]
+    ts = grid[:len(y_eval)]
     ts = ts[ts < t_end - 1e-12]
-    ys = np.vstack((y_eval[:, :len(ts)].T, y_end))
+    ys = np.vstack((y_eval[:len(ts)], y_end))
     q, dq = ys[:, :3], ys[:, 3:6]
     zd = zeta_distance(q, dq, ctrl.model, ctrl.targets)
     out = array("d")
@@ -233,7 +233,7 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
 
     # Already past the surface and moving forward: the crossing is immediate.
     if x0[0] >= q1_switch and x0[3] > 0.0:
-        return (_sample_swing(grid, np.empty((len(x0), 0)), step_index, t0,
+        return (_sample_swing(grid, np.empty((0, len(x0))), step_index, t0,
                               x0, rhs, cfg.controller), (0, 0, 0))
 
     def switch(t, y):
@@ -252,7 +252,7 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
             f"evaluations by t = {float(sol.t[-1]):.4f} s")
     if sol.status < 0:
         raise NonFiniteStateError(f"swing integration failed: {sol.message}")
-    t_end, y_end = float(sol.t[-1]), sol.y[:, -1]
+    t_end, y_end = float(sol.t[-1]), sol.y_end
     if sol.event == 1:
         raise FellOverError(
             f"leg angle reached +/-90 deg at t = {t_end:.4f} s")

@@ -409,7 +409,7 @@ def certify_energy_conservation() -> CheckResult:
 
     sol, y0 = _balance_run(hip_power, (0.0, 0.0), 1e-11, 1e-13)
     p, incline = BALANCE_CONFIG.plant, BALANCE_CONFIG.incline_true
-    ys = sol.y_eval.T
+    ys = sol.y_eval
     e0 = total_energy(y0[:3], y0[3:6], p, incline)
     drift = np.abs(total_energy(ys[:, :3], ys[:, 3:6], p, incline) - e0
                    - ys[:, 8])
@@ -505,8 +505,7 @@ def certify_integrator_transport(seed: int = 4) -> CheckResult:
         return 0.5 * quadratic(y[..., 6:8], i_e, y[..., 6:8])
 
     sol, y0 = _balance_run(sine_power, omega_i0.tolist(), 1e-12, 1e-14)
-    ys = sol.y_eval.T
-    drift = np.abs(norm(ys) - norm(y0) - ys[:, 8])
+    drift = np.abs(norm(sol.y_eval) - norm(y0) - sol.y_eval[:, 8])
     return _balance_check("covariant-integrator norm transport", sol, drift,
                           1e-6)
 

@@ -9,6 +9,7 @@ states at ``t_eval`` to 1e-12.
 import linecache
 import math
 import traceback
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -85,34 +86,44 @@ def test_dense_output_matches_scipy_at_random_times(reference_gait):
                      swing_events(cfg), t_eval=times)
     ref = scipy_rk45(rhs, t_span, y0, cfg.rel_tol, cfg.abs_tol,
                      swing_events(cfg), t_eval=times)
-    np.testing.assert_array_equal(ref.t, times[:ours.y_eval.shape[1]])
+    np.testing.assert_array_equal(ref.t, times[:len(ours.y_eval)])
     assert 100 < len(ref.t) < 200
-    np.testing.assert_allclose(ours.y_eval, ref.y, rtol=0, atol=DENSE_TOL)
+    np.testing.assert_allclose(ours.y_eval, ref.y.T, rtol=0, atol=DENSE_TOL)
     assert ours.event == 0
-    np.testing.assert_allclose(ours.y[:, -1], ref.y_events[0][0], rtol=0,
+    np.testing.assert_allclose(ours.y_end, ref.y_events[0][0], rtol=0,
                                atol=DENSE_TOL)
 
 
 def test_a_time_on_a_step_node_is_taken_from_the_earlier_step():
     rtol, atol = 1e-6, 1e-9
-    nodes = solve_ivp(oscillator, (0.0, 3.0), [0.0, 1.0], rtol, atol).t.tolist()
+    # The last evaluation at a node's time is the first-same-as-last stage
+    # fun(t + h, y_new) of the step that ends there: its y is the node's
+    # state (at the first node, the start's).
+    at = {}
+
+    def recording(t, y):
+        at[t] = list(y)
+        return oscillator(t, y)
+
+    nodes = solve_ivp(recording, (0.0, 3.0), [0.0, 1.0], rtol, atol).t.tolist()
+    states = [at[t] for t in nodes]
     ours = solve_ivp(oscillator, (0.0, 3.0), [0.0, 1.0], rtol, atol,
                      t_eval=nodes)
     np.testing.assert_array_equal(ours.t, nodes)
-    assert ours.y_eval[:, 0].tolist() == [0.0, 1.0]
+    assert ours.y_eval[0].tolist() == states[0] == [0.0, 1.0]
     # Node k on the quartic of the step that ends there, rebuilt from the
     # step's start: the same attempt gives the same stages, bit for bit.
     dp5 = ode._dp5(2)
     for k in range(1, len(nodes)):
-        t_old, y_old = nodes[k - 1], ours.y[:, k - 1].tolist()
+        t_old, y_old = nodes[k - 1], states[k - 1]
         h = nodes[k] - t_old
         k1 = oscillator(t_old, y_old)
         stages, _, _ = dp5.step(oscillator, t_old, h, y_old, k1, atol, rtol)
         q = dp5.coefficients(stages)
-        assert ours.y_eval[:, k].tolist() == dp5.interpolate(
+        assert ours.y_eval[k].tolist() == dp5.interpolate(
             t_old, h, y_old, k1, q, nodes[k])
     # The later step would start exactly on the node's state: it differs.
-    assert not np.array_equal(ours.y_eval[:, 1:], ours.y[:, 1:])
+    assert not np.array_equal(ours.y_eval[1:], states[1:])
 
 
 def test_times_past_the_event_are_not_evaluated():
@@ -126,10 +137,10 @@ def test_times_past_the_event_are_not_evaluated():
     ours = solve_ivp(oscillator, (0.5, 10.0), y0, 1e-10, 1e-12, (crossing,),
                      t_eval=times)
     assert ours.event == 0 and abs(ours.t[-1] - math.pi) < 1e-8
-    evaluated = ours.y_eval.shape[1]
+    evaluated = len(ours.y_eval)
     assert evaluated == 2642
     assert times[evaluated - 1] <= ours.t[-1] < times[evaluated]
-    np.testing.assert_allclose(ours.y_eval[0], np.sin(times[:evaluated]),
+    np.testing.assert_allclose(ours.y_eval[:, 0], np.sin(times[:evaluated]),
                                rtol=0, atol=1e-9)
 
 
@@ -158,6 +169,31 @@ def test_a_span_that_does_not_rise_or_a_non_positive_atol_is_refused(
         t_span, atol, message):
     with pytest.raises(ValueError, match=message):
         solve_ivp(oscillator, t_span, [0.0, 1.0], atol=atol)
+
+
+@pytest.mark.parametrize("t_span", [(0.0, math.inf), (-math.inf, 1.0),
+                                    (math.nan, 1.0)])
+def test_a_span_that_is_not_finite_is_refused_before_any_evaluation(t_span):
+    # No step reaches an infinite end: the integration would never stop.
+    def fun(t, y):
+        raise AssertionError(f"fun called at t = {t}")
+
+    with pytest.raises(ValueError, match="t_span must be finite"):
+        solve_ivp(fun, t_span, [1.0])
+
+
+def test_a_long_integration_keeps_no_state_per_step():
+    # Per accepted step the result keeps its node time, eight bytes; the
+    # states between the start and the end are not kept.
+    solve_ivp(oscillator, (0.0, 1.0), [0.0, 1.0])  # compile the step first
+    tracemalloc.start()
+    try:
+        ours = solve_ivp(oscillator, (0.0, 200.0), [0.0, 1.0], 1e-10, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ours.status == 0 and ours.n_accepted > 5000
+    assert peak / ours.n_accepted < 32
 
 
 def swing_start(cfg):
@@ -236,7 +272,7 @@ def test_linear_systems_take_scipys_steps(system, t_bound, rtol):
     assert ours.n_accepted == len(ref.t) - 1
     assert ours.nfev == 2 + 6 * (ours.n_accepted + ours.n_rejected)
     assert ours.t[-1] == t_bound
-    np.testing.assert_allclose(ours.y[:, -1], ref.y[:, -1], rtol=1e-10,
+    np.testing.assert_allclose(ours.y_end, ref.y[:, -1], rtol=1e-10,
                                atol=1e-13)
 
 
@@ -262,7 +298,7 @@ def test_direction_filtered_event_fires_on_one_side_only(direction, expected):
     t_event = ours.t[-1]
     assert abs(t_event - expected) < 1e-8
     assert abs(t_event - ref.t_events[0][0]) < 1e-12
-    np.testing.assert_allclose(ours.y[:, -1], ref.y_events[0][0], rtol=0,
+    np.testing.assert_allclose(ours.y_end, ref.y_events[0][0], rtol=0,
                                atol=1e-12)
     assert ours.nfev == ref.nfev
 
@@ -279,7 +315,8 @@ def test_nan_rhs_fails_as_scipy_does():
     assert ours.event is None
     assert ours.message == ref.message == TOO_SMALL_STEP
     assert ours.t[-1] == pytest.approx(ref.t[-1], abs=1e-12)
-    assert np.all(np.isfinite(ours.y))
+    # Each state is the last plus a step, so a NaN once taken stays.
+    assert np.all(np.isfinite(ours.y_end))
 
 
 def test_nan_from_the_start_fails_instead_of_looping():
@@ -433,7 +470,8 @@ def test_a_budget_that_suffices_changes_nothing():
     bounded = solve_ivp(oscillator, (0.0, 5.0), [0.0, 1.0], 1e-9, 1e-12,
                         max_nfev=unbounded.nfev)
     assert bounded.status == unbounded.status == 0
-    np.testing.assert_array_equal(bounded.y, unbounded.y)
+    np.testing.assert_array_equal(bounded.t, unbounded.t)
+    np.testing.assert_array_equal(bounded.y_end, unbounded.y_end)
     assert bounded.nfev == unbounded.nfev
 
 

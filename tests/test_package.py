@@ -146,6 +146,7 @@ def test_the_tools_run_and_print_one_json_line(tmp_path):
     assert timed["passed"] and timed["note"] == "10 states"
     emitted = json.loads(emitted)
     assert (emitted["steps"], emitted["samples"]) == (2, 437)
-    assert (emitted["gait_peak_b_per_sample"]
+    assert (2 * emitted["gait_kept_b_per_sample"]
+            > emitted["gait_peak_b_per_sample"]
             > emitted["gait_kept_b_per_sample"] > 0)
     assert emitted["bytes_written"] > 0 and emitted["emit_peak_mb"] > 0
