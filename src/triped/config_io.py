@@ -254,12 +254,13 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def make_manifest(config: SimConfig | SweepSpec, input_text: str | None = None,
+def make_manifest(config: SimConfig | SweepSpec, source_text: str | None = None,
                   seed: int | None = None) -> RunManifest:
     """Build the manifest for a resolved configuration.
 
-    ``seed`` is recorded for provenance only; the dynamics are
-    deterministic and nothing consumes it yet.
+    ``source_text`` is the config file as read, if there was one; the
+    manifest keeps its digest.  ``seed`` is recorded for provenance only;
+    the dynamics are deterministic and nothing consumes it yet.
     """
     from . import __version__
     config_text = write_config(config)
@@ -270,7 +271,8 @@ def make_manifest(config: SimConfig | SweepSpec, input_text: str | None = None,
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         config_text=config_text,
         config_digest=digest,
-        input_digest=None if input_text is None else _sha256(input_text.encode()),
+        input_digest=(None if source_text is None
+                      else _sha256(source_text.encode())),
         seed=seed)
 
 

@@ -80,20 +80,14 @@ def pinned_embedding(q, p: RobotParams) -> np.ndarray:
     return np.concatenate([eye, hip], axis=-2)
 
 
-def landing_foot_jacobian(q, p: RobotParams) -> np.ndarray:
-    """Jacobian of the swing-foot position w.r.t. the unpinned coordinates (2x5)."""
-    q2 = unstack(q)[1]
-    r = p.leg_length
-    return stack_matrix([[0.0, -r * np.cos(q2), 0.0, 1.0, 0.0],
-                         [0.0, r * np.sin(q2), 0.0, 0.0, 1.0]])
-
-
-def released_foot_jacobian(q, p: RobotParams) -> np.ndarray:
-    """Jacobian of the (old) stance-foot position in unpinned coordinates (2x5)."""
-    q1 = unstack(q)[0]
-    r = p.leg_length
-    return stack_matrix([[-r * np.cos(q1), 0.0, 0.0, 1.0, 0.0],
-                         [r * np.sin(q1), 0.0, 0.0, 0.0, 1.0]])
+def foot_jacobian(q, p: RobotParams, leg: int) -> np.ndarray:
+    """Jacobian of a foot's position w.r.t. the unpinned coordinates (2x5):
+    ``leg`` 1 is the swing leg, whose foot lands, 0 the stance leg, whose
+    foot is released."""
+    theta, r = unstack(q)[leg], p.leg_length
+    rows = [[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
+    rows[0][leg], rows[1][leg] = -r * np.cos(theta), r * np.sin(theta)
+    return stack_matrix(rows)
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,7 @@ def reset_map(q, dq, p: RobotParams) -> ImpactResult:
         raise NonFiniteStateError("non-finite state passed to reset_map")
 
     d = free_mass_matrix(q, p)
-    e2 = landing_foot_jacobian(q, p)
+    e2 = foot_jacobian(q, p, 1)
     emb = pinned_embedding(q, p)
     v_ext = matvec(emb, dq)
 
@@ -160,7 +154,7 @@ def reset_map(q, dq, p: RobotParams) -> ImpactResult:
         dq_plus=dq_plus,
         impulse=impulse,
         contact_velocity=matvec(e2, v_ext_plus),
-        liftoff_velocity=matvec(released_foot_jacobian(q, p), v_ext_plus),
+        liftoff_velocity=matvec(foot_jacobian(q, p, 0), v_ext_plus),
         kinetic_energy_loss=float_if_scalar(t_minus - t_plus),
     )
 

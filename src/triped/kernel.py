@@ -9,8 +9,7 @@ plain-float function body with every parameter-only constant precomputed:
   PID, allocation, integrator flow) followed, in the same frame, by the
   plant's :func:`triped.dynamics.swing_accel`;
 * ``rhs(t, y, outputs=True)`` returns after the control law with its
-  outputs, so the torques and rates a swing samples are the ones it
-  integrated.
+  outputs, so the torques a swing samples are the ones it integrated.
 
 Nothing here is a new law.  The composition is rewritten over scalars:
 
@@ -54,9 +53,8 @@ def closed_loop(cfg: SimConfig) -> Callable[..., tuple]:
     ``rhs(t, y)`` takes the state as a sequence of eight floats (the
     integrator passes a list) and returns the derivative as an 8-tuple of
     floats.  ``rhs(t, y, outputs=True)`` stops after the control law and
-    returns its outputs instead, ``(u1, u2, rate1, rate2, eta1, eta2,
-    det)``: hip torques, integrator rates, the PID error vector and
-    ``det B_e``.
+    returns its outputs instead, ``(u1, u2, eta1, eta2, det)``: hip
+    torques, the PID error vector and ``det B_e``.
     """
     # Controller constants, from cfg.controller only.
     ctrl = cfg.controller
@@ -139,10 +137,10 @@ def closed_loop(cfg: SimConfig) -> Callable[..., tuple]:
                 - (br22 * we2 - br12 * we1))
         u1 = (b22 * tau1 - b12 * tau2) / det
         u2 = (b11 * tau2 - b21 * tau1) / det
+        if outputs:
+            return u1, u2, eta1, eta2, det
         rate1 = eta1 - (br11 * w1 + br12 * w2) / ie1
         rate2 = eta2 - (br22 * w2 - br12 * w1) / ie2
-        if outputs:
-            return u1, u2, rate1, rate2, eta1, eta2, det
         # A non-finite rate or integrator state reaches both torques.
         if not (isfinite(u1) and isfinite(u2)):
             raise NonFiniteStateError(_NON_FINITE)

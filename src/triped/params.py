@@ -216,7 +216,7 @@ def nominal_initial_state() -> tuple[float, ...]:
 
 
 #: Bound on ``max_step_time / sample_dt`` (the default's is 1,000): running
-#: a swing peaks near 0.27 kB per sample and keeps 0.14 kB (``emit_memory.py
+#: a swing peaks near 0.27 kB per sample and keeps 0.12 kB (``emit_memory.py
 #: --steps 1 --sample-dt 1e-5``, 54,408 samples): a finer grid could exhaust it.
 MAX_SAMPLES_PER_SWING = 100_000
 

@@ -184,10 +184,10 @@ def _sample_swing(grid: np.ndarray, y_eval: np.ndarray, step_index: int,
     """The swing's uniform samples: the states ``y_eval`` at the first times
     of ``grid``, those short of ``t_end``, then the exact event state.
 
-    The controller outputs at each sample come from ``rhs(0.0, state,
-    True)``, the closed-loop body the integrator ran returning after its
-    control law (:func:`triped.kernel.closed_loop`), so a sample's torques
-    and integrator rates are the ones that were integrated.  ``zdelta`` is
+    The controller outputs at each sample (torques, η and ``det B_e``) come
+    from ``rhs(0.0, state, True)``, the closed-loop body the integrator ran
+    returning after its control law (:func:`triped.kernel.closed_loop`), so
+    a sample's torques are the ones that were integrated.  ``zdelta`` is
     :func:`triped.control.zeta_distance` under ``ctrl``, one batch.
     """
     ts = grid[:len(y_eval)]
@@ -198,10 +198,10 @@ def _sample_swing(grid: np.ndarray, y_eval: np.ndarray, step_index: int,
     out = array("d")
     for state in ys:
         out.extend(rhs(0.0, state.tolist(), True))
-    out = np.frombuffer(out).reshape(-1, 7)
+    out = np.frombuffer(out).reshape(-1, 5)
     return Trajectory(step_index=step_index, t=np.append(ts, t_end), q=q,
-                      dq=dq, u=out[:, 0:2], eta=out[:, 4:6],
-                      omega_I=ys[:, 6:8], zdelta=zd, det_input=out[:, 6])
+                      dq=dq, u=out[:, 0:2], eta=out[:, 2:4],
+                      omega_I=ys[:, 6:8], zdelta=zd, det_input=out[:, 4])
 
 
 def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,

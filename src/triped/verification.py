@@ -548,9 +548,9 @@ def _rows(batch: RobotParams):
 #: to the next shows, and the check builds a quarter of the kernels.
 KERNEL_STATES = 4
 
-#: What check (h) records for a state the kernel finds singular: its seven
+#: What check (h) records for a state the kernel finds singular: its five
 #: outputs and eight rates, all NaN.
-_SINGULAR = (math.nan,) * 15
+_SINGULAR = (math.nan,) * 13
 
 
 def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
@@ -596,7 +596,7 @@ def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
                 singular.append(answer is _SINGULAR)
         # Each state with its controller's draws.
         return (np.array(singular), weighting[owner], q, dq, omega_i,
-                np.frombuffer(answers).reshape(n, 15), _take(plant, owner),
+                np.frombuffer(answers).reshape(n, 13), _take(plant, owner),
                 incline_true[owner], _take(model, owner),
                 incline_assumed[owner], gains.T[owner])
 
@@ -623,8 +623,8 @@ def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
             incline_assumed=incline_assumed, error_weighting=weighting)
         act = control_action(q, dq, omega_i, ctrl)
         qdd = swing_accel(q, dq, act.u, plant, incline_true)
-        want = np.column_stack([act.u, act.omega_I_rate, act.eta,
-                                act.det_input, dq, qdd, act.omega_I_rate])
+        want = np.column_stack([act.u, act.eta, act.det_input, dq, qdd,
+                                act.omega_I_rate])
         return np.abs(answers - want) / np.maximum(1.0, np.abs(want))
 
     return _sampled("fused kernel vs reference law", 1e-10, n_states, seed,

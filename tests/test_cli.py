@@ -1,12 +1,14 @@
 """Command-line interface: verbs, exit codes, output wiring."""
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 import triped as T
-from triped import cli
+from triped import cli, config_io
 from triped.cli import main
 
 
@@ -94,6 +96,58 @@ def test_an_unwritable_out_exits_with_code_two(verb, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == f"triped: cannot write {taken}: File exists\n"
     assert taken.read_text() == "a file, not a directory\n"
+
+
+# Each run's exact stdout, stderr and exit code; the aborted gait's reason
+# follows its outputs line.
+PINNED_RUNS = {
+    "simulate": (["simulate", "--steps", "2"], None, 0,
+                 "run bc7734263e02b391: 2/2 steps, last step 0.5419 s, "
+                 "z_delta 2.020e-03\noutputs: {out}\n", ""),
+    "aborted": (["simulate"], "[sim]\nmax_step_time = 0.3\n", 1,
+                "run f201a5fd3910a260: 0/20 steps\noutputs: {out}\n",
+                "aborted: StepTimeoutError: no switching event within 0.3 s "
+                "of swing\n"),
+    "orbit": (["orbit"], None, 0,
+              "run 50135f4f80233884: periodic gait after 48 strides\n"
+              "  posture (15.000, -14.882, 105.010) deg, step time 0.5303 s, "
+              "contraction 0.842\noutputs: {out}\n", ""),
+    "sweep": (["sweep"], "[sim]\nn_steps = 3\n[sweep]\naxis = incline_true\n"
+              "n_samples = 1\nrel_min = 0\nrel_max = 0\n", 0,
+              "run b7e283d42d0b70ad: swept incline_true, 0/1 samples "
+              "converged\n  incline_true = 0.436332: 3 steps, not converged\n"
+              "outputs: {out}\n", ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_a_run_prints_exactly_its_summary_and_outputs(name, tmp_path, capsys):
+    argv, config_text, code, stdout, stderr = PINNED_RUNS[name]
+    out = tmp_path / "run"
+    if config_text is not None:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(config_text)
+        argv = [*argv, "--config", str(cfg_file)]
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == (stdout.format(out=out), stderr)
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--steps", "1"],
+                                  ["orbit", "--tol", "10"], ["sweep"]])
+def test_a_write_that_fails_after_out_is_made_exits_with_code_two(
+        argv, tmp_path, capsys, monkeypatch):
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(config_io, "_write_run", full)
+    cfg_file = tmp_path / "short.cfg"
+    cfg_file.write_text("[sim]\nn_steps = 1\n[sweep]\naxis = incline_true\n"
+                        "n_samples = 1\nrel_min = 0\nrel_max = 0\n")
+    out = tmp_path / "run"
+    assert main([*argv, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"triped: cannot write {out}: No space left on device\n")
+    assert out.is_dir()
 
 
 def test_a_config_with_a_byte_order_mark_runs(tmp_path):
