@@ -29,8 +29,8 @@ Two conventions for the proportional error ``eta`` are supported
   channels the same slow closed-loop pole ``-kp/kd``.  This is the
   convention that produces the reference gait at the documented gains.
 * ``"inertia"``: ``eta = I_e^{-1} @ (sin, sin)`` — the gradient of the
-  navigation potential with respect to the error-space metric
-  (:func:`error_potential_gradient`).  The proportional torque is then the
+  navigation potential with respect to the error-space metric (the
+  ``eta_e`` of :func:`zeta_distance`).  The proportional torque is then the
   bare sine vector, whose per-channel pole ``-kp/(kd * I_e)`` is an order
   of magnitude slower at the documented gains; kept for ablation studies.
 
@@ -52,23 +52,12 @@ from .dynamics import (float_if_scalar, matvec, raise_for_states,
                        solve_vector)
 from .errors import ActuationSingularityError
 from .params import ControllerConfig, GaitTargets, RobotParams
-from .reduced import (ReducedState, input_matrix_e, quadratic_bracket,
-                      reduced_forces, reduced_inertias, to_reduced)
+from .reduced import (input_matrix_e, quadratic_bracket, reduced_forces,
+                      reduced_inertias, to_reduced)
 
 __all__ = [
-    "ControlAction", "error_potential_gradient", "control_action",
-    "zeta_distance", "max_static_incline",
+    "ControlAction", "control_action", "zeta_distance", "max_static_incline",
 ]
-
-
-def error_potential_gradient(rs: ReducedState, model: RobotParams) -> np.ndarray:
-    """Metric gradient of the error potential: ``I_e^{-1} @ sin(q_e)``.
-
-    The sine vector ``(sin(q3 - q3_ref), sin(q1 + q2))`` vanishes exactly on
-    the zero-dynamics manifold and nowhere else in ``|q_e| < pi/2``.
-    """
-    i_e, _ = reduced_inertias(rs, model)
-    return np.sin(rs.q_e) / np.diagonal(i_e, axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -138,13 +127,17 @@ def control_action(q, dq, omega_I, cfg: ControllerConfig) -> ControlAction:
 def zeta_distance(q, dq, model: RobotParams, targets: GaitTargets) -> float:
     """Distance to the zero-dynamics manifold, ``sqrt(|eta_e|^2 + |omega_e|^2)``.
 
-    ``eta_e`` is the metric gradient (:func:`error_potential_gradient`),
-    independent of the controller's error-weighting switch, so the measure is
-    comparable across configurations.  The per-step recurrence diagnostic
-    compares this at pre-impact states against the configured radius.
+    ``eta_e = I_e^{-1} @ sin(q_e)`` is the metric gradient of the error
+    potential.  Its sine vector ``(sin(q3 - q3_ref), sin(q1 + q2))`` vanishes
+    exactly on the zero-dynamics manifold and nowhere else in
+    ``|q_e| < pi/2``.  It is independent of the controller's error-weighting
+    switch, so the measure is comparable across configurations.  The
+    per-step recurrence diagnostic compares this at pre-impact states
+    against the configured radius.
     """
     rs = to_reduced(q, dq, targets)
-    eta = error_potential_gradient(rs, model)
+    i_e, _ = reduced_inertias(rs, model)
+    eta = np.sin(rs.q_e) / np.diagonal(i_e, axis1=-2, axis2=-1)
     return float_if_scalar(np.hypot(np.linalg.norm(eta, axis=-1),
                                     np.linalg.norm(rs.omega_e, axis=-1)))
 

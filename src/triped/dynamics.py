@@ -20,6 +20,9 @@ The equations of motion are ``M(q) ddq + C(q, dq) dq = G(q) + B u`` with
 * ``G`` the gravity torque (``-dV/dq``),
 * ``B`` mapping the two hip torques (stance-hip, swing-hip) into joint space.
 
+The constant factors of ``M``, ``C dq`` and ``G`` are stated once, in
+:func:`inertia_coefficients` and :func:`gravity_amplitudes`.
+
 Every closed form in this module is certified against an independent
 symbolic Lagrangian derivation in :mod:`triped.verification`.
 
@@ -131,30 +134,44 @@ def raise_for_states(error: type, bad, describe) -> None:
 # Equations of motion
 # ---------------------------------------------------------------------------
 
+def inertia_coefficients(p: RobotParams) -> tuple:
+    """Constant factors ``(a, cb, cc, d, e)`` of the inertia matrix.
+
+    ``M = [[a, -cb cos(q1 - q2), cc cos(q1 - q3)], [., d, 0], [., 0, e]]``
+    (symmetric), and the same ``cb``, ``cc`` scale the velocity forces
+    ``C dq = (-cb s12 dq2^2 + cc s13 dq3^2, cb s12 dq1^2, -cc s13 dq1^2)``
+    with ``s12 = sin(q1 - q2)``, ``s13 = sin(q1 - q3)``.  ``d``, ``e`` are
+    the inertias of a leg and of the torso about the hip.
+    """
+    m, mh, mt = p.leg_mass, p.hip_mass, p.torso_mass
+    r, l = p.leg_length, p.torso_length
+    return ((4.0 * mh + 4.0 * mt + 5.0 * m) * r * r / 4.0,
+            m * r * r / 2.0, mt * l * r, m * r * r / 4.0, mt * l * l)
+
+
+def gravity_amplitudes(p: RobotParams) -> tuple:
+    """Amplitudes of ``G = (g1 sin(q1 - lam), -g2 sin(q2 - lam), g3 sin(q3 - lam))``."""
+    g, m, mh, mt = p.gravity, p.leg_mass, p.hip_mass, p.torso_mass
+    r, l = p.leg_length, p.torso_length
+    return (g * r * (2.0 * mh + 2.0 * mt + 3.0 * m) / 2.0, g * m * r / 2.0,
+            mt * g * l)
+
+
 def inertia_matrix(q, p: RobotParams) -> np.ndarray:
     """Mass-inertia matrix ``M(q)`` of the pinned chain (3x3, symmetric PD)."""
     q1, q2, q3 = unstack(q)
-    m, mh, mt = p.leg_mass, p.hip_mass, p.torso_mass
-    r, l = p.leg_length, p.torso_length
-    m12 = -m * r * r * np.cos(q1 - q2) / 2.0
-    m13 = mt * l * r * np.cos(q1 - q3)
-    return stack_matrix([
-        [(4.0 * mh + 4.0 * mt + 5.0 * m) * r * r / 4.0, m12, m13],
-        [m12, m * r * r / 4.0, 0.0],
-        [m13, 0.0, mt * l * l],
-    ])
+    a, cb, cc, d, e = inertia_coefficients(p)
+    m12 = -cb * np.cos(q1 - q2)
+    m13 = cc * np.cos(q1 - q3)
+    return stack_matrix([[a, m12, m13], [m12, d, 0.0], [m13, 0.0, e]])
 
 
 def gravity_torque(q, p: RobotParams, incline) -> np.ndarray:
     """Gravity torque ``G(q) = -dV/dq`` on a slope of the given angle."""
     q1, q2, q3 = unstack(q)
-    m, mh, mt = p.leg_mass, p.hip_mass, p.torso_mass
-    r, l, g = p.leg_length, p.torso_length, p.gravity
-    return stack_vector(
-        g * r * (2.0 * mh + 2.0 * mt + 3.0 * m) * np.sin(q1 - incline) / 2.0,
-        -g * m * r * np.sin(q2 - incline) / 2.0,
-        mt * g * l * np.sin(q3 - incline),
-    )
+    g1, g2, g3 = gravity_amplitudes(p)
+    return stack_vector(g1 * np.sin(q1 - incline), -g2 * np.sin(q2 - incline),
+                        g3 * np.sin(q3 - incline))
 
 
 def coriolis_matrix(q, dq, p: RobotParams) -> np.ndarray:
@@ -165,14 +182,13 @@ def coriolis_matrix(q, dq, p: RobotParams) -> np.ndarray:
     """
     q1, q2, q3 = unstack(q)
     d1, d2, d3 = unstack(dq)
-    m, mt = p.leg_mass, p.torso_mass
-    r, l = p.leg_length, p.torso_length
+    _, cb, cc, _, _ = inertia_coefficients(p)
     s12 = np.sin(q1 - q2)
     s13 = np.sin(q1 - q3)
     return stack_matrix([
-        [0.0, -m * r * r * s12 * d2 / 2.0, mt * l * r * s13 * d3],
-        [m * r * r * s12 * d1 / 2.0, 0.0, 0.0],
-        [-mt * l * r * s13 * d1, 0.0, 0.0],
+        [0.0, -cb * s12 * d2, cc * s13 * d3],
+        [cb * s12 * d1, 0.0, 0.0],
+        [-cc * s13 * d1, 0.0, 0.0],
     ])
 
 

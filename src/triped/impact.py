@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (float_if_scalar, inertia_matrix, mass_points, matvec,
-                       quadratic, raise_for_states, solve_vector, stack_matrix,
-                       stack_vector, unstack)
+from .dynamics import (float_if_scalar, inertia_coefficients, inertia_matrix,
+                       mass_points, matvec, quadratic, raise_for_states,
+                       solve_vector, stack_matrix, stack_vector, unstack)
 from .errors import DegenerateContactError, NonFiniteStateError
 from .params import RobotParams
 
@@ -41,12 +41,13 @@ def free_mass_matrix(q, p: RobotParams) -> np.ndarray:
     Leg masses sit half a leg below the hip along their respective legs, the
     hip mass at the hip, and the torso mass a torso-length out along the
     torso link.  The Cartesian block is ``total_mass * I`` as it must be for
-    a rigid body's base coordinates.
+    a rigid body's base coordinates.  The angular diagonal is the hip
+    inertias ``d``, ``e`` of :func:`~triped.dynamics.inertia_coefficients`.
     """
     q1, q2, q3 = unstack(q)
     m, mt = p.leg_mass, p.torso_mass
     r, l = p.leg_length, p.torso_length
-    leg = m * r * r / 4.0
+    *_, leg, torso = inertia_coefficients(p)
     c1, s1 = -m * r * np.cos(q1) / 2.0, m * r * np.sin(q1) / 2.0
     c2, s2 = -m * r * np.cos(q2) / 2.0, m * r * np.sin(q2) / 2.0
     c3, s3 = mt * l * np.cos(q3), -mt * l * np.sin(q3)
@@ -54,7 +55,7 @@ def free_mass_matrix(q, p: RobotParams) -> np.ndarray:
     return stack_matrix([
         [leg, 0.0, 0.0, c1, s1],
         [0.0, leg, 0.0, c2, s2],
-        [0.0, 0.0, mt * l * l, c3, s3],
+        [0.0, 0.0, torso, c3, s3],
         [c1, c2, c3, total, 0.0],
         [s1, s2, s3, 0.0, total],
     ])

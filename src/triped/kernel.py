@@ -11,7 +11,10 @@ plain-float function body with every parameter-only constant precomputed:
 * ``rhs(t, y, outputs=True)`` returns after the control law with its
   outputs, so the torques a swing samples are the ones it integrated.
 
-Nothing here is a new law.  The composition is rewritten over scalars:
+Nothing here is a new law.  The coefficients of ``M``, ``C dq`` and ``G``
+come from :mod:`triped.dynamics`; only the reduced model's constants
+(``I_e``, the bracket, ``B_e``) are stated here.  The composition is
+rewritten over scalars:
 
 * ``M`` has an arrow pattern (``M[1, 2] = 0``), so ``M x = b`` is solved in
   closed form by eliminating ``x2`` and ``x3`` into the Schur complement of
@@ -38,8 +41,9 @@ from __future__ import annotations
 from math import cos, isfinite, sin
 from typing import Callable
 
+from .dynamics import gravity_amplitudes, inertia_coefficients
 from .errors import ActuationSingularityError, NonFiniteStateError
-from .params import RobotParams, SimConfig
+from .params import SimConfig
 
 #: Same message as :func:`triped.dynamics.swing_accel`, which raises it on
 #: the composed path.
@@ -71,15 +75,15 @@ def closed_loop(cfg: SimConfig) -> Callable[..., tuple]:
     l2, r2 = l * l, r * r
     k0, k_a, k_b = 4.0 * mh + m, 4.0 * mt, 4.0 * m
     mt_l2, m_l2, mt_r2, m_r2 = mt * l2, m * l2, mt * r2, m * r2
-    c_a, c_b, c_c, c_d, c_e = _arrow_constants(model)
-    c_g1, c_g2, c_g3 = _gravity_constants(model)
+    c_a, c_b, c_c, c_d, c_e = inertia_coefficients(model)
+    c_g1, c_g2, c_g3 = gravity_amplitudes(model)
     # B_e closed form (see triped.reduced.input_matrix_e).
     be_leg0, be_leg_b = (4.0 * mh + 3.0 * m) / mt, 2.0 * m / mt
     be_l_r, be_r_l = 4.0 * l / r, r / l
     be22_0, be22_a = 4.0 * (4.0 * mh + 2.0 * mt + 5.0 * m) / m, 8.0 * mt / m
     # Plant constants, from cfg.plant and cfg.incline_true only.
-    p_a, p_b, p_c, p_d, p_e = _arrow_constants(cfg.plant)
-    p_g1, p_g2, p_g3 = _gravity_constants(cfg.plant)
+    p_a, p_b, p_c, p_d, p_e = inertia_coefficients(cfg.plant)
+    p_g1, p_g2, p_g3 = gravity_amplitudes(cfg.plant)
     lam_p = cfg.incline_true
 
     def rhs(t, y, outputs=False):
@@ -120,7 +124,7 @@ def closed_loop(cfg: SimConfig) -> Callable[..., tuple]:
         br22 = mt_r2 * sin_a * rate_a + m_r2 * sin_b * rate_b
 
         # Reduced forces tau_e + tau_g_e = I_e W_e M^-1 (C dq - G): the
-        # model's arrow solve (see _arrow_constants), output rows only.
+        # model's arrow solve (inertia_coefficients), output rows only.
         mb, mc = -c_b * c12, c_c * c13
         bd, ce = mb / c_d, mc / c_e
         f1 = -c_b * s12 * d2 * d2 + c_c * s13 * d3 * d3 - c_g1 * sin(q1 - lam_c)
@@ -157,24 +161,3 @@ def closed_loop(cfg: SimConfig) -> Callable[..., tuple]:
 
     return rhs
 
-
-def _arrow_constants(p: RobotParams) -> tuple[float, float, float, float, float]:
-    """Constant factors ``(a, cb, cc, d, e)`` of the inertia matrix.
-
-    ``M = [[a, -cb cos(q1 - q2), cc cos(q1 - q3)], [., d, 0], [., 0, e]]``
-    (symmetric), and the same ``cb``, ``cc`` scale the velocity forces
-    ``C dq = (-cb s12 dq2^2 + cc s13 dq3^2, cb s12 dq1^2, -cc s13 dq1^2)``
-    with ``s12 = sin(q1 - q2)``, ``s13 = sin(q1 - q3)``.
-    """
-    m, mh, mt = p.leg_mass, p.hip_mass, p.torso_mass
-    r, l = p.leg_length, p.torso_length
-    return ((4.0 * mh + 4.0 * mt + 5.0 * m) * r * r / 4.0,
-            m * r * r / 2.0, mt * l * r, m * r * r / 4.0, mt * l * l)
-
-
-def _gravity_constants(p: RobotParams) -> tuple[float, float, float]:
-    """Amplitudes of ``G = (g1 sin(q1 - lam), -g2 sin(q2 - lam), g3 sin(q3 - lam))``."""
-    g, m, mh, mt = p.gravity, p.leg_mass, p.hip_mass, p.torso_mass
-    r, l = p.leg_length, p.torso_length
-    return (g * r * (2.0 * mh + 2.0 * mt + 3.0 * m) / 2.0, g * m * r / 2.0,
-            mt * g * l)

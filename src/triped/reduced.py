@@ -52,12 +52,11 @@ class ReducedState:
     Attributes:
         q_e: output coordinates ``(q3 - q3_ref, q1 + q2)``.
         omega_e: output rates ``(dq3, dq1 + dq2)``.
-        q1: stance-leg angle (zero coordinate).
-        omega1: stance-leg rate.
         alpha: shape angle ``2 (q1 - q3)``.
         beta: shape angle ``2 (q1 - q2)``.
         omega_s: shape rates ``(d(alpha)/dt, d(beta)/dt)``.
-        q, dq: the full-model state it was mapped from.
+        q, dq: the full-model state it was mapped from; the zero
+            coordinate and its rate are ``q[..., 0]`` and ``dq[..., 0]``.
 
     For a batch of states (see :mod:`triped.dynamics`), the scalar fields
     are arrays over the batch and the pairs are ``(..., 2)``.
@@ -65,8 +64,6 @@ class ReducedState:
 
     q_e: np.ndarray
     omega_e: np.ndarray
-    q1: float
-    omega1: float
     alpha: float
     beta: float
     omega_s: np.ndarray
@@ -82,8 +79,6 @@ def to_reduced(q, dq, targets: GaitTargets) -> ReducedState:
     return ReducedState(
         q_e=stack_vector(q3 - targets.q3_ref, q1 + q2),
         omega_e=matvec(OUTPUT_MAP, dq),
-        q1=float_if_scalar(q1),
-        omega1=float_if_scalar(d1),
         alpha=float_if_scalar(2.0 * (q1 - q3)),
         beta=float_if_scalar(2.0 * (q1 - q2)),
         omega_s=stack_vector(2.0 * (d1 - d3), 2.0 * (d1 - d2)),
@@ -91,16 +86,11 @@ def to_reduced(q, dq, targets: GaitTargets) -> ReducedState:
     )
 
 
-def shape_inertia_factor(alpha, beta, p: RobotParams):
-    """The common shape-dependent factor of both output-channel inertias."""
-    return (4.0 * p.hip_mass
-            + 2.0 * p.torso_mass * (1.0 - np.cos(alpha))
-            + p.leg_mass * (3.0 - 2.0 * np.cos(beta)))
-
-
 def reduced_inertias(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, float]:
-    """Output-channel inertia ``I_e`` (2x2 diagonal) and zero-channel ``I_z``."""
-    k = shape_inertia_factor(rs.alpha, rs.beta, p)
+    """Output-channel inertia ``I_e`` (2x2 diagonal) and zero-channel ``I_z``,
+    each a multiple of one shape-dependent factor ``k``."""
+    k = (4.0 * p.hip_mass + 2.0 * p.torso_mass * (1.0 - np.cos(rs.alpha))
+         + p.leg_mass * (3.0 - 2.0 * np.cos(rs.beta)))
     l, r = p.torso_length, p.leg_length
     i_e = stack_matrix([[l * l * k, 0.0], [0.0, r * r * k]])
     return i_e, float_if_scalar(r * r / 4.0 * k)

@@ -83,7 +83,7 @@ from .impact import (angular_momentum_about, chain_angular_momentum,
 from .kernel import closed_loop
 from .ode import solve_ivp
 from .params import (ERROR_WEIGHTINGS, ControllerConfig, ControllerGains,
-                     GaitTargets, RobotParams, SimConfig)
+                     GaitTargets, RobotParams, SimConfig, _count)
 from .reduced import (OUTPUT_MAP, ReducedState, consistency_check,
                       input_matrix_e, pushforward_input_matrix,
                       quadratic_bracket, reduced_forces, reduced_inertias,
@@ -288,8 +288,8 @@ def _take(batch, index):
 def _batches(n_states: int) -> list[int]:
     """The sizes of a check's batches, at most :data:`BATCH_STATES` each.
     A check needs at least one state, or it would pass on no evidence."""
-    if n_states < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
+    if not _count(n_states):
+        raise ValueError(f"n_states must be an integer >= 1, got {n_states}")
     return [min(BATCH_STATES, n_states - start)
             for start in range(0, n_states, BATCH_STATES)]
 
@@ -634,7 +634,7 @@ def certify_kernel(n_states: int = 1000, seed: int = 6) -> CheckResult:
 
 def run_certification(n_states: int = 1000, seed: int = 0) -> CertificationReport:
     """Run the full battery; ``n_states`` scales every sampled check and
-    must be at least 1 (each check's :func:`_batches` refuses fewer)."""
+    must be an integer >= 1 (each check's :func:`_batches` refuses others)."""
     return CertificationReport(checks=[
         certify_swing_terms(n_states, seed), certify_energy_conservation(),
         certify_reduced_consistency(n_states, seed + 1),
@@ -661,9 +661,9 @@ def documented_reduced_forces(rs: ReducedState, p: RobotParams, incline: float):
     l, r, g = p.torso_length, p.leg_length, p.gravity
     a, b = rs.alpha, rs.beta
     we1, we2 = unstack(rs.omega_e)
-    d1 = rs.omega1
+    d1 = rs.dq[..., 0]
     lam = incline
-    q1 = rs.q1
+    q1 = rs.q[..., 0]
     sin = np.sin
 
     tau_e = stack_vector(

@@ -34,9 +34,9 @@ def test_orbit_search_raises_when_budget_is_exhausted():
         find_periodic_orbit(T.SimConfig(), tol=1e-30, max_iters=2)
 
 
-@pytest.mark.parametrize("max_iters", [0, -1])
+@pytest.mark.parametrize("max_iters", [0, -1, 2.5, True])
 def test_orbit_search_needs_at_least_one_stride(max_iters):
-    with pytest.raises(ValueError, match="max_iters"):
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
         find_periodic_orbit(T.SimConfig(), max_iters=max_iters)
 
 

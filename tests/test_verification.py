@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import triped as T
-from triped import kernel, ode, reduced, verification
+from triped import dynamics, impact, kernel, ode, reduced, verification
 from triped.reduced import input_matrix_e, to_reduced
 from triped.verification import (CertificationReport, CheckResult,
                                  run_certification, transcription_report)
@@ -54,7 +54,7 @@ def test_check_result_pass_logic():
     assert "[FAIL]" in failing.as_text()
 
 
-@pytest.mark.parametrize("n_states", [0, -1])
+@pytest.mark.parametrize("n_states", [0, -1, 2.5, True])
 def test_battery_refuses_to_certify_without_states(n_states):
     for battery in (run_certification, transcription_report,
                     verification.certify_swing_terms,
@@ -62,7 +62,7 @@ def test_battery_refuses_to_certify_without_states(n_states):
                     verification.certify_impact,
                     verification.certify_closed_loop,
                     verification.certify_skew, verification.certify_kernel):
-        with pytest.raises(ValueError, match="n_states must be >= 1"):
+        with pytest.raises(ValueError, match="n_states must be an integer >= 1"):
             battery(n_states=n_states)
 
 
@@ -509,3 +509,33 @@ def test_kernel_check_fails_on_a_wrong_kernel(monkeypatch):
     result = verification.certify_kernel(n_states=20)
     assert 1e-7 < result.max_residual < 1e-5
     assert not result.passed
+
+
+def slipped(fn, index):
+    """``fn`` with entry ``index`` of the tuple it returns scaled by 1 + 1e-6."""
+    def wrong(p):
+        out = list(fn(p))
+        out[index] = out[index] * (1.0 + 1e-6)
+        return tuple(out)
+    return wrong
+
+
+@pytest.mark.parametrize("name, index, failing", [
+    ("inertia_coefficients", 0, ("certify_swing_terms", "certify_impact")),
+    ("gravity_amplitudes", 2, ("certify_swing_terms",)),
+])
+def test_a_slip_in_a_shared_coefficient_fails_the_oracle_checks(
+        monkeypatch, name, index, failing):
+    # The kernel and the reference functions read the coefficients from one
+    # place, so an edit there reaches every module that imports them: check
+    # (h) then compares two readers of the same number and passes, and the
+    # symbolic oracle of check (a) (for the inertia, also the pinned
+    # reduction of check (d)) must catch the slip.
+    wrong = slipped(getattr(dynamics, name), index)
+    for module in (dynamics, kernel, impact):
+        if name in vars(module):
+            monkeypatch.setattr(module, name, wrong)
+    for check in failing:
+        result = getattr(verification, check)(n_states=200)
+        assert not result.passed, check
+    assert verification.certify_kernel(n_states=200).passed
