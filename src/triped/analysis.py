@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import GaitAbortError, NoConvergenceError
-from .params import SimConfig, SweepSpec, _count
+from .params import _POSITIVE, SimConfig, SweepSpec, _count
 from .simulate import GaitSummary, run_gait, strides
 
 #: A gait's step times count as converged when the last five span less than
@@ -87,14 +87,15 @@ def find_periodic_orbit(cfg: SimConfig, tol: float = 1e-6,
     ``|x_{k+1} - x_k| < tol``.
 
     Raises:
-        ValueError: ``max_iters`` not an integer >= 1 or ``tol`` not in (0, inf).
+        ValueError: ``max_iters`` not an integer >= 1 or ``tol`` not a
+            positive finite number (a bool is not one).
         ConfigValidationError: ``cfg`` is invalid, ``initial_state`` included.
         NoConvergenceError: ``max_iters`` applications without convergence.
         GaitAbortError: a step failed during the iteration.
     """
     if not _count(max_iters):
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters}")
-    if not 0.0 < tol < np.inf:
+    if not _POSITIVE[0](tol):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     run = strides(cfg)
     x = np.array(cfg.initial_state, dtype=float)

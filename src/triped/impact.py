@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (float_if_scalar, inertia_coefficients, inertia_matrix,
-                       mass_points, matvec, quadratic, raise_for_states,
-                       solve_vector, stack_matrix, stack_vector, unstack)
+from .dynamics import (float_if_scalar, inertia_coefficients, mass_points,
+                       matvec, quadratic, raise_for_states, solve_vector,
+                       stack_matrix, stack_vector, unstack)
 from .errors import DegenerateContactError, NonFiniteStateError
 from .params import RobotParams
 
@@ -189,26 +189,3 @@ def chain_angular_momentum(q, joint_rates, hip_velocity, p: RobotParams,
         rel = pos - point
         total += mass * (rel[..., 0] * vel[..., 1] - rel[..., 1] * vel[..., 0])
     return float_if_scalar(total)
-
-
-def angular_momentum_about(q, dq, p: RobotParams, point) -> float:
-    """Angular momentum of the pinned chain about a slope-frame point.
-
-    Used to certify the impact: the impulsive reaction acts at the landing
-    foot, so angular momentum about that foot is conserved across the
-    velocity jump (before relabeling).
-    """
-    dq = np.asarray(dq, dtype=float)
-    return chain_angular_momentum(q, dq, matvec(hip_jacobian(q, p), dq), p,
-                                  point)
-
-
-def pinned_reduction_residual(q, p: RobotParams) -> float:
-    """Max-abs difference between ``emb.T @ D @ emb`` and the pinned inertia.
-
-    A pure certification helper: exactly zero in exact arithmetic.
-    """
-    emb = pinned_embedding(q, p)
-    reduced = emb.swapaxes(-1, -2) @ free_mass_matrix(q, p) @ emb
-    return float_if_scalar(np.max(np.abs(reduced - inertia_matrix(q, p)),
-                                  axis=(-2, -1)))

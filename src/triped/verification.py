@@ -78,8 +78,8 @@ from .dynamics import (coriolis_matrix, float_if_scalar, gravity_torque,
                        stack_vector, swing_accel, swing_foot_position,
                        total_energy, unstack)
 from .errors import ActuationSingularityError, DegenerateContactError
-from .impact import (angular_momentum_about, chain_angular_momentum,
-                     free_mass_matrix, pinned_reduction_residual, reset_map)
+from .impact import (RELABEL, chain_angular_momentum, free_mass_matrix,
+                     pinned_embedding, reset_map)
 from .kernel import closed_loop
 from .ode import solve_ivp
 from .params import (ERROR_WEIGHTINGS, ControllerConfig, ControllerGains,
@@ -96,7 +96,10 @@ BATCH_STATES = 1000
 
 def _oracle_matrix(rows) -> np.ndarray:
     """A lambdified matrix over a batch: the entries (scalars or arrays)
-    broadcast together into one ``(..., rows, cols)`` array."""
+    broadcast together into one ``(..., rows, cols)`` array.  It stays a
+    copy of :func:`triped.dynamics.stack_matrix`, so the oracle shares no
+    code with :mod:`triped.dynamics`: a layout slip in a shared helper would
+    transpose the non-symmetric ``C`` on both sides of check (a)."""
     entries = np.broadcast_arrays(
         *(np.asarray(entry, dtype=float) for row in rows for entry in row))
     return np.stack(entries, axis=-1).reshape(
@@ -442,22 +445,24 @@ def certify_impact(n_states: int = 1000, seed: int = 2) -> CheckResult:
     def residuals(p, q, dq):
         res = reset_map(q, dq, p)
         foot = swing_foot_position(q, p)
-        l_pre = angular_momentum_about(q, dq, p, foot)
-        # Post-impact, pre-relabel: joint rates revert to the old labels via
-        # the (involutive) relabel, and the hip velocity is recovered from
-        # the released foot's velocity plus its lever term.
-        rates_old = res.dq_plus[..., [1, 0, 2]]
-        q1, rate1 = q[..., 0], rates_old[..., 0]
-        arm = stack_vector(p.leg_length * np.cos(q1) * rate1,
-                           p.leg_length * -np.sin(q1) * rate1)
-        hip_vel = res.liftoff_velocity + arm
-        l_post = chain_angular_momentum(q, rates_old, hip_vel, p, foot)
-        # Impulse is linear in the pre-impact rates.
+        # The impulse acts at the landing foot, so momentum about it is
+        # conserved across the jump, before the relabel.  Pinned, the hip
+        # moves by the stance leg's lever, the embedding's hip rows; after,
+        # the rates revert to the old labels and the hip moves as the
+        # released foot plus that lever: all read off what step uses.
+        emb = pinned_embedding(q, p)
+        lever = emb[..., 3:, :]
+        rates_old = matvec(RELABEL, res.dq_plus)
+        hip_post = res.liftoff_velocity + matvec(lever, rates_old)
+        l_pre = chain_angular_momentum(q, dq, matvec(lever, dq), p, foot)
+        l_post = chain_angular_momentum(q, rates_old, hip_post, p, foot)
+        # emb^T D emb is exactly the pinned inertia; the impulse is linear in dq.
+        reduced = emb.swapaxes(-1, -2) @ free_mass_matrix(q, p) @ emb
         doubled = reset_map(q, 2.0 * dq, p)
         return (np.abs(res.contact_velocity),
                 np.abs(l_post - l_pre) / np.maximum(1.0, np.abs(l_pre)),
                 np.maximum(0.0, -res.kinetic_energy_loss),
-                pinned_reduction_residual(q, p),
+                np.abs(reduced - inertia_matrix(q, p)),
                 np.abs(doubled.impulse - 2.0 * res.impulse))
 
     return _sampled("impact stick/momentum/dissipation", 1e-6, n_states, seed,

@@ -40,7 +40,7 @@ def test_orbit_search_needs_at_least_one_stride(max_iters):
         find_periodic_orbit(T.SimConfig(), max_iters=max_iters)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, True])
 def test_orbit_search_needs_a_positive_finite_tolerance(tol, monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("iterated with an invalid tolerance")

@@ -13,8 +13,7 @@ import pytest
 
 import triped as T
 from triped.dynamics import coriolis_matrix, gravity_torque, inertia_matrix
-from triped.impact import (angular_momentum_about, chain_angular_momentum,
-                           free_mass_matrix)
+from triped.impact import chain_angular_momentum, free_mass_matrix
 from triped.reduced import (consistency_check, input_matrix_e,
                             pushforward_input_matrix, reduced_forces)
 
@@ -85,8 +84,6 @@ CALLS = {
     "swing_accel": lambda q, dq, u, p, incline, **_: T.swing_accel(
         q, dq, u, p, incline),
     "reset_map": lambda q, dq, p, **_: T.reset_map(q, dq, p),
-    "angular_momentum_about": lambda q, dq, p, point, **_:
-        angular_momentum_about(q, dq, p, point),
     "chain_angular_momentum": lambda q, dq, u, p, point, **_:
         chain_angular_momentum(q, dq, u, p, point),
     "to_reduced": lambda q, dq, **_: T.to_reduced(q, dq, TARGETS),

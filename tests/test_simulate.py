@@ -55,20 +55,27 @@ def test_step_reads_its_record_off_the_trajectory_end():
 SHAPES = r"x_pre of shape \(6,\) and omega_I of shape \(2,\)"
 
 
-@pytest.mark.parametrize("x_pre, omega_I, error, match", [
-    (T.nominal_initial_state()[:5], (0.0, 0.0), ValueError, SHAPES),
-    (T.nominal_initial_state() + (0.0,), (0.0, 0.0), ValueError, SHAPES),
-    (T.nominal_initial_state(), (0.0,), ValueError, SHAPES),
-    (T.nominal_initial_state(), (0.0, 0.0, 0.0), ValueError, SHAPES),
-    (T.nominal_initial_state()[:5] + (math.nan,), (0.0, 0.0),
+START = "step needs a finite t_start"
+
+
+@pytest.mark.parametrize("x_pre, omega_I, t_start, error, match", [
+    (T.nominal_initial_state()[:5], (0.0, 0.0), 0.0, ValueError, SHAPES),
+    (T.nominal_initial_state() + (0.0,), (0.0, 0.0), 0.0, ValueError, SHAPES),
+    (T.nominal_initial_state(), (0.0,), 0.0, ValueError, SHAPES),
+    (T.nominal_initial_state(), (0.0, 0.0, 0.0), 0.0, ValueError, SHAPES),
+    (T.nominal_initial_state()[:5] + (math.nan,), (0.0, 0.0), 0.0,
      T.NonFiniteStateError, "non-finite"),
-    (T.nominal_initial_state(), (math.inf, 0.0),
+    (T.nominal_initial_state(), (math.inf, 0.0), 0.0,
      T.NonFiniteStateError, "non-finite"),
+    (T.nominal_initial_state(), (0.0, 0.0), math.nan, ValueError, START),
+    (T.nominal_initial_state(), (0.0, 0.0), math.inf, ValueError, START),
+    (T.nominal_initial_state(), (0.0, 0.0), -math.inf, ValueError, START),
 ], ids=["five-values", "seven-values", "one-integrator", "three-integrator",
-        "nan-state", "inf-integrator"])
-def test_step_checks_its_arguments(x_pre, omega_I, error, match):
+        "nan-state", "inf-integrator", "nan-start", "inf-start",
+        "minus-inf-start"])
+def test_step_checks_its_arguments(x_pre, omega_I, t_start, error, match):
     with pytest.raises(error, match=match):
-        step(np.array(x_pre), np.array(omega_I), 0.0, T.SimConfig())
+        step(np.array(x_pre), np.array(omega_I), t_start, T.SimConfig())
 
 
 def test_gait_carries_each_trajectory_end_into_the_next_step():

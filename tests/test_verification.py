@@ -151,7 +151,7 @@ def nan_at(fn, index=3, call=None):
 RESIDUAL_CALLS = [
     ("certify_swing_terms", verification, "coriolis_matrix"),
     ("certify_reduced_consistency", reduced, "swing_accel"),
-    ("certify_impact", verification, "angular_momentum_about"),
+    ("certify_impact", verification, "swing_foot_position"),
     ("certify_closed_loop", verification, "swing_accel"),
     ("certify_skew", verification, "quadratic_bracket"),
     ("certify_kernel", verification, "swing_accel"),
@@ -227,6 +227,24 @@ def test_impact_check_skips_exactly_the_degenerate_state(monkeypatch):
     result = verification.certify_impact(n_states=20)
     assert result.note == "19 states, 1 degenerate skipped"
     assert result.passed
+
+
+@pytest.mark.parametrize("output", ["liftoff_velocity", "dq_plus"])
+def test_impact_check_catches_a_slip_in_what_reset_map_reports(monkeypatch,
+                                                              output):
+    """Check (d) reads the outputs a gait step uses, so a slip of one part
+    in a million in either fails it (the clean residual is about 5e-15)."""
+    assert verification.certify_impact(200).passed
+    reset = verification.reset_map
+
+    def slipped(q, dq, p):
+        res = reset(q, dq, p)
+        return replace(res, **{output: getattr(res, output) * (1.0 + 1e-6)})
+
+    monkeypatch.setattr(verification, "reset_map", slipped)
+    result = verification.certify_impact(200)
+    assert result.max_residual > result.tolerance
+    assert not result.passed
 
 
 def floor_above_every_det(monkeypatch):
