@@ -3,10 +3,11 @@
 The robot walks down an incline: two legs hinged at a hip, a torso held
 upright by hip torques.  Each stride is a continuous swing phase ended by an
 instantaneous plastic impact that swaps the legs.  The package provides the
-swing dynamics, the impact/relabel reset, a passivity-based posture
-controller with integral action, multi-step gait simulation, periodic-orbit
-search, parameter sweeps, and a self-check battery that re-derives every
-dynamics term from an independent symbolic model.
+swing dynamics, the impact/relabel reset, a posture controller (feedback
+regularization followed by a geometric PID on the virtual constraints),
+multi-step gait simulation, periodic-orbit search, parameter sweeps, and a
+self-check battery that re-derives every dynamics term from an independent
+symbolic model.
 
 Quick start::
 

@@ -10,9 +10,10 @@ numerical stability certificate.  No Jacobian or eigenvalue analysis is
 attempted; the certificate is deliberately the same evidence a batch of
 simulations provides.
 
-Distances between pre-impact states use the plain Euclidean norm over the
-six mechanical coordinates — radians and radians per second with unit
-weights.
+The orbit search and the sweep table read ``rho_hat`` from one set of
+stride distances (:func:`stride_distances`): from ``initial_state``
+through each completed pre-impact state, in the plain Euclidean norm over
+the six mechanical coordinates (radians, radians per second, unit weights).
 
 :func:`run_sweep` runs independent perturbed copies of a base configuration
 (plant perturbed, controller model held fixed) one after the other and
@@ -37,6 +38,16 @@ STEP_TIME_CONVERGENCE_RANGE = 5e-3
 
 #: Distances below this are roundoff noise; ratios across them are dropped.
 _DISTANCE_FLOOR = 1e-13
+
+
+def stride_distances(summary: GaitSummary) -> np.ndarray:
+    """Distances between successive stride-map iterates of a gait, from
+    ``config.initial_state`` through each completed step's pre-impact
+    state: one per completed step."""
+    states = [np.array(summary.config.initial_state, dtype=float)] + [
+        r.x_pre_impact for r in summary.records if not r.aborted]
+    return np.array([float(np.linalg.norm(x_new - x_old))
+                     for x_old, x_new in zip(states, states[1:])])
 
 
 def contraction_ratio(distances) -> float:
@@ -125,7 +136,8 @@ class SweepSample:
 
     ``converged`` means: every step completed, the contraction ratio is
     below one, and the last five step times span less than
-    :data:`STEP_TIME_CONVERGENCE_RANGE`.
+    :data:`STEP_TIME_CONVERGENCE_RANGE`.  ``rho_hat`` reads
+    :func:`stride_distances`, which start at the configured start.
     """
 
     index: int
@@ -144,7 +156,7 @@ def summarize_gait(summary: GaitSummary, index: int = 0, axis: str = "",
                    value: float = float("nan")) -> SweepSample:
     """Collapse a gait run into the sweep-table row for it."""
     times = summary.step_times
-    rho = contraction_ratio(summary.convergence_distances())
+    rho = contraction_ratio(stride_distances(summary))
     z = summary.z_deltas
     settled = bool(len(times) >= 5
                    and float(np.ptp(times[-5:])) < STEP_TIME_CONVERGENCE_RANGE)

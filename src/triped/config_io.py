@@ -199,23 +199,32 @@ def _parse(text: str, source: str) -> SimConfig | SweepSpec:
 
 
 def _checked(config: SimConfig | SweepSpec) -> SimConfig | SweepSpec:
-    """Validate a parsed configuration and warn about slopes without a
-    standing equilibrium.  Each public parser calls this directly, so
-    ``stacklevel=3`` attributes the warning to that parser's caller."""
+    """Validate a parsed configuration and warn, once per message, about
+    slopes without a standing equilibrium: a sweep's base and its end
+    samples, which bound the others (see ``SweepSpec.validate``).  Each
+    public parser calls this directly, so ``stacklevel=3`` attributes the
+    warning to that parser's caller."""
     config.validate()
-    cfg = config.base if isinstance(config, SweepSpec) else config
-    checks = (
-        ("lambda_true_deg", cfg.incline_true, max_static_incline(cfg.plant)),
-        ("lambda_assumed_deg", cfg.controller.incline_assumed,
-         max_static_incline(cfg.controller.model)),
-    )
-    for key, incline, bound in checks:
-        if abs(incline) > bound:
-            warnings.warn(
-                f"{key} = {math.degrees(incline):.2f} deg exceeds the "
-                f"static-stability bound {math.degrees(bound):.2f} deg; no "
-                "standing equilibrium exists there (dynamic walking may "
-                "still succeed)", StaticStabilityWarning, stacklevel=3)
+    runs = {"": config}
+    if isinstance(config, SweepSpec):
+        ends = {f"sweep sample {i}: ": config.sample_config(i)
+                for i in (0, config.n_samples - 1)}
+        runs = {"": config.base, **ends}
+    found = {}
+    for where, cfg in runs.items():
+        for key, incline, bound in (
+                ("lambda_true_deg", cfg.incline_true,
+                 max_static_incline(cfg.plant)),
+                ("lambda_assumed_deg", cfg.controller.incline_assumed,
+                 max_static_incline(cfg.controller.model))):
+            if abs(incline) > bound:
+                found.setdefault(
+                    f"{key} = {math.degrees(incline):.2f} deg exceeds the "
+                    f"static-stability bound {math.degrees(bound):.2f} deg; "
+                    "no standing equilibrium exists there (dynamic walking "
+                    "may still succeed)", where)
+    for message, where in found.items():
+        warnings.warn(where + message, StaticStabilityWarning, stacklevel=3)
     return config
 
 

@@ -25,8 +25,9 @@ with ``I_e`` diagonal.  ``I_e``, ``I_z``, ``B_e`` and ``b_z`` are implemented
 in closed form; the force terms ``tau_e, tau_z, tau_g_e, tau_g_z`` are
 obtained by pushing the certified full model through the coordinate map
 (:func:`reduced_forces`), which keeps the two descriptions equivalent by
-construction.  :func:`consistency_check` certifies that equivalence — and the
-closed-form input matrices — against the full model at any state.
+construction.  Check (c) and the transcription report of
+:mod:`triped.verification` certify that equivalence and the closed-form
+input matrices against the full model.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (INPUT_MATRIX, dot, float_if_scalar, gravity_torque,
-                       inertia_matrix, matvec, stack_matrix,
-                       stack_vector, swing_accel, unstack, velocity_forces)
+from .dynamics import (float_if_scalar, gravity_torque, inertia_matrix,
+                       matvec, stack_matrix, stack_vector, unstack,
+                       velocity_forces)
 from .params import GaitTargets, RobotParams
 
 #: Output map: ``omega_e = OUTPUT_MAP @ dq`` (torso rate, leg-sum rate).
@@ -127,14 +128,14 @@ def reduced_forces(rs: ReducedState, p: RobotParams,
     the rates; the gravity terms are rate-independent.
     """
     q, dq = rs.q, rs.dq
-    e, z = _pushforward(rs, p, inertia_matrix(q, p), stack_vector(
+    e, z = pushforward(rs, p, inertia_matrix(q, p), stack_vector(
         velocity_forces(q, dq, p), gravity_torque(q, p, incline)))
     return (e[..., 0], float_if_scalar(z[..., 0]),
             -e[..., 1], float_if_scalar(-z[..., 1]))
 
 
-def _pushforward(rs: ReducedState, p: RobotParams, inertia,
-                 forces) -> tuple[np.ndarray, np.ndarray]:
+def pushforward(rs: ReducedState, p: RobotParams, inertia,
+                forces) -> tuple[np.ndarray, np.ndarray]:
     """``I_e @ W_e @ M^-1 @ F`` and ``I_z * (M^-1 @ F)[0]``, for the full
     model's inertia ``M`` and columns ``F`` (``(..., 3, n)``) of its forces:
     ``F`` pushed into the output and zero channels."""
@@ -146,9 +147,8 @@ def _pushforward(rs: ReducedState, p: RobotParams, inertia,
 def input_matrix_e(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, np.ndarray]:
     """Torque maps ``B_e`` (2x2, output channel) and ``b_z`` (row, zero channel).
 
-    Closed forms in the shape angles; :func:`consistency_check` certifies
-    them against the full model's input matrix pushed through the coordinate
-    map.
+    Closed forms in the shape angles; check (c) and the transcription report
+    of :mod:`triped.verification` certify them against the full model.
     """
     m, mt, mh = p.leg_mass, p.torso_mass, p.hip_mass
     r, l = p.leg_length, p.torso_length
@@ -166,39 +166,3 @@ def input_matrix_e(rs: ReducedState, p: RobotParams) -> tuple[np.ndarray, np.nda
     ])
     b_z = stack_vector(-r / l * ca2 - 1.0, -2.0 * cb2 - r / l * ca2)
     return b_e, b_z
-
-
-def consistency_check(q, dq, u, p: RobotParams, incline,
-                      targets: GaitTargets) -> float:
-    """Max residual of the decoupled equations against the full model.
-
-    Evaluates the full-model acceleration at ``(q, dq, u)``, maps it to the
-    reduced channels, and measures how well the closed-form inertias and
-    input matrices together with the pushed-forward forces reproduce it.
-    Machine-precision small everywhere; any sizable residual would flag a
-    transcription error in the closed forms.  Over a batch, one residual per
-    state; a NaN anywhere in a state's equations makes its residual NaN.
-    """
-    u = np.asarray(u, dtype=float)
-    qdd = swing_accel(q, dq, u, p, incline)
-    rs = to_reduced(q, dq, targets)
-    i_e, i_z = reduced_inertias(rs, p)
-    tau_e, tau_z, tau_g_e, tau_g_z = reduced_forces(rs, p, incline)
-    b_e, b_z = input_matrix_e(rs, p)
-    res_e = (matvec(i_e, matvec(OUTPUT_MAP, qdd)) + tau_e + tau_g_e
-             - matvec(b_e, u))
-    res_z = i_z * qdd[..., 0] + tau_z + tau_g_z - dot(b_z, u)
-    return float_if_scalar(np.maximum(np.max(np.abs(res_e), axis=-1),
-                                      np.abs(res_z)))
-
-
-def pushforward_input_matrix(rs: ReducedState,
-                             p: RobotParams) -> tuple[np.ndarray, np.ndarray]:
-    """``(B_e, b_z)`` derived from the full model instead of the closed forms.
-
-    Certification twin of :func:`input_matrix_e`: the two must agree to
-    roundoff for all shape angles.
-    """
-    inertia = inertia_matrix(rs.q, p)
-    return _pushforward(rs, p, inertia, np.broadcast_to(
-        INPUT_MATRIX, inertia.shape[:-1] + (2,)))

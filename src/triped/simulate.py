@@ -161,22 +161,9 @@ class GaitSummary:
         return np.array([r.step_time for r in self.records if not r.aborted])
 
     @property
-    def pre_impact_states(self) -> np.ndarray:
-        """Completed steps' terminal states, shape ``(n, 6)``."""
-        states = [r.x_pre_impact for r in self.records if not r.aborted]
-        return np.array(states) if states else np.empty((0, 6))
-
-    @property
     def z_deltas(self) -> np.ndarray:
         """Distance to the zero-dynamics manifold at each completed impact."""
         return np.array([r.z_delta_at_impact for r in self.records if not r.aborted])
-
-    def convergence_distances(self) -> np.ndarray:
-        """Euclidean distances between successive pre-impact states."""
-        states = self.pre_impact_states
-        if len(states) < 2:
-            return np.empty(0)
-        return np.linalg.norm(np.diff(states, axis=0), axis=1)
 
 
 def _sample_swing(grid: np.ndarray, y_eval: np.ndarray, step_index: int,
@@ -214,7 +201,8 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     integrator's effort ``(nfev, n_accepted, n_rejected)``.
 
     Raises:
-        FellOverError: a leg angle left ``(-pi/2, pi/2)``.
+        FellOverError: a leg angle left ``(-pi/2, pi/2)``, or started
+            outside it.
         StepTimeoutError: no switching event within ``cfg.max_step_time``.
         SolverBudgetError: the swing needed more than
             :data:`MAX_NFEV_PER_SWING` right-hand side evaluations.
@@ -231,6 +219,9 @@ def integrate_swing(x0: np.ndarray, t0: float, cfg: SimConfig,
     grid = np.arange(t0, t_bound, cfg.sample_dt)
     grid = grid[grid <= t_bound]
 
+    # Already fallen: the fall event fires only on a crossing.
+    if max(abs(x0[0]), abs(x0[1])) >= FALL_GUARD:
+        raise FellOverError(f"leg angle reached +/-90 deg at t = {t0:.4f} s")
     # Already past the surface and moving forward: the crossing is immediate.
     if x0[0] >= q1_switch and x0[3] > 0.0:
         return (_sample_swing(grid, np.empty((0, len(x0))), step_index, t0,

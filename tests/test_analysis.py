@@ -9,7 +9,7 @@ import pytest
 import triped as T
 from triped import simulate
 from triped.analysis import (contraction_ratio, find_periodic_orbit,
-                             run_sweep, summarize_gait)
+                             run_sweep, stride_distances, summarize_gait)
 
 
 def test_contraction_ratio_median_of_successive_ratios():
@@ -95,6 +95,24 @@ def test_orbit_is_the_gaits_state_after_as_many_strides():
     assert np.array_equal(orbit.omega_I_star,
                           gait.trajectories[-1].omega_I[-1])
     assert orbit.step_time == gait.records[-1].step_time
+
+
+def test_orbit_search_and_gait_summary_read_one_contraction_ratio():
+    orbit = find_periodic_orbit(T.SimConfig(), tol=1e-3)
+    summary = T.run_gait(replace(T.SimConfig(), n_steps=orbit.iterations))
+    assert orbit.iterations == 8
+    assert np.array_equal(orbit.distances, stride_distances(summary))
+    assert orbit.rho_hat == summarize_gait(summary).rho_hat
+
+
+def test_stride_distances_start_at_the_configured_start():
+    summary = T.run_gait(replace(T.SimConfig(), n_steps=3, max_step_time=0.05))
+    assert stride_distances(summary).shape == (0,)
+    summary = T.run_gait(replace(T.SimConfig(), n_steps=2))
+    x0 = np.array(summary.config.initial_state)
+    x1, x2 = (r.x_pre_impact for r in summary.records)
+    assert stride_distances(summary).tolist() == [
+        float(np.linalg.norm(x1 - x0)), float(np.linalg.norm(x2 - x1))]
 
 
 def test_gait_and_orbit_search_step_once_per_stride(monkeypatch):

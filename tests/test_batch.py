@@ -14,8 +14,7 @@ import pytest
 import triped as T
 from triped.dynamics import coriolis_matrix, gravity_torque, inertia_matrix
 from triped.impact import chain_angular_momentum, free_mass_matrix
-from triped.reduced import (consistency_check, input_matrix_e,
-                            pushforward_input_matrix, reduced_forces)
+from triped.reduced import input_matrix_e, reduced_forces
 
 from triped_helpers import stack_params
 
@@ -91,10 +90,6 @@ CALLS = {
         T.to_reduced(q, dq, TARGETS), p, incline),
     "input_matrix_e": lambda q, dq, p, **_: input_matrix_e(
         T.to_reduced(q, dq, TARGETS), p),
-    "pushforward_input_matrix": lambda q, dq, p, **_: pushforward_input_matrix(
-        T.to_reduced(q, dq, TARGETS), p),
-    "consistency_check": lambda q, dq, u, p, incline, **_: consistency_check(
-        q, dq, u, p, incline, TARGETS),
     "kinetic_energy": lambda q, dq, p, **_: T.kinetic_energy(q, dq, p),
     "potential_energy": lambda q, p, incline, **_: T.potential_energy(
         q, p, incline),

@@ -529,6 +529,26 @@ def test_statically_unstable_slopes_warn_but_parse():
         T.parse_config_text("[sim]\nlambda_true_deg = 25\n")
 
 
+def test_a_swept_slope_past_the_bound_warns_for_its_end_sample():
+    sweep = ("[sweep]\naxis = incline_true\nrel_min = 0\nrel_max = 0.12\n"
+             "n_samples = 3\n")
+    with pytest.warns(T.StaticStabilityWarning) as rec:
+        T.parse_config_text(sweep)
+    assert [str(w.message) for w in rec] == [
+        "sweep sample 2: lambda_true_deg = 28.00 deg exceeds the "
+        "static-stability bound 26.74 deg; no standing equilibrium exists "
+        "there (dynamic walking may still succeed)"]
+    # A value the base and both end samples share is warned about once.
+    with pytest.warns(T.StaticStabilityWarning) as rec:
+        T.parse_config_text("[sim]\nlambda_true_deg = 40\n[sweep]\n"
+                            "rel_min = 0.5\nrel_max = 0.5\n")
+    assert [str(w.message)[:26] for w in rec] == ["lambda_true_deg = 40.00 de"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T.parse_config_text("[sweep]\n")
+        T.parse_config_text(sweep.replace("0.12", "0.04"))
+
+
 def test_static_stability_warning_names_the_caller(tmp_path):
     text = "[sim]\nlambda_true_deg = 40\n[sweep]\n"
     path = tmp_path / "steep.cfg"

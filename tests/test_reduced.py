@@ -1,4 +1,4 @@
-"""Reduced (output/zero channel) model: frozen values and consistency."""
+"""Reduced (output/zero channel) model: frozen values and pushforward."""
 
 import math
 
@@ -8,8 +8,7 @@ import pytest
 import triped as T
 from triped.dynamics import (INPUT_MATRIX, gravity_torque, inertia_matrix,
                              velocity_forces)
-from triped.reduced import (OUTPUT_MAP, _pushforward, consistency_check,
-                            input_matrix_e, pushforward_input_matrix,
+from triped.reduced import (OUTPUT_MAP, input_matrix_e, pushforward,
                             quadratic_bracket, reduced_forces,
                             reduced_inertias, to_reduced)
 
@@ -70,7 +69,8 @@ def test_closed_form_torque_map_matches_pushforward():
     for q, dq in random_full_states(40, seed=21):
         rs = to_reduced(q, dq, TARGETS)
         closed_e, closed_z = input_matrix_e(rs, P)
-        pushed_e, pushed_z = pushforward_input_matrix(rs, P)
+        pushed_e, pushed_z = pushforward(rs, P, inertia_matrix(q, P),
+                                         INPUT_MATRIX)
         np.testing.assert_allclose(closed_e, pushed_e, atol=1e-12)
         np.testing.assert_allclose(closed_z, pushed_z, atol=1e-12)
 
@@ -81,15 +81,12 @@ def test_reduced_forces_are_pushed_forward_from_the_given_state():
     incline = 0.3
     for q, dq in random_full_states(40, seed=22):
         rs = to_reduced(q, dq, TARGETS)
-        e, z = _pushforward(rs, P, inertia_matrix(q, P), np.stack(
+        e, z = pushforward(rs, P, inertia_matrix(q, P), np.stack(
             [velocity_forces(q, dq, P), gravity_torque(q, P, incline)],
             axis=-1))
         tau_e, tau_z, tau_g_e, tau_g_z = reduced_forces(rs, P, incline)
         assert np.array_equal(tau_e, e[:, 0]) and tau_z == z[0]
         assert np.array_equal(tau_g_e, -e[:, 1]) and tau_g_z == -z[1]
-        b_e, b_z = _pushforward(rs, P, inertia_matrix(q, P), INPUT_MATRIX)
-        pushed_e, pushed_z = pushforward_input_matrix(rs, P)
-        assert np.array_equal(pushed_e, b_e) and np.array_equal(pushed_z, b_z)
         np.testing.assert_allclose(rs.omega_e, OUTPUT_MAP @ dq, atol=1e-14)
 
 
@@ -103,14 +100,6 @@ def test_reduced_inertias_positive_over_shape_grid():
             i_e, i_z = reduced_inertias(rs, P)
             assert np.diag(i_e).min() > 0
             assert i_z > 0
-
-
-def test_reduced_equations_consistent_with_full_model():
-    rng = np.random.default_rng(23)
-    for q, dq in random_full_states(25, seed=24):
-        u = rng.uniform(-40, 40, 2)
-        incline = rng.uniform(-0.5, 0.5)
-        assert consistency_check(q, dq, u, P, incline, TARGETS) < 1e-6
 
 
 def test_error_coordinates_reference_targets():

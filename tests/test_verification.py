@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import triped as T
-from triped import dynamics, impact, kernel, ode, reduced, verification
+from triped import dynamics, impact, kernel, ode, verification
 from triped.reduced import input_matrix_e, to_reduced
 from triped.verification import (CertificationReport, CheckResult,
                                  run_certification, transcription_report)
@@ -150,7 +150,7 @@ def nan_at(fn, index=3, call=None):
 #: (check (h): once per error weighting of a batch).
 RESIDUAL_CALLS = [
     ("certify_swing_terms", verification, "coriolis_matrix"),
-    ("certify_reduced_consistency", reduced, "swing_accel"),
+    ("certify_reduced_consistency", verification, "swing_accel"),
     ("certify_impact", verification, "swing_foot_position"),
     ("certify_closed_loop", verification, "swing_accel"),
     ("certify_skew", verification, "quadratic_bracket"),
@@ -193,14 +193,38 @@ def test_a_check_evaluates_every_state_of_every_batch(monkeypatch, check,
     assert not result.passed
 
 
-def test_a_nan_at_one_state_flags_the_transcription_term(monkeypatch):
-    pushforward = verification.pushforward_input_matrix
+@pytest.mark.parametrize("name, term", [
+    pytest.param("input_matrix_e", 0, id="B_e"),
+    pytest.param("input_matrix_e", 1, id="b_z"),
+    pytest.param("reduced_forces", 2, id="tau_g_e"),
+])
+def test_reduced_consistency_catches_a_slip_in_one_term(monkeypatch, name,
+                                                        term):
+    """Check (c) reads the reduced terms through this module, so a slip of
+    one part in a million in any of them fails it (the clean residual is
+    about 1e-12)."""
+    assert verification.certify_reduced_consistency(200).passed
+    real = getattr(verification, name)
 
-    def nan_in_b_e(rs, p):
-        b_e, b_z = pushforward(rs, p)
+    def slipped(*args):
+        terms = list(real(*args))
+        terms[term] = terms[term] * (1.0 + 1e-6)
+        return tuple(terms)
+
+    monkeypatch.setattr(verification, name, slipped)
+    result = verification.certify_reduced_consistency(200)
+    assert result.max_residual > result.tolerance
+    assert not result.passed
+
+
+def test_a_nan_at_one_state_flags_the_transcription_term(monkeypatch):
+    pushforward = verification.pushforward
+
+    def nan_in_b_e(*args):
+        b_e, b_z = pushforward(*args)
         return nan_at(lambda: b_e)(), b_z
 
-    monkeypatch.setattr(verification, "pushforward_input_matrix", nan_in_b_e)
+    monkeypatch.setattr(verification, "pushforward", nan_in_b_e)
     report = transcription_report(n_states=20)
     assert np.isnan(report.residuals["input matrix (output)"])
     assert "input matrix (output)" in report.corrupted_terms
