@@ -99,7 +99,7 @@ def find_periodic_orbit(cfg: SimConfig, tol: float = 1e-6,
 
     Raises:
         ValueError: ``max_iters`` not an integer >= 1 or ``tol`` not a
-            positive finite number (a bool is not one).
+            positive finite int or double (a bool is not one).
         ConfigValidationError: ``cfg`` is invalid, ``initial_state`` included.
         NoConvergenceError: ``max_iters`` applications without convergence.
         GaitAbortError: a step failed during the iteration.
@@ -107,7 +107,7 @@ def find_periodic_orbit(cfg: SimConfig, tol: float = 1e-6,
     if not _count(max_iters):
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters}")
     if not _POSITIVE[0](tol):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+        raise ValueError(f"tol must be {_POSITIVE[1]}, got {tol}")
     run = strides(cfg)
     x = np.array(cfg.initial_state, dtype=float)
     distances: list[float] = []

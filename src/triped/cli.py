@@ -26,7 +26,7 @@ from .analysis import find_periodic_orbit, run_sweep
 from .config_io import (emit_orbit_outputs, emit_outputs, emit_sweep_outputs,
                         make_manifest, parse_config_text)
 from .errors import ConfigError, WalkerError
-from .params import SimConfig, SweepSpec
+from .params import _COUNT, _POSITIVE, SimConfig, SweepSpec
 from .simulate import run_gait
 from .verification import run_certification, transcription_report
 
@@ -34,6 +34,19 @@ EXIT_OK = 0
 EXIT_GAIT = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
+
+
+def _flag(rule: tuple, cast: type):
+    """A numeric flag's argparse ``type``: ``cast``, then a params rule."""
+    def read(text: str):
+        if rule[0](value := cast(text)):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {rule[1]}, got {value}")
+    read.__name__ = cast.__name__  # a typo reads "invalid int value: 'x'"
+    return read
+
+
+count_flag, positive_flag = _flag(_COUNT, int), _flag(_POSITIVE, float)
 
 
 def _simulate(args: argparse.Namespace, config: SimConfig | SweepSpec):
@@ -94,19 +107,19 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p_sim = add_run("simulate", _simulate, "run a multi-step gait")
-    p_sim.add_argument("--steps", type=int, default=None,
+    p_sim.add_argument("--steps", type=count_flag, default=None,
                        help="override the number of steps")
     p_sim.add_argument("--strict-scuff", action="store_true",
                        help="abort the gait when the swing foot scuffs")
 
     p_orbit = add_run("orbit", _orbit, "locate the periodic gait")
-    p_orbit.add_argument("--tol", type=float, default=1e-6,
+    p_orbit.add_argument("--tol", type=positive_flag, default=1e-6,
                          help="stride-map convergence tolerance")
 
     add_run("sweep", _sweep, "run a parameter sweep")
 
     p_verify = sub.add_parser("verify", help="run the self-check battery")
-    p_verify.add_argument("--checks", type=int, default=1000,
+    p_verify.add_argument("--checks", type=count_flag, default=1000,
                           help="random states per structural check")
 
     sub.add_parser("version", help="print the package version")
@@ -149,15 +162,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "verify" and args.checks < 1:
-        parser.error(f"argument --checks: must be >= 1, got {args.checks}")
-    if args.verb == "simulate" and args.steps is not None and args.steps < 1:
-        parser.error(f"argument --steps: must be >= 1, got {args.steps}")
-    if args.verb == "orbit" and not 0.0 < args.tol < math.inf:
-        parser.error(f"argument --tol: must be positive and finite, "
-                     f"got {args.tol}")
+    args = _build_parser().parse_args(argv)
     if args.verb == "version":
         print(__version__)
         return EXIT_OK

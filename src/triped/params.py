@@ -4,15 +4,19 @@ All angles stored here are radians and all other quantities SI.  Degree
 conversion happens only at the configuration-file boundary
 (:mod:`triped.config_io`).  Every container is a frozen dataclass: a
 simulation owns exactly one configuration and never mutates it, which is what
-makes sweep samples independent and runs reproducible.
+makes sweep samples independent and runs reproducible.  A config number is an
+int or a double, numpy's included: the canonical text prints a double, so any
+other float would run a gait its run id does not name.  These rules also
+judge the CLI's and the tools' numeric flags (:mod:`triped.cli`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
+from sys import float_info
 
 from .errors import ConfigValidationError
 
@@ -21,14 +25,11 @@ DEFAULT_GRAVITY = 9.81
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a real number (numpy's included, bools and
-    strings not) that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
+    """Whether ``value`` is an int or a double (numpy's included) within the
+    double range: not a bool, nor a float32, longdouble or ``Fraction``,
+    whose arithmetic keeps its precision while the canonical text is a double."""
+    return (isinstance(value, (Integral, float)) and not isinstance(value, bool)
+            and -float_info.max <= value <= float_info.max)
 
 
 def _finite_tuple(value, n: int) -> bool:
@@ -41,7 +42,7 @@ def _finite_tuple(value, n: int) -> bool:
 
 def _count(value) -> bool:
     """Whether ``value`` is an integer >= 1 (numpy's included, not a bool)."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return (isinstance(value, Integral) and not isinstance(value, bool)
             and value >= 1)
 
 
@@ -56,12 +57,13 @@ def _refuse(owner, **rules) -> None:
             f"{name} must be {rules[name][1]}" for name in bad), keys=bad)
 
 
-_POSITIVE = (lambda v: _finite(v) and v > 0, "positive and finite")
-_NONNEGATIVE = (lambda v: _finite(v) and v >= 0, "non-negative and finite")
-_FINITE = (_finite, "finite")
+_POSITIVE = (lambda v: _finite(v) and v > 0, "a positive finite int or double")
+_NONNEGATIVE = (lambda v: _finite(v) and v >= 0,
+                "a non-negative finite int or double")
+_FINITE = (_finite, "a finite int or double")
 _COUNT = (_count, "an integer >= 1")
 _INCLINE = (lambda v: _finite(v) and abs(v) < math.pi / 2,
-            "finite with |angle| < 90 deg")
+            "a finite int or double with |angle| < 90 deg")
 
 
 @functools.cache
@@ -253,7 +255,7 @@ class SimConfig:
                 **dict.fromkeys(("rel_tol", "abs_tol", "max_step_time", "delta",
                                  "scuff_tol", "sample_dt"), _POSITIVE),
                 initial_state=(lambda v: _finite_tuple(v, 6),
-                               "a tuple of six finite numbers"),
+                               "a tuple of six finite ints or doubles"),
                 strict_scuff=_instance(bool))
         if not self.max_step_time / self.sample_dt <= MAX_SAMPLES_PER_SWING:
             raise ConfigValidationError(
@@ -265,7 +267,7 @@ class SimConfig:
 class SweepSpec:
     """A one-dimensional robustness sweep around a base configuration.
 
-    ``axis`` is the :func:`get_path` path of a float field of ``base``, as the
+    ``axis`` is the :func:`get_path` path of a field typed float, as the
     config key table spells it (``incline_true``, ``plant.torso_mass``,
     ``initial_state.2``), or ``all_masses``, which scales the plant's three
     masses and reports the factor.  The value for sample ``i`` of
@@ -286,7 +288,7 @@ class SweepSpec:
         try:
             return isinstance(axis, str) and (
                 axis == "all_masses"
-                or isinstance(get_path(self.base, axis), float))
+                or isinstance(get_path(SimConfig(), axis), float))
         except ValueError:
             return False
 
@@ -296,7 +298,7 @@ class SweepSpec:
         _refuse(self, axis=(self._names_a_float,
                             "all_masses or the path of a float field"),
                 rel_range=(lambda v: _finite_tuple(v, 2) and v[0] <= v[1],
-                           "a tuple of two finite numbers with lo <= hi"),
+                           "a tuple of two finite ints or doubles, lo <= hi"),
                 n_samples=_COUNT)
         # Every per-field rule is an interval and the samples are monotone
         # in their index, so the two end samples bound all the others.

@@ -57,7 +57,7 @@ from .errors import (FellOverError, GaitAbortError, NonFiniteStateError,
 from .impact import ImpactResult, reset_map
 from .kernel import closed_loop
 from .ode import NFEV_BUDGET_SPENT, solve_ivp
-from .params import SimConfig, _finite
+from .params import _FINITE, SimConfig
 
 #: Tolerance on the switching-surface residual |q1(t_end) - q1_switch| (rad).
 EVENT_TOL = 1e-10
@@ -276,7 +276,7 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
 
     Raises:
         ValueError: ``x_pre`` or ``omega_I`` has the wrong shape, or
-            ``t_start`` is not a finite number.
+            ``t_start`` is not a finite int or double.
         WalkerError subclasses on any failure (see :func:`integrate_swing`,
         :func:`triped.impact.reset_map`); strict scuff mode raises
         GaitAbortError when the swing foot digs in deeper than
@@ -287,8 +287,8 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
     if x_pre.shape != (6,) or omega_I.shape != (2,):
         raise ValueError("step needs x_pre of shape (6,) and omega_I of shape "
                          f"(2,), got {x_pre.shape} and {omega_I.shape}")
-    if not _finite(t_start):
-        raise ValueError(f"step needs a finite t_start, got {t_start}")
+    if not _FINITE[0](t_start):
+        raise ValueError(f"t_start must be {_FINITE[1]}, got {t_start}")
     res: ImpactResult = reset_map(x_pre[:3], x_pre[3:], cfg.plant)
     if cfg.controller.integrator_reset == "zero":
         omega_I = np.zeros(2)

@@ -230,13 +230,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Battery outcome; ``ok`` only when every check passed."""
+    """Battery outcome; ``ok`` only when checks ran and every one passed."""
 
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def as_text(self) -> str:
         lines = ["certification battery:"]

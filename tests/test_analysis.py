@@ -40,13 +40,14 @@ def test_orbit_search_needs_at_least_one_stride(max_iters):
         find_periodic_orbit(T.SimConfig(), max_iters=max_iters)
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, True])
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, True,
+                                 np.float32(1e-3)])
 def test_orbit_search_needs_a_positive_finite_tolerance(tol, monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("iterated with an invalid tolerance")
 
     monkeypatch.setattr(simulate, "step", no_step)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
+    with pytest.raises(ValueError, match="tol must be a positive finite int or double"):
         find_periodic_orbit(T.SimConfig(), tol=tol)
 
 

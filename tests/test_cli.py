@@ -170,7 +170,7 @@ def test_simulate_refuses_a_step_count_below_one(steps, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--steps", steps, "--out", str(out)])
     assert exc.value.code == 2
-    assert "--steps: must be >= 1" in capsys.readouterr().err
+    assert "--steps: must be an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -265,7 +265,7 @@ def test_verify_refuses_a_check_count_below_one(checks, capsys):
         main(["verify", "--checks", checks])
     assert exc.value.code == 2
     out = capsys.readouterr()
-    assert "--checks: must be >= 1" in out.err
+    assert "--checks: must be an integer >= 1" in out.err
     assert "PASS" not in out.out
 
 
@@ -276,7 +276,7 @@ def test_orbit_refuses_a_tolerance_that_is_not_positive(tol, tmp_path,
     with pytest.raises(SystemExit) as exc:
         main(["orbit", "--tol", tol, "--out", str(out)])
     assert exc.value.code == 2
-    assert "--tol: must be positive and finite" in capsys.readouterr().err
+    assert "--tol: must be a positive finite int or double" in capsys.readouterr().err
     assert not out.exists()
 
 

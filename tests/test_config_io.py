@@ -7,6 +7,7 @@ import operator
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -218,16 +219,30 @@ def test_invalid_values_are_rejected_with_keys():
      "integrator_reset"),
     (replace(T.ControllerConfig(), integrator_reset=np.array(INTEGRATOR_RESETS)),
      "integrator_reset"),
+    (replace(T.SimConfig(), plant=T.RobotParams(leg_mass=np.float32(1.0))),
+     "leg_mass"),
+    (T.ControllerConfig(gains=T.ControllerGains(kp=np.float32(1500.1))), "kp"),
+    (T.ControllerGains(kd=np.longdouble(1250.0)), "kd"),
+    (T.ControllerGains(ki=Fraction(1, 3)), "ki"),
+    (replace(T.SimConfig(), incline_true=np.float32(0.4)), "incline_true"),
+    (replace(T.SimConfig(), initial_state=(
+        np.float32(0.26), *T.nominal_initial_state()[1:])), "initial_state"),
+    (T.SweepSpec(rel_range=(np.float32(-0.5), 0.5)), "rel_range"),
 ], ids=["array-rows", "string-entry", "scalar-start", "fractional-steps",
         "bool-steps", "string-flag", "string-tolerance", "string-mass",
         "fractional-samples", "one-bound", "array-start", "list-start",
         "list-range", "array-range", "no-plant", "no-controller", "no-gains",
         "targets-as-model", "no-targets", "controller-as-base", "no-slope",
         "string-slope", "no-assumed-slope", "weighting-array",
-        "weightings-array", "reset-array", "resets-array"])
+        "weightings-array", "reset-array", "resets-array", "float32-mass",
+        "float32-gain", "longdouble-gain", "fraction-gain", "float32-slope",
+        "float32-start", "float32-range"])
 def test_validate_refuses_wrongly_typed_values_by_key(config, key):
     # Python callers can put any object in a field; the config file's
     # parser types every value, so only this gate stands in their way.
+    # A config number is an int or a double: with a float32, longdouble or
+    # Fraction the run computes in that value's own precision while its
+    # text, and so its run id, names a double.
     with pytest.raises(T.ConfigValidationError) as err:
         config.validate()
     assert err.value.keys == [key]
@@ -282,13 +297,34 @@ def test_one_error_names_every_bad_field():
     with pytest.raises(T.ConfigValidationError) as err:
         replace(T.SimConfig(), rel_tol=0.0, strict_scuff="no").validate()
     assert err.value.keys == ["rel_tol", "strict_scuff"]
-    assert str(err.value) == ("rel_tol must be positive and finite; "
+    assert str(err.value) == ("rel_tol must be a positive finite int or double; "
                               "strict_scuff must be a bool")
 
 
 def test_numpy_integers_count_steps_and_samples():
     replace(T.SimConfig(), n_steps=np.int64(3)).validate()
     T.SweepSpec(n_samples=np.int64(2)).validate()
+
+
+def test_ints_and_doubles_run_the_gait_their_text_names(tmp_path):
+    # Numbers as a bisection, an array or np.radians leave them: ints, numpy
+    # integers and numpy doubles run the gait of the text they print.
+    base = T.SimConfig()
+    cfg = replace(
+        base, incline_true=np.radians(25.0), n_steps=np.int64(2),
+        plant=replace(base.plant, leg_mass=1, hip_mass=np.int64(1),
+                      torso_mass=np.float64(3.0)),
+        controller=replace(base.controller, incline_assumed=np.radians(25.0),
+                           gains=T.ControllerGains(kp=1500, kd=np.int64(1250),
+                                                   ki=np.float64(120.0))),
+        initial_state=tuple(np.array(base.initial_state)))
+    back = T.parse_config_text(T.write_config(cfg))
+    assert T.make_manifest(cfg).run_id == T.make_manifest(back).run_id
+    numbers, text = (T.emit_outputs(T.run_gait(c), T.make_manifest(c),
+                                    tmp_path / name)
+                     for name, c in (("numbers", cfg), ("text", back)))
+    for name in set(numbers) - {"manifest.json"}:
+        assert numbers[name].read_bytes() == text[name].read_bytes(), name
 
 
 _ANY_NUMBER = st.floats() | st.integers()
@@ -455,6 +491,19 @@ def test_an_axis_that_names_no_float_field_is_refused(axis):
     spec = T.SweepSpec(axis=axis, rel_range=(-0.1, 0.1), base=T.SimConfig())
     with pytest.raises(T.ConfigValidationError) as err:
         spec.validate()
+    assert err.value.keys == ["axis"]
+
+
+def test_a_float_field_that_holds_an_int_is_a_sweep_axis():
+    # The axis is judged by its field, not by the type of the base's value.
+    base = replace(T.SimConfig(), controller=T.ControllerConfig(
+        gains=T.ControllerGains(kp=1500)))
+    spec = T.SweepSpec(axis="controller.gains.kp", rel_range=(-0.1, 0.1),
+                       n_samples=3, base=base)
+    spec.validate()
+    assert spec.sample_values() == pytest.approx([1350.0, 1500.0, 1650.0])
+    with pytest.raises(T.ConfigValidationError) as err:
+        replace(spec, axis="n_steps").validate()
     assert err.value.keys == ["axis"]
 
 

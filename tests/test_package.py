@@ -114,16 +114,23 @@ def test_benchmark_hooks_exist(tmp_path):
     ("emit_memory.py", ["--sample-dt", "0"]),
     ("emit_memory.py", ["--sample-dt", "-0.001"]),
     ("emit_memory.py", ["--sample-dt", "nan"]),
+    ("replay_split.py", ["--rounds", "-1"]),
+    ("time_kernel_check.py", ["--states", "-1"]),
+    ("time_kernel_check.py", ["--rounds", "-1"]),
+    ("emit_memory.py", ["--steps", "-1"]),
+    ("emit_memory.py", ["--sample-dt", "inf"]),
 ])
 def test_the_tools_refuse_a_count_below_one(tool, args):
     # Refused by the argument parser before any work: exit 2, a usage line.
-    # A count is refused below one, a time step unless it is positive.
+    # A count is refused below one, a time step unless positive and finite,
+    # in the words of the config rules (triped.params).
     done = subprocess.run([sys.executable, str(TOOLS / tool), *args],
                           env=fresh_env(), capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 2
-    bound = "> 0" if args[0] == "--sample-dt" else ">= 1"
-    assert f"{args[0]} must be {bound}" in done.stderr
+    rule = ("a positive finite int or double" if args[0] == "--sample-dt"
+            else "an integer >= 1")
+    assert f"argument {args[0]}: must be {rule}, got " in done.stderr
     assert "Traceback" not in done.stderr
 
 

@@ -55,7 +55,7 @@ def test_step_reads_its_record_off_the_trajectory_end():
 SHAPES = r"x_pre of shape \(6,\) and omega_I of shape \(2,\)"
 
 
-START = "step needs a finite t_start"
+START = "t_start must be a finite int or double"
 
 
 @pytest.mark.parametrize("x_pre, omega_I, t_start, error, match", [
@@ -70,9 +70,10 @@ START = "step needs a finite t_start"
     (T.nominal_initial_state(), (0.0, 0.0), math.nan, ValueError, START),
     (T.nominal_initial_state(), (0.0, 0.0), math.inf, ValueError, START),
     (T.nominal_initial_state(), (0.0, 0.0), -math.inf, ValueError, START),
+    (T.nominal_initial_state(), (0.0, 0.0), np.float32(0.0), ValueError, START),
 ], ids=["five-values", "seven-values", "one-integrator", "three-integrator",
         "nan-state", "inf-integrator", "nan-start", "inf-start",
-        "minus-inf-start"])
+        "minus-inf-start", "float32-start"])
 def test_step_checks_its_arguments(x_pre, omega_I, t_start, error, match):
     with pytest.raises(error, match=match):
         step(np.array(x_pre), np.array(omega_I), t_start, T.SimConfig())

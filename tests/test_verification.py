@@ -54,6 +54,13 @@ def test_check_result_pass_logic():
     assert "[FAIL]" in failing.as_text()
 
 
+def test_a_report_of_no_checks_is_not_a_pass():
+    # No check ran, so nothing was certified.
+    empty = CertificationReport()
+    assert not empty.ok
+    assert empty.as_text().endswith("overall: FAIL")
+
+
 @pytest.mark.parametrize("n_states", [0, -1, 2.5, True])
 def test_battery_refuses_to_certify_without_states(n_states):
     for battery in (run_certification, transcription_report,

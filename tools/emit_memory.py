@@ -27,18 +27,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import triped as T
+from triped.cli import count_flag, positive_flag
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--steps", type=int, default=20)
-    parser.add_argument("--sample-dt", type=float,
+    parser.add_argument("--steps", type=count_flag, default=20)
+    parser.add_argument("--sample-dt", type=positive_flag,
                         default=T.SimConfig().sample_dt)
     args = parser.parse_args()
-    if args.steps < 1:
-        parser.error("--steps must be >= 1")
-    if not args.sample_dt > 0:
-        parser.error("--sample-dt must be > 0")
     config = replace(T.SimConfig(), n_steps=args.steps,
                      sample_dt=args.sample_dt, max_step_time=1.0)
     summary = T.run_gait(config)

@@ -30,6 +30,7 @@ import time
 
 import triped as T
 from triped import ode, simulate
+from triped.cli import count_flag
 
 
 def record_swings(cfg):
@@ -81,10 +82,8 @@ def time_round(swings) -> dict[str, float]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=count_flag, default=5)
     args = parser.parse_args()
-    if args.rounds < 1:
-        parser.error("--rounds must be >= 1")
     swings = record_swings(T.SimConfig())
     # The recording is about 170,000 objects that a gait does not hold:
     # keep the collector from walking them during the timed rounds.

@@ -17,18 +17,15 @@ import json
 import statistics
 import time
 
+from triped.cli import count_flag
 from triped.verification import certify_kernel
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--states", type=int, default=1000)
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--states", type=count_flag, default=1000)
+    parser.add_argument("--rounds", type=count_flag, default=5)
     args = parser.parse_args()
-    if args.states < 1:
-        parser.error("--states must be >= 1")
-    if args.rounds < 1:
-        parser.error("--rounds must be >= 1")
     certify_kernel(n_states=1)
     times = []
     for _ in range(args.rounds):
