@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import GaitAbortError, NoConvergenceError
-from .params import _POSITIVE, SimConfig, SweepSpec, _count
+from .params import _COUNT, _POSITIVE, SimConfig, SweepSpec, _require
 from .simulate import GaitSummary, run_gait, strides
 
 #: A gait's step times count as converged when the last five span less than
@@ -104,10 +104,8 @@ def find_periodic_orbit(cfg: SimConfig, tol: float = 1e-6,
         NoConvergenceError: ``max_iters`` applications without convergence.
         GaitAbortError: a step failed during the iteration.
     """
-    if not _count(max_iters):
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters}")
-    if not _POSITIVE[0](tol):
-        raise ValueError(f"tol must be {_POSITIVE[1]}, got {tol}")
+    _require("max_iters", max_iters, _COUNT)
+    _require("tol", tol, _POSITIVE)
     run = strides(cfg)
     x = np.array(cfg.initial_state, dtype=float)
     distances: list[float] = []

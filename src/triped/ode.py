@@ -31,6 +31,13 @@ order and parentheses, so the steps are bit for bit those of the loop; the
 source is registered with :mod:`linecache` under ``<triped.ode dp5 n=N>``,
 so a traceback through it shows its lines.
 
+The driver loop around the generated step runs once per attempt, so it is
+kept short too: the functions it calls are bound to locals, the step
+controller's bounds are comparisons that pick the operand ``min`` would,
+and the events' direction rule is one comprehension over the step's
+values.  It computes what scipy's loop computes, in the same order, so it
+adds no rounding of its own.
+
 ``fun`` and the events receive ``y`` as a list of floats, ``fun`` returns
 any sequence of ``len(y)`` numbers (a ``ValueError`` otherwise); of each
 step the result keeps only its end time.  ``max_nfev`` bounds the work: the
@@ -241,17 +248,6 @@ def _initial_step(fun, t0: float, y0: list, f0, t_bound: float, rtol: float,
     return min(100 * h0, h1, interval)
 
 
-def _active(g_old: list, g_new: list, directions: list) -> list[int]:
-    """Indices of the events whose sign change matches their direction."""
-    active = []
-    for i, (a, b, d) in enumerate(zip(g_old, g_new, directions)):
-        up = a <= 0 <= b
-        down = a >= 0 >= b
-        if (up and d > 0) or (down and d < 0) or ((up or down) and d == 0):
-            active.append(i)
-    return active
-
-
 def _root(event, dense: Callable[[float], list[float]], t_old: float,
           t_new: float, g_old: float) -> float:
     """Bisect ``event(t, dense(t))`` on the step's interpolant to 4 eps."""
@@ -316,9 +312,12 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     if n == 0:
         raise ValueError("y0 must hold at least one value")
     sqrt_n = n ** 0.5
-    dp5 = _dp5(n)
-    attempt = dp5.step
+    attempt, coefficients, interpolate = _dp5(n)
+    nextafter, sqrt, inf = math.nextafter, math.sqrt, math.inf
     directions = [float(getattr(e, "direction", 0.0)) for e in events]
+    # scipy's three-way rule: an event fires on a rise unless its direction
+    # is negative, and on a fall unless it is positive.
+    signs = [(d >= 0, d <= 0) for d in directions]
     g = [e(t, y) for e in events]
     event = None
 
@@ -331,7 +330,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
     t_next = times[0]
     status, message = None, None
     while status is None:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        min_step = 10 * (nextafter(t, inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -342,16 +341,25 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
             if nfev + 6 > budget:
                 status, message = -1, NFEV_BUDGET_SPENT
                 break
-            t_new = min(t + h_abs, t_bound)
+            # The comparisons below pick the operand builtin min would.
+            t_new = t + h_abs
+            if t_bound < t_new:
+                t_new = t_bound
             h = t_new - t
             h_abs = h
             stages, y_new, err = attempt(fun, t, h, y, f, atol, rtol)
             nfev += 6
-            error_norm = math.sqrt(err) / sqrt_n
+            error_norm = sqrt(err) / sqrt_n
             if error_norm < 1:
-                factor = (MAX_FACTOR if error_norm == 0 else
-                          min(MAX_FACTOR, SAFETY * error_norm ** EXPONENT))
-                h_abs *= min(1.0, factor) if rejected else factor
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = SAFETY * error_norm ** EXPONENT
+                    if not factor < MAX_FACTOR:
+                        factor = MAX_FACTOR
+                if rejected and not factor < 1.0:
+                    factor = 1.0
+                h_abs *= factor
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** EXPONENT)
             rejected = True
@@ -359,14 +367,17 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0, rtol: float = 1e-3
         if status is not None:
             break
 
-        t_old, y_old, t, y, f = t, y, t_new, y_new, stages[6]
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, stages[6]
         if t >= t_bound:
             status = 0
         g_old, g = g, [e(t, y) for e in events]
-        active = _active(g_old, g, directions)
+        active = [i for i, (a, b, (rise, fall))
+                  in enumerate(zip(g_old, g, signs))
+                  if (rise and a <= 0 <= b) or (fall and a >= 0 >= b)]
         if active or t_next <= t:
-            dense = functools.partial(dp5.interpolate, t_old, h, y_old,
-                                      stages[0], dp5.coefficients(stages))
+            dense = functools.partial(interpolate, t_old, h, y_old, stages[0],
+                                      coefficients(stages))
         if active:
             roots = [_root(events[i], dense, t_old, t, g_old[i]) for i in active]
             first = min(range(len(active)), key=roots.__getitem__)

@@ -57,6 +57,13 @@ def _refuse(owner, **rules) -> None:
             f"{name} must be {rules[name][1]}" for name in bad), keys=bad)
 
 
+def _require(name: str, value, rule: tuple) -> None:
+    """Raise ``ValueError("<name> must be <text>, got <value>")`` unless the
+    argument ``value`` passes ``rule``, a pair ``(test, text)`` as above."""
+    if not rule[0](value):
+        raise ValueError(f"{name} must be {rule[1]}, got {value}")
+
+
 _POSITIVE = (lambda v: _finite(v) and v > 0, "a positive finite int or double")
 _NONNEGATIVE = (lambda v: _finite(v) and v >= 0,
                 "a non-negative finite int or double")

@@ -57,7 +57,7 @@ from .errors import (FellOverError, GaitAbortError, NonFiniteStateError,
 from .impact import ImpactResult, reset_map
 from .kernel import closed_loop
 from .ode import NFEV_BUDGET_SPENT, solve_ivp
-from .params import _FINITE, SimConfig
+from .params import _FINITE, SimConfig, _require
 
 #: Tolerance on the switching-surface residual |q1(t_end) - q1_switch| (rad).
 EVENT_TOL = 1e-10
@@ -287,8 +287,7 @@ def step(x_pre: np.ndarray, omega_I: np.ndarray, t_start: float,
     if x_pre.shape != (6,) or omega_I.shape != (2,):
         raise ValueError("step needs x_pre of shape (6,) and omega_I of shape "
                          f"(2,), got {x_pre.shape} and {omega_I.shape}")
-    if not _FINITE[0](t_start):
-        raise ValueError(f"t_start must be {_FINITE[1]}, got {t_start}")
+    _require("t_start", t_start, _FINITE)
     res: ImpactResult = reset_map(x_pre[:3], x_pre[3:], cfg.plant)
     if cfg.controller.integrator_reset == "zero":
         omega_I = np.zeros(2)

@@ -83,7 +83,7 @@ from .impact import (RELABEL, chain_angular_momentum, free_mass_matrix,
 from .kernel import closed_loop
 from .ode import solve_ivp
 from .params import (ERROR_WEIGHTINGS, ControllerConfig, ControllerGains,
-                     GaitTargets, RobotParams, SimConfig, _count)
+                     GaitTargets, RobotParams, SimConfig, _COUNT, _require)
 from .reduced import (OUTPUT_MAP, ReducedState, input_matrix_e, pushforward,
                       quadratic_bracket, reduced_forces, reduced_inertias,
                       to_reduced)
@@ -290,8 +290,7 @@ def _take(batch, index):
 def _batches(n_states: int) -> list[int]:
     """The sizes of a check's batches, at most :data:`BATCH_STATES` each.
     A check needs at least one state, or it would pass on no evidence."""
-    if not _count(n_states):
-        raise ValueError(f"n_states must be an integer >= 1, got {n_states}")
+    _require("n_states", n_states, _COUNT)
     return [min(BATCH_STATES, n_states - start)
             for start in range(0, n_states, BATCH_STATES)]
 

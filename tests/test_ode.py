@@ -303,6 +303,44 @@ def test_direction_filtered_event_fires_on_one_side_only(direction, expected):
     assert ours.nfev == ref.nfev
 
 
+def clock(t, y):
+    """y0 = t and y1 = exp(-t) from y = (0, 1)."""
+    return [1.0, -y[1]]
+
+
+def test_an_event_zero_at_the_start_fires_there_as_scipys_does():
+    def started(t, y):
+        return y[0]
+
+    started.direction, started.terminal = 1.0, True
+    ours = solve_ivp(clock, (0.0, 1.0), [0.0, 1.0], events=(started,))
+    ref = scipy_rk45(clock, (0.0, 1.0), [0.0, 1.0], 1e-3, 1e-6, (started,))
+    assert (ours.status, ours.event, ours.t[-1]) == (1, 0, 0.0)
+    assert ref.status == 1 and ref.t_events[0].tolist() == [0.0]
+    assert ours.nfev == ref.nfev == 8
+    assert ours.y_end.tolist() == [0.0, 1.0]
+
+
+def test_the_earlier_of_two_roots_in_one_step_ends_the_integration():
+    def late(t, y):
+        return y[0] - 0.5000001
+
+    def early(t, y):
+        return y[0] - 0.5
+
+    late.terminal = early.terminal = True
+    # Without events, one step covers both roots.
+    nodes = solve_ivp(clock, (0.0, 1.0), [0.0, 1.0]).t
+    assert np.searchsorted(nodes, 0.5) == np.searchsorted(nodes, 0.5000001)
+    ours = solve_ivp(clock, (0.0, 1.0), [0.0, 1.0], events=(late, early))
+    ref = scipy_rk45(clock, (0.0, 1.0), [0.0, 1.0], 1e-3, 1e-6, (late, early))
+    assert (ours.status, ours.event) == (1, 1)
+    assert ref.t_events[0].size == 0 and ref.t_events[1].size == 1
+    assert ours.t[-1] == pytest.approx(0.5, abs=1e-12)
+    assert ref.t_events[1][0] == pytest.approx(0.5, abs=1e-12)
+    assert ours.nfev == ref.nfev
+
+
 def test_nan_rhs_fails_as_scipy_does():
     # Both integrators close in on t = 0.1 until the step is 10 ulp; the
     # step counts differ with the rounding of the error estimates.

@@ -1,6 +1,7 @@
 """Hybrid gait simulation: events, determinism, records, failure modes."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -228,6 +229,27 @@ def test_a_start_that_has_already_fallen_is_a_fall_not_a_timeout():
         x0 = np.array([q1, q2, 1.8, 1.0, 1.0, 0.0, 0.0, 0.0])
         with pytest.raises(T.FellOverError, match=r"at t = 1\.2500 s$"):
             simulate.integrate_swing(x0, 1.25, cfg)
+
+
+def test_an_event_off_the_surface_aborts_the_step(monkeypatch):
+    real = simulate.solve_ivp
+
+    def off_surface(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        y_end = sol.y_end.copy()
+        y_end[0] += 1e-9
+        return replace(sol, y_end=y_end)
+
+    monkeypatch.setattr(simulate, "solve_ivp", off_surface)
+    cfg = replace(T.SimConfig(), n_steps=2)
+    reason = r"event localization failed: surface residual 1\.0\d\de-09 rad"
+    with pytest.raises(T.WalkerError, match=reason) as info:
+        step(np.array(cfg.initial_state), np.zeros(2), 0.0, cfg)
+    assert type(info.value) is T.WalkerError
+    summary = T.run_gait(cfg)
+    assert len(summary.records) == 1 and summary.records[0].aborted
+    assert summary.completed_steps == 0
+    assert re.fullmatch("WalkerError: " + reason, summary.abort_reason)
 
 
 def test_crossing_at_start_yields_a_zero_length_step():
